@@ -10,8 +10,8 @@
 //! [`vex_isa::CODE_BASE`], so a provably-constant address at or above it
 //! can never be a valid data access — an error.
 //!
-//! [`eval_const`] must mirror `vex_sim::exec::eval` bit-for-bit; an
-//! integration test cross-checks the two over all ALU opcodes.
+//! Folding calls the ISA's own ALU semantics, [`Opcode::eval`] — the same
+//! function the engine and its reference interpreter evaluate with.
 
 use crate::cfg::Cfg;
 use crate::diag::{Check, Diagnostic, Report, Severity};
@@ -32,53 +32,6 @@ impl Val {
         match (self, other) {
             (Val::Const(a), Val::Const(b)) if a == b => Val::Const(a),
             _ => Val::Unknown,
-        }
-    }
-}
-
-/// Mirror of `vex_sim::exec::eval` for the register-result opcodes.
-/// `a`/`b` are the GPR/immediate operands, `c` the branch-register
-/// operand (selects). Compares return 0/1.
-pub fn eval_const(opcode: Opcode, a: u32, b: u32, c: bool) -> u32 {
-    use Opcode::*;
-    match opcode {
-        Add => a.wrapping_add(b),
-        Sub => a.wrapping_sub(b),
-        And => a & b,
-        Or => a | b,
-        Xor => a ^ b,
-        Andc => a & !b,
-        Shl => a.wrapping_shl(b & 31),
-        Shr => a.wrapping_shr(b & 31),
-        Sra => (a as i32).wrapping_shr(b & 31) as u32,
-        Min => (a as i32).min(b as i32) as u32,
-        Max => (a as i32).max(b as i32) as u32,
-        Minu => a.min(b),
-        Maxu => a.max(b),
-        Mov => a,
-        Sxtb => a as u8 as i8 as i32 as u32,
-        Sxth => a as u16 as i16 as i32 as u32,
-        Zxtb => a & 0xff,
-        Zxth => a & 0xffff,
-        Slct => {
-            if c {
-                a
-            } else {
-                b
-            }
-        }
-        Mull => a.wrapping_mul(b),
-        Mulh => (((a as i32 as i64) * (b as i32 as i64)) >> 32) as u32,
-        CmpEq => (a == b) as u32,
-        CmpNe => (a != b) as u32,
-        CmpLt => ((a as i32) < (b as i32)) as u32,
-        CmpLe => ((a as i32) <= (b as i32)) as u32,
-        CmpGt => ((a as i32) > (b as i32)) as u32,
-        CmpGe => ((a as i32) >= (b as i32)) as u32,
-        CmpLtu => (a < b) as u32,
-        CmpGeu => (a >= b) as u32,
-        Ldw | Ldh | Ldhu | Ldb | Ldbu | Stw | Sth | Stb | Br | Brf | Goto | Halt | Send | Recv => {
-            unreachable!("eval_const() called for non-ALU opcode {opcode:?}")
         }
     }
 }
@@ -126,7 +79,7 @@ fn transfer(space: &Space, inst: &Instruction, state: &mut State) {
                 let c = resolve(space, &snapshot, op.c);
                 match (a, b, c) {
                     (Val::Const(a), Val::Const(b), Val::Const(c)) => {
-                        Val::Const(eval_const(op.opcode, a, b, c != 0))
+                        Val::Const(op.opcode.eval(a, b, c != 0))
                     }
                     _ => Val::Unknown,
                 }

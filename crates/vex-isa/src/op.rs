@@ -255,6 +255,63 @@ impl Opcode {
         )
     }
 
+    /// Evaluates a register-result operation from its source values: the
+    /// ISA's ALU/MUL semantics, shared by the simulator, its reference
+    /// interpreter and the static analyzer. `a`/`b` are the GPR/immediate
+    /// operands, `c` the branch-register operand (selects). Compares
+    /// return 0/1. Must not be called for memory, control or communication
+    /// opcodes.
+    #[inline]
+    pub fn eval(self, a: u32, b: u32, c: bool) -> u32 {
+        use Opcode::*;
+        match self {
+            Add => a.wrapping_add(b),
+            Sub => a.wrapping_sub(b),
+            And => a & b,
+            Or => a | b,
+            Xor => a ^ b,
+            Andc => a & !b,
+            Shl => a.wrapping_shl(b & 31),
+            Shr => a.wrapping_shr(b & 31),
+            Sra => (a as i32).wrapping_shr(b & 31) as u32,
+            Min => (a as i32).min(b as i32) as u32,
+            Max => (a as i32).max(b as i32) as u32,
+            Minu => a.min(b),
+            Maxu => a.max(b),
+            Mov => a,
+            Sxtb => a as u8 as i8 as i32 as u32,
+            Sxth => a as u16 as i16 as i32 as u32,
+            Zxtb => a & 0xff,
+            Zxth => a & 0xffff,
+            Slct => {
+                if c {
+                    a
+                } else {
+                    b
+                }
+            }
+            Mull => a.wrapping_mul(b),
+            Mulh => (((a as i32 as i64) * (b as i32 as i64)) >> 32) as u32,
+            CmpEq => (a == b) as u32,
+            CmpNe => (a != b) as u32,
+            CmpLt => ((a as i32) < (b as i32)) as u32,
+            CmpLe => ((a as i32) <= (b as i32)) as u32,
+            CmpGt => ((a as i32) > (b as i32)) as u32,
+            CmpGe => ((a as i32) >= (b as i32)) as u32,
+            CmpLtu => (a < b) as u32,
+            CmpGeu => (a >= b) as u32,
+            _ => unreachable!("eval() called for non-ALU opcode {self:?}"),
+        }
+    }
+
+    /// Truth value of a register-result operation written to a branch
+    /// register (compares, in practice): [`Opcode::eval`] `!= 0`, with the
+    /// select condition reading false.
+    #[inline]
+    pub fn eval_cond(self, a: u32, b: u32) -> bool {
+        self.eval(a, b, false) != 0
+    }
+
     /// Lower-case VEX-style mnemonic.
     pub fn mnemonic(self) -> &'static str {
         use Opcode::*;
@@ -546,6 +603,38 @@ mod tests {
         assert!(Opcode::Goto.is_ctrl());
         assert!(Opcode::CmpGeu.is_cmp());
         assert!(!Opcode::Slct.is_cmp());
+    }
+
+    #[test]
+    fn eval_matches_compiler_semantics() {
+        // Spot checks mirroring vex_compiler::verify::eval_bin tests.
+        assert_eq!(Opcode::Sra.eval(0xffff_fff0, 2, false), 0xffff_fffc);
+        assert_eq!(Opcode::Shr.eval(0xffff_fff0, 2, false), 0x3fff_fffc);
+        assert_eq!(Opcode::Mulh.eval(0x8000_0000, 2, false), 0xffff_ffff);
+        assert_eq!(Opcode::Min.eval(0xffff_ffff, 1, false), 0xffff_ffff);
+        assert_eq!(Opcode::Minu.eval(0xffff_ffff, 1, false), 1);
+        assert_eq!(Opcode::Andc.eval(0b1100, 0b1010, false), 0b0100);
+    }
+
+    #[test]
+    fn eval_extensions() {
+        assert_eq!(Opcode::Sxtb.eval(0x80, 0, false), 0xffff_ff80);
+        assert_eq!(Opcode::Zxtb.eval(0x1ff, 0, false), 0xff);
+        assert_eq!(Opcode::Sxth.eval(0x8000, 0, false), 0xffff_8000);
+        assert_eq!(Opcode::Zxth.eval(0x1_ffff, 0, false), 0xffff);
+    }
+
+    #[test]
+    fn eval_select_uses_condition() {
+        assert_eq!(Opcode::Slct.eval(1, 2, true), 1);
+        assert_eq!(Opcode::Slct.eval(1, 2, false), 2);
+    }
+
+    #[test]
+    fn eval_compares_signed_vs_unsigned() {
+        assert!(Opcode::CmpLt.eval_cond(u32::MAX, 0)); // -1 < 0
+        assert!(!Opcode::CmpLtu.eval_cond(u32::MAX, 0));
+        assert!(Opcode::CmpGeu.eval_cond(u32::MAX, 0));
     }
 
     #[test]

@@ -2,175 +2,39 @@
 //! computed once per [`Program`] instead of on every activation.
 //!
 //! [`ThreadCtx::activate`](crate::thread::ThreadCtx::activate) evaluates an
-//! entire instruction functionally each time it is fetched. Before this
-//! module existed, that meant re-matching every opcode, re-classifying
-//! operands and destinations, and re-scanning bundles for send/recv pairs —
-//! per activation, per context, every few cycles. None of that depends on
-//! architectural state, so it is hoisted here: [`DecodedProgram`] holds, per
-//! instruction, the flattened operation table ([`DecodedOp`]), the bundle
-//! mask, the communication flag, the fetch address/length, and the send
-//! sources for inter-cluster transfers. Activation is left with pure value
-//! evaluation (register/memory reads plus [`crate::exec::eval`]).
+//! entire instruction functionally each time it is fetched. None of the
+//! opcode matching, operand classification or send/recv pairing that takes
+//! depends on architectural state, so it is hoisted here: [`DecodedProgram`]
+//! holds, per instruction, the threaded-code operation table
+//! ([`ThreadedOp`], lowered by [`crate::threaded`]), the bundle mask, the
+//! communication flag, the direct-application flag, the fetch
+//! address/length, the per-bundle issue demands and the send sources for
+//! inter-cluster transfers. Activation is left with pure value evaluation.
 //!
 //! Contexts running the same program share one table via `Arc`: the engine
 //! deduplicates by `Arc::ptr_eq` when it builds a workload, so an
 //! `n`-thread run of one benchmark decodes it exactly once.
 
 use crate::packet::{pack_demand, MAX_CLUSTERS};
-use crate::threaded::{self, EvalFn, ThreadedOp};
+use crate::thread::{F_BREG, F_GPR};
+use crate::threaded::{lower_op, ThreadedOp};
 use std::sync::Arc;
-use vex_isa::{Dest, FuKind, Opcode, Operand, Program};
-
-/// Width/signedness of a pre-decoded load.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LoadWidth {
-    /// 32-bit word (`ldw`).
-    W,
-    /// Sign-extended halfword (`ldh`).
-    H,
-    /// Zero-extended halfword (`ldhu`).
-    Hu,
-    /// Sign-extended byte (`ldb`).
-    B,
-    /// Zero-extended byte (`ldbu`).
-    Bu,
-}
-
-/// A general-purpose register coordinate `(logical cluster, index)`.
-pub type RegCoord = (u8, u8);
+use vex_isa::{FuKind, Opcode, Operand, Program};
 
 /// Pre-resolved source operand: the **flat** GPR-file index
 /// (`cluster * 64 + index`, see [`crate::thread::GprFile`]), or [`SRC_IMM`]
-/// meaning "read the op's `imm` field". Register zero of any cluster is a
-/// valid flat index and architecturally reads zero (its slot is never
-/// written), so `Breg`/`None` operands resolve to flat index 0 and read
-/// zero without a special case.
+/// meaning "read the immediate". Register zero of any cluster is a valid
+/// flat index and architecturally reads zero (its slot is never written),
+/// so `Breg`/`None` operands resolve to flat index 0 and read zero without
+/// a special case.
 pub type SrcRef = u16;
 
 /// [`SrcRef`] sentinel: the operand is the op's immediate.
 pub const SRC_IMM: SrcRef = u16::MAX;
 
-/// Flat-destination sentinel: no GPR/branch-register write (result
-/// discarded, or the destination was the immutable register zero).
-pub const DST_NONE: u16 = u16::MAX;
-
 /// Flat branch-register sentinel: the condition operand named no branch
 /// register; it reads false.
 pub const BREG_NONE: u16 = u16::MAX;
-
-/// What an operation *does* at activation, with every static decision
-/// already made — opcode classified, operands resolved to flat register
-/// indices or immediates, immutable-destination writes dropped, and
-/// constant operations folded. Only values (register reads, memory reads,
-/// ALU results) are computed when a record is built from one of these.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum OpEval {
-    /// Memory read into an optional GPR destination.
-    Load {
-        /// Access width.
-        width: LoadWidth,
-        /// Base-address source (immediate bases fold into `off`).
-        base: SrcRef,
-        /// Byte offset added to the base.
-        off: u32,
-        /// Flat destination GPR, or [`DST_NONE`].
-        dst: u16,
-    },
-    /// Memory write, delay-buffered until commit.
-    Store {
-        /// Access size in bytes (1, 2 or 4).
-        size: u8,
-        /// Base-address source (immediate bases fold into `off`).
-        base: SrcRef,
-        /// Byte offset added to the base.
-        off: u32,
-        /// Value source.
-        value: SrcRef,
-        /// Immediate consumed by `value` when it is [`SRC_IMM`].
-        val_imm: u32,
-    },
-    /// Inter-cluster send. The value capture happens via
-    /// [`DecodedProgram::sends_of`] before records are built, so the record
-    /// itself carries no effect.
-    Send,
-    /// Inter-cluster receive of transfer pair `pair` into `dst`.
-    Recv {
-        /// Transfer pair id (0..16).
-        pair: u8,
-        /// Flat destination GPR, or [`DST_NONE`].
-        dst: u16,
-    },
-    /// Conditional branch: taken when the branch register equals
-    /// `taken_if`.
-    CondBr {
-        /// Flat branch-register index, or [`BREG_NONE`] (reads false).
-        cond: u16,
-        /// Target instruction index.
-        target: usize,
-        /// Polarity: `true` for `br`, `false` for `brf`.
-        taken_if: bool,
-    },
-    /// Unconditional branch.
-    Goto {
-        /// Target instruction index.
-        target: usize,
-    },
-    /// End of the program run.
-    Halt,
-    /// ALU/MUL operation writing a GPR.
-    AluGpr {
-        /// Opcode, dispatched by [`crate::exec::eval`].
-        op: Opcode,
-        /// First source.
-        a: SrcRef,
-        /// Second source.
-        b: SrcRef,
-        /// Immediate consumed by whichever of `a`/`b` is [`SRC_IMM`]
-        /// (two-immediate operations are constant-folded at decode).
-        imm: u32,
-        /// Select condition (flat branch register or [`BREG_NONE`]).
-        cond: u16,
-        /// Flat destination GPR (never [`DST_NONE`]: destination-less
-        /// operations decode to [`OpEval::Effectless`]).
-        dst: u16,
-    },
-    /// A `slct` whose both data sources are immediates (cannot fold: the
-    /// outcome still depends on the branch register at activation).
-    SlctImm {
-        /// Value when the condition is true.
-        a: u32,
-        /// Value when the condition is false.
-        b: u32,
-        /// Flat branch-register condition, or [`BREG_NONE`].
-        cond: u16,
-        /// Flat destination GPR.
-        dst: u16,
-    },
-    /// Compare-class operation writing a branch register.
-    AluBreg {
-        /// Opcode, dispatched by [`crate::exec::eval_cond`].
-        op: Opcode,
-        /// First source.
-        a: SrcRef,
-        /// Second source.
-        b: SrcRef,
-        /// Immediate consumed by whichever of `a`/`b` is [`SRC_IMM`].
-        imm: u32,
-        /// Flat destination branch register.
-        dst: u16,
-    },
-    /// A branch-register write whose value folded to a constant at decode
-    /// (compare of two immediates).
-    BregConst {
-        /// The folded truth value.
-        v: bool,
-        /// Flat destination branch register.
-        dst: u16,
-    },
-    /// Operation with no architectural effect (result discarded). Still
-    /// occupies its functional unit and issue slot.
-    Effectless,
-}
 
 /// Static issue-resource demand of one bundle: how many slots and
 /// functional units of each class the bundle claims on its cluster. A
@@ -195,21 +59,10 @@ pub struct ClusterDemand {
     pub packed: u64,
 }
 
-/// The static half of one operation's in-flight record.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DecodedOp {
-    /// Logical cluster of the bundle containing the op.
-    pub log_cluster: u8,
-    /// Functional-unit class (issue resource accounting).
-    pub fu: FuKind,
-    /// Pre-classified evaluation recipe.
-    pub eval: OpEval,
-}
-
 /// Per-instruction static metadata.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DecodedInst {
-    /// Range of this instruction's operations in [`DecodedProgram::ops`].
+    /// Range of this instruction's operations in [`DecodedProgram::tops`].
     pub op_range: (u32, u32),
     /// Range of this instruction's send sources in
     /// [`DecodedProgram::sends`].
@@ -219,12 +72,6 @@ pub struct DecodedInst {
     pub demand_range: (u32, u32),
     /// Bit `c` set iff logical cluster `c` has a non-empty bundle.
     pub bundle_mask: u16,
-    /// Bit `c` set iff bundle `c` exists and every one of its ops lowered
-    /// to a *dense* [`crate::threaded::Kind`]: activation batch-evaluates
-    /// the bundle through the fused evaluator instead of per-op
-    /// [`EvalFn`] calls. `fused_mask == bundle_mask` (the common case)
-    /// means the whole instruction takes the fused path in one pass.
-    pub fused_mask: u16,
     /// Whether any operation is an inter-cluster send/recv (NS policy).
     pub has_comm: bool,
     /// Direct-apply eligibility: the instruction has no memory operation,
@@ -247,19 +94,10 @@ pub struct DecodedInst {
 /// A fully pre-decoded program, shared between all contexts that run it.
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
-    /// Flattened operation table, grouped by instruction in bundle order
-    /// (the same order `activate` used to walk `Instruction::bundles`).
-    /// Off the hot path since the threaded-code lowering: activation walks
-    /// [`DecodedProgram::tops`]; this table remains the readable
-    /// classification record (tests, diagnostics) the lowering consumed.
-    pub ops: Vec<DecodedOp>,
-    /// Threaded-code table: one [`ThreadedOp`] per entry of `ops`, same
-    /// order, produced by [`crate::threaded::lower_op`]. This is what
-    /// activation executes.
+    /// Threaded-code operation table, grouped by instruction in bundle
+    /// order (the order `Instruction::bundles` lists them). This is what
+    /// activation evaluates.
     pub tops: Vec<ThreadedOp>,
-    /// Pre-bound evaluator table parallel to `tops`: the per-op closure
-    /// table taken by bundles outside the fused dense set.
-    pub fns: Vec<EvalFn>,
     /// Flattened `(pair id, source, immediate)` table for send value
     /// capture, sources pre-resolved like every other operand.
     pub sends: Vec<(u8, SrcRef, u32)>,
@@ -276,52 +114,28 @@ pub struct DecodedProgram {
 /// operation, or a read of a register some *earlier* operation writes,
 /// disqualifies the instruction; write-after-write needs no check because
 /// both the record replay and the direct path apply writes in the same
-/// order. Send sources are excluded from the read set: they are captured
-/// into the transfer buffer before evaluation starts, so they can never
-/// observe an in-instruction write.
-fn classify_direct(ops: &[DecodedOp]) -> bool {
+/// order. Lowering leaves every source field a kind does not read at zero,
+/// the never-written register zero of cluster 0, so reading `a`, `b` and
+/// `cond` of every op needs no per-kind case. Send sources are excluded
+/// from the read set: they are captured into the transfer buffer before
+/// evaluation starts, so they can never observe an in-instruction write.
+fn classify_direct(tops: &[ThreadedOp]) -> bool {
     let mut gpr_w = [0u64; MAX_CLUSTERS];
     let mut breg_w = 0u64;
-    let gpr_read = |w: &[u64; MAX_CLUSTERS], r: SrcRef| {
-        r != SRC_IMM && w[(r >> 6) as usize % MAX_CLUSTERS] >> (r & 63) & 1 != 0
-    };
-    let breg_read = |w: u64, b: u16| b != BREG_NONE && w >> (b & 63) & 1 != 0;
-    for op in ops {
-        match op.eval {
-            OpEval::Load { .. }
-            | OpEval::Store { .. }
-            | OpEval::CondBr { .. }
-            | OpEval::Goto { .. }
-            | OpEval::Halt => return false,
-            OpEval::Send | OpEval::Effectless => {}
-            OpEval::Recv { dst, .. } => {
-                if dst != DST_NONE {
-                    gpr_w[(dst >> 6) as usize % MAX_CLUSTERS] |= 1 << (dst & 63);
-                }
-            }
-            OpEval::AluGpr {
-                a, b, cond, dst, ..
-            } => {
-                if gpr_read(&gpr_w, a) || gpr_read(&gpr_w, b) || breg_read(breg_w, cond) {
-                    return false;
-                }
-                gpr_w[(dst >> 6) as usize % MAX_CLUSTERS] |= 1 << (dst & 63);
-            }
-            OpEval::SlctImm { cond, dst, .. } => {
-                if breg_read(breg_w, cond) {
-                    return false;
-                }
-                gpr_w[(dst >> 6) as usize % MAX_CLUSTERS] |= 1 << (dst & 63);
-            }
-            OpEval::AluBreg { a, b, dst, .. } => {
-                if gpr_read(&gpr_w, a) || gpr_read(&gpr_w, b) {
-                    return false;
-                }
-                breg_w |= 1 << (dst & 63);
-            }
-            OpEval::BregConst { dst, .. } => {
-                breg_w |= 1 << (dst & 63);
-            }
+    for t in tops {
+        if matches!(t.fu(), FuKind::Mem | FuKind::Br) {
+            return false;
+        }
+        let gpr_read = |r: u16| gpr_w[(r >> 6) as usize % MAX_CLUSTERS] >> (r & 63) & 1 != 0;
+        let breg_read = t.cond != BREG_NONE && breg_w >> (t.cond & 63) & 1 != 0;
+        if gpr_read(t.a) || gpr_read(t.b) || breg_read {
+            return false;
+        }
+        let dst = t.dst();
+        if t.rec_flags & F_GPR != 0 {
+            gpr_w[(dst >> 6) as usize % MAX_CLUSTERS] |= 1 << (dst & 63);
+        } else if t.rec_flags & F_BREG != 0 {
+            breg_w |= 1 << (dst & 63);
         }
     }
     true
@@ -332,19 +146,16 @@ impl DecodedProgram {
     /// program per engine; everything here is hot-loop work that used to
     /// run on every activation.
     pub fn decode(program: &Program) -> Self {
-        let mut ops = Vec::with_capacity(program.total_ops() as usize);
         let mut tops = Vec::with_capacity(program.total_ops() as usize);
-        let mut fns: Vec<EvalFn> = Vec::with_capacity(program.total_ops() as usize);
         let mut sends = Vec::new();
         let mut demands = Vec::new();
         let mut insts = Vec::with_capacity(program.len());
 
         for (idx, inst) in program.instructions.iter().enumerate() {
-            let op_start = ops.len() as u32;
+            let op_start = tops.len() as u32;
             let send_start = sends.len() as u32;
             let demand_start = demands.len() as u32;
             let mut bundle_mask = 0u16;
-            let mut fused_mask = 0u16;
             let mut has_comm = false;
 
             for (c, bundle) in inst.bundles.iter().enumerate() {
@@ -352,7 +163,7 @@ impl DecodedProgram {
                     continue;
                 }
                 bundle_mask |= 1 << c;
-                let rec_lo = (ops.len() as u32 - op_start) as u16;
+                let rec_lo = (tops.len() as u32 - op_start) as u16;
                 let mut demand = ClusterDemand {
                     log_cluster: c as u8,
                     slots: bundle.ops.len() as u8,
@@ -360,7 +171,6 @@ impl DecodedProgram {
                     fu: [0; FuKind::COUNT],
                     packed: 0,
                 };
-                let mut dense = true;
                 for op in &bundle.ops {
                     if op.opcode.is_comm() {
                         has_comm = true;
@@ -369,45 +179,27 @@ impl DecodedProgram {
                         let (src, imm) = resolve_src(op.a);
                         sends.push((op.imm as u8 & 15, src, imm.unwrap_or(0)));
                     }
-                    let fu = op.fu_kind();
-                    demand.fu[fu.index()] += 1;
-                    let dop = DecodedOp {
-                        log_cluster: c as u8,
-                        fu,
-                        eval: decode_eval(op, program.len()),
-                    };
-                    // Threaded-code lowering: bind the evaluator and note
-                    // whether the bundle stays inside the fused dense set.
-                    let top = threaded::lower_op(&dop);
-                    dense &= top.k.dense();
-                    fns.push(threaded::kind_fn(top.k));
-                    tops.push(top);
-                    ops.push(dop);
-                }
-                if dense {
-                    fused_mask |= 1 << c;
+                    demand.fu[op.fu_kind().index()] += 1;
+                    tops.push(lower_op(op, c as u8, program.len()));
                 }
                 demand.packed = pack_demand(&demand.fu, demand.slots);
                 demands.push(demand);
             }
 
             insts.push(DecodedInst {
-                op_range: (op_start, ops.len() as u32),
+                op_range: (op_start, tops.len() as u32),
                 send_range: (send_start, sends.len() as u32),
                 demand_range: (demand_start, demands.len() as u32),
                 bundle_mask,
-                fused_mask,
                 has_comm,
-                direct: classify_direct(&ops[op_start as usize..]),
+                direct: classify_direct(&tops[op_start as usize..]),
                 fetch_addr: program.inst_addr[idx],
                 fetch_len: inst.encoded_size(),
             });
         }
 
         DecodedProgram {
-            ops,
             tops,
-            fns,
             sends,
             demands,
             insts,
@@ -437,24 +229,10 @@ impl DecodedProgram {
         &self.insts[idx]
     }
 
-    /// Operations of an instruction, in activation order.
-    #[inline]
-    pub fn ops_of(&self, di: &DecodedInst) -> &[DecodedOp] {
-        &self.ops[di.op_range.0 as usize..di.op_range.1 as usize]
-    }
-
-    /// Threaded-code entries of an instruction, in activation order
-    /// (parallel to [`DecodedProgram::ops_of`]).
+    /// Threaded-code entries of an instruction, in activation order.
     #[inline]
     pub fn tops_of(&self, di: &DecodedInst) -> &[ThreadedOp] {
         &self.tops[di.op_range.0 as usize..di.op_range.1 as usize]
-    }
-
-    /// Pre-bound evaluators of an instruction (parallel to
-    /// [`DecodedProgram::tops_of`]).
-    #[inline]
-    pub fn fns_of(&self, di: &DecodedInst) -> &[EvalFn] {
-        &self.fns[di.op_range.0 as usize..di.op_range.1 as usize]
     }
 
     /// Send sources of an instruction, for transfer value capture.
@@ -478,169 +256,24 @@ impl DecodedProgram {
     }
 }
 
-/// Flat GPR-file index of a register coordinate.
-#[inline]
-fn gpr_flat(c: u8, i: u8) -> u16 {
-    c as u16 * 64 + i as u16
-}
-
 /// Resolves a source operand to a [`SrcRef`] plus its immediate, if any.
-/// `Breg`/`None` operands read zero, like the legacy evaluator: they
-/// resolve to flat index 0 (cluster 0's immutable register zero).
+/// `Breg`/`None` operands read zero: they resolve to flat index 0
+/// (cluster 0's immutable register zero).
 #[inline]
-fn resolve_src(o: Operand) -> (SrcRef, Option<u32>) {
+pub(crate) fn resolve_src(o: Operand) -> (SrcRef, Option<u32>) {
     match o {
-        Operand::Gpr(r) => (gpr_flat(r.cluster, r.index), None),
+        Operand::Gpr(r) => (r.cluster as u16 * 64 + r.index as u16, None),
         Operand::Imm(i) => (SRC_IMM, Some(i as u32)),
         Operand::Breg(_) | Operand::None => (0, None),
-    }
-}
-
-/// Classifies one operation, mirroring the `match op.opcode` that
-/// `ThreadCtx::activate` performed per activation before pre-decoding.
-/// Beyond classification, every operand is resolved to a flat register
-/// index or an immediate ([`resolve_src`]), writes to the immutable
-/// register zero are dropped ([`DST_NONE`] / [`OpEval::Effectless`] — they
-/// were value-discarding no-ops in the legacy evaluator too), and ALU
-/// operations over two immediates are folded to their constant result.
-///
-/// Control targets outside the program (possible only for programs that
-/// skipped [`Program::validate`], e.g. negative immediates) are clamped to
-/// `program_len`: any out-of-range `pc` behaves identically (the engine's
-/// fell-off-the-end path), and the clamp keeps targets clear of the
-/// record encoding's `u32` control sentinels.
-fn decode_eval(op: &vex_isa::Operation, program_len: usize) -> OpEval {
-    let gpr_dst = |d: Dest| -> u16 {
-        match d {
-            // Register zero is immutable: the legacy path evaluated the
-            // value and discarded it at commit, so dropping the write here
-            // is observationally identical.
-            Dest::Gpr(r) if r.index != 0 => gpr_flat(r.cluster, r.index),
-            _ => DST_NONE,
-        }
-    };
-    let breg_cond = |o: Operand| -> u16 {
-        match o {
-            Operand::Breg(b) => b.cluster as u16 * 8 + b.index as u16,
-            _ => BREG_NONE,
-        }
-    };
-    let target = |imm: i32| -> usize { (imm as usize).min(program_len) };
-
-    match op.opcode {
-        o if o.is_load() => {
-            let (base, base_imm) = resolve_src(op.a);
-            OpEval::Load {
-                width: match o {
-                    Opcode::Ldw => LoadWidth::W,
-                    Opcode::Ldh => LoadWidth::H,
-                    Opcode::Ldhu => LoadWidth::Hu,
-                    Opcode::Ldb => LoadWidth::B,
-                    Opcode::Ldbu => LoadWidth::Bu,
-                    _ => unreachable!(),
-                },
-                // An immediate base folds into the offset; flat index 0
-                // reads zero, so the addition stays `base + off`.
-                base: if base_imm.is_some() { 0 } else { base },
-                off: (op.imm as u32).wrapping_add(base_imm.unwrap_or(0)),
-                dst: gpr_dst(op.dst),
-            }
-        }
-        o if o.is_store() => {
-            let (base, base_imm) = resolve_src(op.a);
-            let (value, val_imm) = resolve_src(op.b);
-            OpEval::Store {
-                size: match o {
-                    Opcode::Stw => 4,
-                    Opcode::Sth => 2,
-                    _ => 1,
-                },
-                base: if base_imm.is_some() { 0 } else { base },
-                off: (op.imm as u32).wrapping_add(base_imm.unwrap_or(0)),
-                value,
-                val_imm: val_imm.unwrap_or(0),
-            }
-        }
-        Opcode::Send => OpEval::Send,
-        Opcode::Recv => OpEval::Recv {
-            pair: op.imm as u8 & 15,
-            dst: gpr_dst(op.dst),
-        },
-        Opcode::Br => OpEval::CondBr {
-            cond: breg_cond(op.a),
-            target: target(op.imm),
-            taken_if: true,
-        },
-        Opcode::Brf => OpEval::CondBr {
-            cond: breg_cond(op.a),
-            target: target(op.imm),
-            taken_if: false,
-        },
-        Opcode::Goto => OpEval::Goto {
-            target: target(op.imm),
-        },
-        Opcode::Halt => OpEval::Halt,
-        o => {
-            let (a, a_imm) = resolve_src(op.a);
-            let (b, b_imm) = resolve_src(op.b);
-            let imm = a_imm.or(b_imm).unwrap_or(0);
-            match op.dst {
-                Dest::Gpr(d) if d.index != 0 => {
-                    let cond = breg_cond(op.c);
-                    let dst = gpr_flat(d.cluster, d.index);
-                    match (a_imm, b_imm) {
-                        (Some(ia), Some(ib)) if o == Opcode::Slct => OpEval::SlctImm {
-                            a: ia,
-                            b: ib,
-                            cond,
-                            dst,
-                        },
-                        (Some(ia), Some(ib)) => OpEval::AluGpr {
-                            // Constant under any condition (only `slct`
-                            // reads `cond`): fold to a move of the result.
-                            op: Opcode::Mov,
-                            a: SRC_IMM,
-                            b: 0,
-                            imm: crate::exec::eval(o, ia, ib, false),
-                            cond,
-                            dst,
-                        },
-                        _ => OpEval::AluGpr {
-                            op: o,
-                            a,
-                            b,
-                            imm,
-                            cond,
-                            dst,
-                        },
-                    }
-                }
-                Dest::Breg(d) => {
-                    let dst = d.cluster as u16 * 8 + d.index as u16;
-                    match (a_imm, b_imm) {
-                        (Some(ia), Some(ib)) => OpEval::BregConst {
-                            v: crate::exec::eval_cond(o, ia, ib),
-                            dst,
-                        },
-                        _ => OpEval::AluBreg {
-                            op: o,
-                            a,
-                            b,
-                            imm,
-                            dst,
-                        },
-                    }
-                }
-                _ => OpEval::Effectless,
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vex_isa::{Instruction, Operation, Reg};
+    use crate::thread::{F_MEM, F_PENDING};
+    use crate::threaded::Kind;
+    use vex_isa::{Dest, Instruction, Operation, Reg};
 
     fn program() -> Program {
         let ld = Operation::load(Opcode::Ldh, Reg::new(1, 3), Reg::new(1, 2), 8);
@@ -670,49 +303,50 @@ mod tests {
         assert_eq!(d.len(), 3);
 
         let i0 = d.inst(0);
-        assert_eq!(d.ops_of(i0).len(), 3);
+        assert_eq!(d.tops_of(i0).len(), 3);
         assert_eq!(i0.bundle_mask, 0b0111);
         assert!(i0.has_comm);
+        assert!(!i0.direct, "a load rules direct application out");
         assert_eq!(d.sends_of(i0), &[(3, 1u16, 0u32)]); // flat r0.1, no imm
         assert_eq!(i0.fetch_addr, p.inst_addr[0]);
         assert_eq!(i0.fetch_len, p.instructions[0].encoded_size());
 
         // Vertical NOP: no ops, no bundles, still one fetch syllable.
         let i1 = d.inst(1);
-        assert!(d.ops_of(i1).is_empty());
+        assert!(d.tops_of(i1).is_empty());
         assert_eq!(i1.bundle_mask, 0);
         assert_eq!(i1.fetch_len, 4);
 
         let i2 = d.inst(2);
-        assert_eq!(d.ops_of(i2).len(), 1);
-        assert_eq!(d.ops_of(i2)[0].eval, OpEval::Halt);
-        assert_eq!(d.ops_of(i2)[0].fu, FuKind::Br);
+        let halt = &d.tops_of(i2)[0];
+        assert_eq!(d.tops_of(i2).len(), 1);
+        assert_eq!(
+            (halt.k, halt.fu(), halt.rec_flags),
+            (Kind::Halt, FuKind::Br, F_PENDING)
+        );
+        assert!(!i2.direct, "control rules direct application out");
     }
 
     #[test]
     fn load_and_recv_decode_statically() {
         let p = program();
         let d = DecodedProgram::decode(&p);
-        let ops = d.ops_of(d.inst(0));
-        assert_eq!(ops[0].eval, OpEval::Send);
-        assert_eq!(ops[0].fu, FuKind::Send);
+        let tops = d.tops_of(d.inst(0));
+        let (send, ld, recv) = (&tops[0], &tops[1], &tops[2]);
         assert_eq!(
-            ops[1].eval,
-            OpEval::Load {
-                width: LoadWidth::H,
-                base: 64 + 2, // flat r1.2
-                off: 8,
-                dst: 64 + 3, // flat r1.3
-            }
+            (send.k, send.fu(), send.rec_flags),
+            (Kind::Send, FuKind::Send, F_PENDING)
         );
-        assert_eq!(
-            ops[2].eval,
-            OpEval::Recv {
-                pair: 3,
-                dst: 2 * 64 + 4, // flat r2.4
-            }
-        );
-        assert_eq!(ops[1].log_cluster, 1);
-        assert_eq!(ops[2].log_cluster, 2);
+        assert_eq!(ld.k, Kind::LdH);
+        assert_eq!(ld.rec_flags, F_PENDING | F_MEM | F_GPR);
+        assert_eq!(ld.a, 64 + 2); // base: flat r1.2
+        assert_eq!(ld.imm, 8); // byte offset
+        assert_eq!(ld.dst(), 64 + 3); // flat r1.3
+        assert_eq!(recv.k, Kind::Recv);
+        assert_eq!(recv.rec_flags, F_PENDING | F_GPR);
+        assert_eq!(recv.imm, 3); // pair id
+        assert_eq!(recv.dst(), 2 * 64 + 4); // flat r2.4
+        assert_eq!(ld.log_cluster(), 1);
+        assert_eq!(recv.log_cluster(), 2);
     }
 }

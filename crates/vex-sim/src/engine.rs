@@ -823,8 +823,6 @@ impl Engine {
             p.issue_scans += t.issue_scans;
             p.eval_activations += t.eval_activations;
             p.eval_ops += t.eval_ops;
-            p.eval_fused_bundles += t.eval_fused_bundles;
-            p.eval_table_ops += t.eval_table_ops;
         }
         p
     }

@@ -40,12 +40,12 @@
 //! assert!(stats.cycles > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
 pub mod decode;
 pub mod engine;
-pub mod exec;
 pub mod oracle;
 pub mod packet;
 pub mod profile;
@@ -59,7 +59,7 @@ pub mod threaded;
 pub use config::{
     CommPolicy, MemoryMode, MergePolicy, MtMode, Scale, SimConfig, SplitPolicy, Technique,
 };
-pub use decode::{DecodedInst, DecodedOp, DecodedProgram, OpEval};
+pub use decode::{DecodedInst, DecodedProgram};
 pub use engine::{Engine, PreparedProgram, StopReason};
 pub use oracle::{interpret, OracleState};
 pub use packet::{can_merge_pair, merge_hierarchy_holds, Packet, MAX_CLUSTERS};
@@ -68,7 +68,7 @@ pub use report::{attribution_json, render_attribution};
 pub use stats::{speedup_pct, SimStats, ThreadStats};
 pub use table::{Align, Table};
 pub use thread::ThreadCtx;
-pub use threaded::{kind_fn, EvalFn, Kind, ThreadedOp};
+pub use threaded::{Kind, ThreadedOp};
 pub use vex_mem::MemConfig;
 // The trace stream's types are part of the simulator's public surface
 // (`Engine::set_tracer` takes a `TraceSink`); re-export the crate so

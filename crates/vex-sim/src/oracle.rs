@@ -16,8 +16,8 @@
 //! representation so that a bug in the engine's decode layer
 //! ([`crate::decode`]), record bookkeeping ([`crate::thread`]) or issue
 //! stage ([`crate::engine`]) cannot cancel out against an oracle that
-//! shares the same code. The only shared pieces are the pure ALU bit
-//! semantics ([`crate::exec`]), which the compiler's independent IR
+//! shares the same code. The only shared piece is the ISA's pure ALU bit
+//! semantics ([`Opcode::eval`]), which the compiler's independent IR
 //! interpreter already cross-checks.
 //!
 //! `vex-gen`'s differential harness runs every generated program through
@@ -25,7 +25,6 @@
 //! architectural state of every context is byte-identical to
 //! [`interpret`]'s result.
 
-use crate::exec::{eval, eval_cond};
 use crate::packet::MAX_CLUSTERS;
 use crate::thread::{BregFile, GprFile};
 use vex_isa::{BReg, Dest, Opcode, Operand, Program, Reg};
@@ -220,8 +219,7 @@ pub fn interpret(program: &Program, max_insts: u64) -> OracleState {
                     // ALU / MUL class.
                     match op.dst {
                         Dest::Gpr(r) if r.index != 0 => {
-                            let v = eval(
-                                oc,
+                            let v = oc.eval(
                                 src_val(&st.regs, op.a),
                                 src_val(&st.regs, op.b),
                                 breg_val(&st.bregs, op.c),
@@ -229,7 +227,7 @@ pub fn interpret(program: &Program, max_insts: u64) -> OracleState {
                             effects.push(Effect::Gpr(gpr_slot(r), v));
                         }
                         Dest::Breg(b) => {
-                            let v = eval_cond(oc, src_val(&st.regs, op.a), src_val(&st.regs, op.b));
+                            let v = oc.eval_cond(src_val(&st.regs, op.a), src_val(&st.regs, op.b));
                             effects.push(Effect::Breg(breg_slot(b), v));
                         }
                         _ => {} // result discarded

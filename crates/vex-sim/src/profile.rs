@@ -55,12 +55,6 @@ pub struct Profile {
     pub eval_activations: u64,
     /// Evaluation phase: operations evaluated across all activations.
     pub eval_ops: u64,
-    /// Evaluation phase: bundles batch-evaluated by the fused threaded-code
-    /// evaluator (all kinds dense).
-    pub eval_fused_bundles: u64,
-    /// Evaluation phase: operations evaluated through per-op closure-table
-    /// entries (bundles with a non-dense kind, e.g. send/recv).
-    pub eval_table_ops: u64,
 }
 
 impl Profile {
@@ -77,15 +71,6 @@ impl Profile {
     /// Average operations evaluated per activation.
     pub fn ops_per_activation(&self) -> f64 {
         ratio(self.eval_ops, self.eval_activations)
-    }
-
-    /// Fraction of evaluated operations that went through the fused
-    /// bundle evaluator (as opposed to per-op table calls), in [0, 1].
-    pub fn fused_op_rate(&self) -> f64 {
-        ratio(
-            self.eval_ops.saturating_sub(self.eval_table_ops),
-            self.eval_ops,
-        )
     }
 
     /// Average table entries examined per simulated cycle.
@@ -133,11 +118,11 @@ impl Profile {
             ),
             format!("directory walks {}", self.page_walks),
         ]);
-        let scans = |den: u64, unit: &str| -> String {
+        let per = |num: u64, den: u64, unit: &str| -> String {
             if den == 0 {
-                format!("n/a scans/{unit}")
+                format!("n/a {unit}")
             } else {
-                format!("{:.2} scans/{unit}", self.issue_scans as f64 / den as f64)
+                format!("{:.2} {unit}", num as f64 / den as f64)
             }
         };
         t.row([
@@ -148,20 +133,19 @@ impl Profile {
             String::new(),
             format!(
                 "({}, {})",
-                scans(self.issue_calls, "call"),
-                scans(self.cycles, "cycle")
+                per(self.issue_scans, self.issue_calls, "scans/call"),
+                per(self.issue_scans, self.cycles, "scans/cycle")
             ),
         ]);
-        let fused_ops = self.eval_ops.saturating_sub(self.eval_table_ops);
         t.row([
             "activations".to_string(),
             self.eval_activations.to_string(),
             "ops evaluated".to_string(),
             self.eval_ops.to_string(),
-            format!("({})", pct_or_na(fused_ops, self.eval_ops, 1)),
+            String::new(),
             format!(
-                "fused — bundles {} fused, table ops {}",
-                self.eval_fused_bundles, self.eval_table_ops
+                "({})",
+                per(self.eval_ops, self.eval_activations, "ops/activation")
             ),
         ]);
         format!("## simulator fast-path profile\n{}", t.render())
@@ -197,6 +181,13 @@ fn ratio(num: u64, den: u64) -> f64 {
 mod tests {
     use super::*;
 
+    /// The rendered row starting with `label`, column padding collapsed to
+    /// single spaces.
+    fn row(text: &str, label: &str) -> String {
+        let line = text.lines().find(|l| l.starts_with(label)).expect(label);
+        line.split_whitespace().collect::<Vec<_>>().join(" ")
+    }
+
     #[test]
     fn rates_are_well_defined_on_empty_profiles() {
         let p = Profile::default();
@@ -218,6 +209,11 @@ mod tests {
         assert!(text.contains("(n/a)"), "{text}");
         assert!(text.contains("miss ratio n/a"), "{text}");
         assert!(text.contains("(n/a scans/call, n/a scans/cycle)"), "{text}");
+        assert_eq!(
+            row(&text, "activations"),
+            "activations 0 ops evaluated 0 (n/a ops/activation)",
+            "{text}"
+        );
     }
 
     #[test]
@@ -261,6 +257,8 @@ mod tests {
             page_walks: 25,
             issue_calls: 400,
             issue_scans: 800,
+            eval_activations: 40,
+            eval_ops: 130,
             ..Default::default()
         };
         let text = p.render();
@@ -268,5 +266,10 @@ mod tests {
         assert!(text.contains("( 75.0%)"), "tlb rate:\n{text}");
         assert!(text.contains("2.00 scans/call"), "{text}");
         assert!(text.contains("8.00 scans/cycle"), "{text}");
+        assert_eq!(
+            row(&text, "activations"),
+            "activations 40 ops evaluated 130 (3.25 ops/activation)",
+            "{text}"
+        );
     }
 }

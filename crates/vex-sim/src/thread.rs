@@ -20,7 +20,7 @@
 use crate::decode::{DecodedProgram, SrcRef, SRC_IMM};
 use crate::packet::MAX_CLUSTERS;
 use crate::stats::ThreadStats;
-use crate::threaded::{eval_dense, EvalCtx};
+use crate::threaded::{eval_op, EvalCtx};
 use std::sync::Arc;
 use vex_isa::{FuKind, Program};
 use vex_mem::Memory;
@@ -281,12 +281,6 @@ pub struct ThreadCtx {
     pub eval_activations: u64,
     /// Profiling: operations evaluated across all activations.
     pub eval_ops: u64,
-    /// Profiling: bundles evaluated through the fused (inlined dense-kind)
-    /// evaluator.
-    pub eval_fused_bundles: u64,
-    /// Profiling: operations evaluated through per-op [`crate::threaded::EvalFn`]
-    /// table entries (bundles containing a non-dense kind).
-    pub eval_table_ops: u64,
 }
 
 impl ThreadCtx {
@@ -331,8 +325,6 @@ impl ThreadCtx {
             issue_scans: 0,
             eval_activations: 0,
             eval_ops: 0,
-            eval_fused_bundles: 0,
-            eval_table_ops: 0,
         }
     }
 
@@ -347,13 +339,8 @@ impl ThreadCtx {
     /// All static decode work comes from the shared [`DecodedProgram`]
     /// table; this function only reads registers/memory and computes
     /// values, reusing the record buffer (no allocation, no re-decode).
-    ///
-    /// Evaluation walks the threaded-code table ([`crate::threaded`]): a
-    /// bundle whose ops all have dense kinds is batch-evaluated by the
-    /// fused evaluator (one inlined jump table, operands in host
-    /// registers, contiguous record writeback); any other bundle calls its
-    /// ops' pre-bound [`crate::threaded::EvalFn`] entries. The common case
-    /// — every bundle dense — skips the per-bundle walk entirely.
+    /// Every operation goes through the one threaded-code evaluator,
+    /// [`crate::threaded`]'s `eval_op`.
     ///
     /// Inter-cluster pairs are resolved here: the `recv` value equals the
     /// `send` source read from pre-instruction state, which is the unique
@@ -387,8 +374,6 @@ impl ThreadCtx {
             pc,
             eval_activations,
             eval_ops,
-            eval_fused_bundles,
-            eval_table_ops,
             ..
         } = self;
         let di = decoded.inst(*pc);
@@ -410,50 +395,18 @@ impl ThreadCtx {
             // effect straight through. `EvalCtx` is rebuilt per op so the
             // shared borrows it holds end before the register-file write —
             // it is four pointer copies the optimizer keeps in registers.
-            macro_rules! apply {
-                ($r:expr) => {
-                    let r = $r;
-                    if r.flags & F_GPR != 0 {
-                        regs[r.dst() & (MAX_CLUSTERS * 64 - 1)] = r.val;
-                    } else if r.flags & F_BREG != 0 {
-                        bregs[r.dst() & (MAX_CLUSTERS * 8 - 1)] = r.flags & F_BREG_VAL != 0;
-                    }
+            for t in tops {
+                let cx = EvalCtx {
+                    regs,
+                    bregs,
+                    mem,
+                    xfer: &xfer_vals,
                 };
-            }
-            if di.fused_mask == di.bundle_mask {
-                *eval_fused_bundles += u64::from(di.bundle_mask.count_ones());
-                for t in tops {
-                    let cx = EvalCtx {
-                        regs,
-                        bregs,
-                        mem,
-                        xfer: &xfer_vals,
-                    };
-                    apply!(eval_dense(t, &cx));
-                }
-            } else {
-                let fns = decoded.fns_of(di);
-                for d in decoded.demands_of(di) {
-                    let (lo, hi) = (d.rec_range.0 as usize, d.rec_range.1 as usize);
-                    let fused = di.fused_mask & (1 << d.log_cluster) != 0;
-                    if fused {
-                        *eval_fused_bundles += 1;
-                    } else {
-                        *eval_table_ops += (hi - lo) as u64;
-                    }
-                    for i in lo..hi {
-                        let cx = EvalCtx {
-                            regs,
-                            bregs,
-                            mem,
-                            xfer: &xfer_vals,
-                        };
-                        if fused {
-                            apply!(eval_dense(&tops[i], &cx));
-                        } else {
-                            apply!(fns[i](&tops[i], &cx));
-                        }
-                    }
+                let r = eval_op(t, &cx);
+                if r.flags & F_GPR != 0 {
+                    regs[r.dst() & (MAX_CLUSTERS * 64 - 1)] = r.val;
+                } else if r.flags & F_BREG != 0 {
+                    bregs[r.dst() & (MAX_CLUSTERS * 8 - 1)] = r.flags & F_BREG_VAL != 0;
                 }
             }
         } else {
@@ -463,41 +416,9 @@ impl ThreadCtx {
                 mem,
                 xfer: &xfer_vals,
             };
-            inflight.records.reserve(n);
-            // Manual writeback into the reserved tail: a plain indexed loop
-            // over `MaybeUninit` slots instead of `extend(map(..))` — the
-            // iterator adapter's pointer bookkeeping showed up as several
-            // percent of the evaluation phase in profiles.
-            let dst = inflight.records.spare_capacity_mut();
-            if di.fused_mask == di.bundle_mask {
-                // Every bundle is dense: one fused pass over the whole
-                // instruction.
-                *eval_fused_bundles += u64::from(di.bundle_mask.count_ones());
-                for (d, t) in dst.iter_mut().zip(tops) {
-                    d.write(eval_dense(t, &cx));
-                }
-            } else {
-                let fns = decoded.fns_of(di);
-                for d in decoded.demands_of(di) {
-                    let (lo, hi) = (d.rec_range.0 as usize, d.rec_range.1 as usize);
-                    if di.fused_mask & (1 << d.log_cluster) != 0 {
-                        *eval_fused_bundles += 1;
-                        for i in lo..hi {
-                            dst[i].write(eval_dense(&tops[i], &cx));
-                        }
-                    } else {
-                        *eval_table_ops += (hi - lo) as u64;
-                        for i in lo..hi {
-                            dst[i].write(fns[i](&tops[i], &cx));
-                        }
-                    }
-                }
-            }
-            // SAFETY: every slot in `..n` was just written — the fused
-            // path fills `0..n` directly; the per-bundle path covers
-            // `0..n` because the demand table's `rec_range`s partition the
-            // instruction's ops.
-            unsafe { inflight.records.set_len(n) };
+            inflight
+                .records
+                .extend(tops.iter().map(|t| eval_op(t, &cx)));
         }
 
         inflight.active = true;
@@ -533,8 +454,8 @@ impl ThreadCtx {
         // `else if`: the dominant GPR-write case settles on one test.
         for rec in &inflight.records {
             if rec.flags & F_GPR != 0 {
-                // Decode filtered register-zero destinations to
-                // `Effectless`/`DST_NONE`, so every surviving write lands.
+                // Lowering dropped register-zero destinations, so every
+                // surviving write lands.
                 regs[rec.dst() & (MAX_CLUSTERS * 64 - 1)] = rec.val;
             } else if rec.flags & F_BREG != 0 {
                 bregs[rec.dst() & (MAX_CLUSTERS * 8 - 1)] = rec.flags & F_BREG_VAL != 0;

@@ -1,44 +1,31 @@
-//! Threaded-code execution backend: the final lowering stage of
-//! [`crate::decode::DecodedProgram`].
+//! Threaded-code evaluation: the lowered operation table of a
+//! [`crate::decode::DecodedProgram`] and the one evaluator that runs it.
 //!
-//! Pre-decoding (PR 2) removed re-decoding from activation but left two
-//! dynamic dispatches per operation on the hot path: the [`OpEval`] `match`
-//! in `ThreadCtx::activate` and, for ALU operations, the opcode `match`
-//! inside [`crate::exec::eval`] — plus an `SRC_IMM` sentinel branch per
-//! operand read. This module lowers every [`OpEval`] one stage further at
-//! decode time into a [`ThreadedOp`]: a 20-byte table entry whose [`Kind`]
-//! is specialized per **opcode × operand shape** (register/register,
-//! register/immediate, immediate/register), with the [`OpRecord`] flag byte
-//! precomputed and operands held as flat register-file indices or
-//! pre-folded immediates. Each kind has a dedicated evaluator function in
-//! which the opcode is a compile-time constant, so the `eval` match
-//! constant-folds away and a record is materialized in host registers and
-//! written exactly once.
+//! `lower_op` turns every [`Operation`] at decode time into a
+//! [`ThreadedOp`]: a 20-byte table entry whose [`Kind`] is specialized per
+//! **opcode × operand shape** (register/register, register/immediate,
+//! immediate/register), with the [`OpRecord`] flag byte precomputed and
+//! operands held as flat register-file indices or pre-folded immediates.
+//! Every static decision is made there, once per program: opcode class,
+//! operand shape, destination presence (writes to the immutable register
+//! zero are dropped) and constant folding of two-immediate operations.
 //!
-//! Evaluation then takes one of two paths, chosen per bundle at decode
-//! time:
-//!
-//! - **fused**: every op of the bundle has a *dense* kind (the hot ALU /
-//!   memory / control set), and the whole bundle is evaluated in one pass
-//!   of [`eval_dense`] — a single jump table whose arms are fully inlined —
-//!   with contiguous writeback into the record buffer;
-//! - **per-op table**: bundles containing a kind outside the dense set
-//!   (inter-cluster communication and the constant-folded rarities) call
-//!   each op's pre-bound [`EvalFn`] pointer instead.
-//!
-//! Both paths build byte-identical [`OpRecord`]s; the differential fuzzer
-//! and the golden-stats fixture pin them against the in-order oracle and
-//! against each other. Timing is untouched: lowering changes *how* the
-//! functional values are computed at activation, never *what* issues when.
+//! Activation evaluates each op through `eval_op`, a single jump table
+//! over [`Kind`] whose arms are fully inlined. In each ALU arm the opcode
+//! is a compile-time constant, so [`Opcode::eval`] folds down to the one
+//! operation and a record is materialized in host registers and written
+//! exactly once. The differential fuzzer and the golden-stats fixture pin
+//! the records against the in-order oracle. Timing is untouched: lowering
+//! changes *how* the functional values are computed at activation, never
+//! *what* issues when.
 
-use crate::decode::{DecodedOp, LoadWidth, OpEval, BREG_NONE, DST_NONE, SRC_IMM};
-use crate::exec::{eval, eval_cond};
+use crate::decode::{resolve_src, BREG_NONE, SRC_IMM};
 use crate::packet::MAX_CLUSTERS;
 use crate::thread::{
-    BregFile, GprFile, OpRecord, CTRL_HALT, F_BREG, F_BREG_VAL, F_GPR, F_MEM, F_PENDING,
+    BregFile, GprFile, OpRecord, CTRL_HALT, CTRL_NONE, F_BREG, F_BREG_VAL, F_GPR, F_MEM, F_PENDING,
     F_SIZE_SHIFT, F_STORE,
 };
-use vex_isa::{FuKind, Opcode};
+use vex_isa::{Dest, FuKind, Opcode, Operand, Operation};
 use vex_mem::Memory;
 
 /// Everything an evaluator may read: the (stable, pre-instruction)
@@ -57,21 +44,16 @@ pub struct EvalCtx<'a> {
     pub(crate) xfer: &'a [u32; 16],
 }
 
-/// A pre-bound evaluator: one entry of the closure table. Every operation
-/// of every program lowers to one of these (the coverage unit test
-/// enumerates `Opcode::ALL` × operand shapes), so there is no interpretive
-/// fallback path.
-pub type EvalFn = fn(&ThreadedOp, &EvalCtx) -> OpRecord;
-
 /// One operation in threaded-code form: the fully lowered static half of an
 /// [`OpRecord`], packed into 20 bytes. Operand fields are overloaded per
 /// [`Kind`] (documented on the kind groups); `rec_flags` is the complete
 /// record flag byte computed at decode time (`F_PENDING` included), so
 /// evaluators never assemble flags dynamically — except `F_BREG_VAL`, the
-/// one truly data-dependent bit.
+/// one truly data-dependent bit. Source fields a kind does not read stay
+/// zero.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ThreadedOp {
-    /// Dense micro-op kind: selects the [`eval_dense`] arm / [`EvalFn`].
+    /// Micro-op kind: selects the `eval_op` arm.
     pub k: Kind,
     /// Precomputed [`OpRecord`] flag byte.
     pub rec_flags: u8,
@@ -79,7 +61,7 @@ pub struct ThreadedOp {
     pub a: u16,
     /// Second source: flat GPR index (store value included).
     pub b: u16,
-    /// Flat branch-register condition (`slct`), or [`BREG_NONE`].
+    /// Flat branch-register condition (`slct`, branches), or [`BREG_NONE`].
     pub cond: u16,
     /// The record's packed static half, copied verbatim into
     /// `OpRecord::statics` by every evaluator: flat destination index
@@ -117,31 +99,27 @@ impl ThreadedOp {
     /// at zero).
     #[inline]
     fn set_dst(&mut self, dst: u16) {
-        self.statics |= dst as u32;
+        self.statics |= u32::from(dst);
     }
 }
 
-/// Generates the specialized kind space: the [`Kind`] enum, one evaluator
-/// function per kind, the total [`eval_dense`] jump table, the
-/// [`kind_fn`] pointer lookup, and the per-opcode shape lookups used by
+/// Generates the specialized kind space: the [`Kind`] enum, the
+/// [`eval_op`] jump table, and the per-opcode shape lookups used by
 /// [`lower_op`].
 ///
-/// `gpr` rows are ALU/MUL opcodes writing a GPR ([`crate::exec::eval`]
-/// semantics, the opcode a compile-time constant in each generated body);
+/// `gpr` rows are ALU/MUL opcodes writing a GPR ([`Opcode::eval`]
+/// semantics, the opcode a compile-time constant in each generated arm);
 /// `breg` rows are the same opcode space writing a branch register
-/// ([`crate::exec::eval_cond`] semantics). Each row names its three
+/// ([`Opcode::eval_cond`] semantics). Each row names its three
 /// shape-specialized kinds: `RR` (both sources registers), `RI` (second
 /// source immediate), `IR` (first source immediate). Two-immediate
-/// operations never reach these tables — decode constant-folds them.
+/// operations never reach these kinds — lowering constant-folds them.
 macro_rules! threaded_kinds {
     (
         gpr { $( $gop:ident => $grr:ident $gri:ident $gir:ident; )* }
         breg { $( $bop:ident => $brr:ident $bri:ident $bir:ident; )* }
     ) => {
-        /// Micro-op kind: one variant per opcode × operand shape. Variants
-        /// up to (excluding) [`Kind::SlctII`] are **dense**: the fused
-        /// bundle evaluator inlines them. The tail variants are table-only
-        /// (reached through the [`EvalFn`] pointer of a non-fused bundle).
+        /// Micro-op kind: one variant per opcode × operand shape.
         #[derive(Clone, Copy, PartialEq, Eq, Debug)]
         #[repr(u8)]
         pub enum Kind {
@@ -159,6 +137,8 @@ macro_rules! threaded_kinds {
             SlctRI,
             /// `slct` writing a GPR, immediate/register.
             SlctIR,
+            /// `slct` of two immediates (`imm`/`imm2`).
+            SlctII,
             $(
                 #[doc = concat!("`", stringify!($bop), "` → branch register, register/register.")]
                 $brr,
@@ -167,6 +147,8 @@ macro_rules! threaded_kinds {
                 #[doc = concat!("`", stringify!($bop), "` → branch register, immediate/register.")]
                 $bir,
             )*
+            /// Branch-register write folded to a constant at decode.
+            BregConst,
             /// Word load (base is always a register: immediate bases fold
             /// into the offset at decode; same for the widths below).
             LdW,
@@ -191,11 +173,6 @@ macro_rules! threaded_kinds {
             Goto,
             /// End of the program run.
             Halt,
-            // ---- table-only kinds from here on (see `Kind::dense`) ----
-            /// `slct` of two immediates (`imm`/`imm2`).
-            SlctII,
-            /// Branch-register write folded to a constant at decode.
-            BregConst,
             /// Inter-cluster send (value captured before record building;
             /// the record itself is effect-free).
             Send,
@@ -205,115 +182,38 @@ macro_rules! threaded_kinds {
             Effectless,
         }
 
-        impl Kind {
-            /// Whether the fused bundle evaluator inlines this kind. The
-            /// enum is declared dense-first, so this is one compare.
-            #[inline]
-            pub fn dense(self) -> bool {
-                (self as u8) < (Kind::SlctII as u8)
-            }
-        }
-
-        $(
-            #[allow(non_snake_case)]
-            #[inline(always)]
-            fn $grr(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-                rec_gpr(t, eval(Opcode::$gop, reg(cx, t.a), reg(cx, t.b), false))
-            }
-            #[allow(non_snake_case)]
-            #[inline(always)]
-            fn $gri(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-                rec_gpr(t, eval(Opcode::$gop, reg(cx, t.a), t.imm, false))
-            }
-            #[allow(non_snake_case)]
-            #[inline(always)]
-            fn $gir(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-                rec_gpr(t, eval(Opcode::$gop, t.imm, reg(cx, t.b), false))
-            }
-        )*
-
-        $(
-            #[allow(non_snake_case)]
-            #[inline(always)]
-            fn $brr(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-                rec_breg(t, eval_cond(Opcode::$bop, reg(cx, t.a), reg(cx, t.b)))
-            }
-            #[allow(non_snake_case)]
-            #[inline(always)]
-            fn $bri(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-                rec_breg(t, eval_cond(Opcode::$bop, reg(cx, t.a), t.imm))
-            }
-            #[allow(non_snake_case)]
-            #[inline(always)]
-            fn $bir(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-                rec_breg(t, eval_cond(Opcode::$bop, t.imm, reg(cx, t.b)))
-            }
-        )*
-
-        /// Evaluates one op by kind with every arm inlined: the fused
-        /// bundle evaluator's body. Total over [`Kind`] — the table-only
-        /// tail arms delegate to the same functions the pointer table
-        /// binds, so both paths are one implementation.
+        /// Evaluates one op against the pre-instruction state: the single
+        /// jump table every activation runs, total over [`Kind`], with
+        /// every arm inlined.
         #[inline(always)]
-        pub(crate) fn eval_dense(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
+        pub(crate) fn eval_op(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
             match t.k {
-                $( Kind::$grr => $grr(t, cx), )*
-                $( Kind::$gri => $gri(t, cx), )*
-                $( Kind::$gir => $gir(t, cx), )*
-                Kind::SlctRR => slct_rr(t, cx),
-                Kind::SlctRI => slct_ri(t, cx),
-                Kind::SlctIR => slct_ir(t, cx),
-                $( Kind::$brr => $brr(t, cx), )*
-                $( Kind::$bri => $bri(t, cx), )*
-                $( Kind::$bir => $bir(t, cx), )*
-                Kind::LdW => ld_w(t, cx),
-                Kind::LdH => ld_h(t, cx),
-                Kind::LdHu => ld_hu(t, cx),
-                Kind::LdB => ld_b(t, cx),
-                Kind::LdBu => ld_bu(t, cx),
-                Kind::StR => st_r(t, cx),
-                Kind::StI => st_i(t, cx),
-                Kind::CondBrT => cond_br_t(t, cx),
-                Kind::CondBrF => cond_br_f(t, cx),
-                Kind::Goto => goto(t, cx),
-                Kind::Halt => halt(t, cx),
-                Kind::SlctII => slct_ii(t, cx),
-                Kind::BregConst => breg_const(t, cx),
-                Kind::Send => send(t, cx),
-                Kind::Recv => recv(t, cx),
-                Kind::Effectless => effectless(t, cx),
-            }
-        }
-
-        /// The pre-bound evaluator for a kind: the closure-table entry
-        /// stored per op at decode time.
-        pub fn kind_fn(k: Kind) -> EvalFn {
-            match k {
-                $( Kind::$grr => $grr, )*
-                $( Kind::$gri => $gri, )*
-                $( Kind::$gir => $gir, )*
-                Kind::SlctRR => slct_rr,
-                Kind::SlctRI => slct_ri,
-                Kind::SlctIR => slct_ir,
-                $( Kind::$brr => $brr, )*
-                $( Kind::$bri => $bri, )*
-                $( Kind::$bir => $bir, )*
-                Kind::LdW => ld_w,
-                Kind::LdH => ld_h,
-                Kind::LdHu => ld_hu,
-                Kind::LdB => ld_b,
-                Kind::LdBu => ld_bu,
-                Kind::StR => st_r,
-                Kind::StI => st_i,
-                Kind::CondBrT => cond_br_t,
-                Kind::CondBrF => cond_br_f,
-                Kind::Goto => goto,
-                Kind::Halt => halt,
-                Kind::SlctII => slct_ii,
-                Kind::BregConst => breg_const,
-                Kind::Send => send,
-                Kind::Recv => recv,
-                Kind::Effectless => effectless,
+                $( Kind::$grr => gpr(t, Opcode::$gop.eval(reg(cx, t.a), reg(cx, t.b), false)), )*
+                $( Kind::$gri => gpr(t, Opcode::$gop.eval(reg(cx, t.a), t.imm, false)), )*
+                $( Kind::$gir => gpr(t, Opcode::$gop.eval(t.imm, reg(cx, t.b), false)), )*
+                Kind::SlctRR => slct(t, cx, reg(cx, t.a), reg(cx, t.b)),
+                Kind::SlctRI => slct(t, cx, reg(cx, t.a), t.imm),
+                Kind::SlctIR => slct(t, cx, t.imm, reg(cx, t.b)),
+                Kind::SlctII => slct(t, cx, t.imm, t.imm2),
+                $( Kind::$brr => breg_rec(t, Opcode::$bop.eval_cond(reg(cx, t.a), reg(cx, t.b))), )*
+                $( Kind::$bri => breg_rec(t, Opcode::$bop.eval_cond(reg(cx, t.a), t.imm)), )*
+                $( Kind::$bir => breg_rec(t, Opcode::$bop.eval_cond(t.imm, reg(cx, t.b))), )*
+                Kind::LdW => load(t, cx, Memory::read_u32),
+                Kind::LdH => load(t, cx, |m, a| m.read_u16(a) as i16 as i32 as u32),
+                Kind::LdHu => load(t, cx, |m, a| u32::from(m.read_u16(a))),
+                Kind::LdB => load(t, cx, |m, a| m.read_u8(a) as i8 as i32 as u32),
+                Kind::LdBu => load(t, cx, |m, a| u32::from(m.read_u8(a))),
+                Kind::StR => store(t, cx, reg(cx, t.b)),
+                Kind::StI => store(t, cx, t.imm2),
+                Kind::CondBrT => branch(t, breg(cx, t.cond)),
+                Kind::CondBrF => branch(t, !breg(cx, t.cond)),
+                Kind::Goto => branch(t, true),
+                Kind::Halt => OpRecord { ctrl: CTRL_HALT, ..rec(t) },
+                Kind::Recv if t.rec_flags & F_GPR != 0 => gpr(t, cx.xfer[t.imm as usize & 15]),
+                // Sends were captured into the xfer buffer before record
+                // building; a folded branch-register write already carries
+                // its value in the flag byte.
+                Kind::Recv | Kind::Send | Kind::BregConst | Kind::Effectless => rec(t),
             }
         }
 
@@ -323,7 +223,7 @@ macro_rules! threaded_kinds {
             match op {
                 $( Opcode::$gop => (Kind::$grr, Kind::$gri, Kind::$gir), )*
                 Opcode::Slct => (Kind::SlctRR, Kind::SlctRI, Kind::SlctIR),
-                _ => unreachable!("non-ALU opcode {op:?} reached OpEval::AluGpr"),
+                _ => unreachable!("non-ALU opcode {op:?} lowered as a GPR write"),
             }
         }
 
@@ -333,7 +233,7 @@ macro_rules! threaded_kinds {
         fn breg_kinds(op: Opcode) -> (Kind, Kind, Kind) {
             match op {
                 $( Opcode::$bop => (Kind::$brr, Kind::$bri, Kind::$bir), )*
-                _ => unreachable!("non-ALU opcode {op:?} reached OpEval::AluBreg"),
+                _ => unreachable!("non-ALU opcode {op:?} lowered as a branch-register write"),
             }
         }
     };
@@ -403,7 +303,7 @@ threaded_kinds! {
     }
 }
 
-// ---- shared evaluator plumbing ---------------------------------------
+// ---- evaluator plumbing ----------------------------------------------
 
 /// Flat GPR read (register-zero slots are never written, so the
 /// architectural zero falls out of the array). The mask makes the bound
@@ -425,7 +325,7 @@ fn rec(t: &ThreadedOp) -> OpRecord {
     OpRecord {
         val: 0,
         mem_addr: 0,
-        ctrl: crate::thread::CTRL_NONE,
+        ctrl: CTRL_NONE,
         statics: t.statics,
         flags: t.rec_flags,
     }
@@ -433,178 +333,67 @@ fn rec(t: &ThreadedOp) -> OpRecord {
 
 /// A GPR-writing record (`rec_flags` already carries `F_GPR`).
 #[inline(always)]
-fn rec_gpr(t: &ThreadedOp, v: u32) -> OpRecord {
-    let mut r = rec(t);
-    r.val = v;
-    r
+fn gpr(t: &ThreadedOp, val: u32) -> OpRecord {
+    OpRecord { val, ..rec(t) }
 }
 
 /// A branch-register-writing record: `F_BREG_VAL` is the only flag bit
 /// computed at evaluation time.
 #[inline(always)]
-fn rec_breg(t: &ThreadedOp, v: bool) -> OpRecord {
+fn breg_rec(t: &ThreadedOp, v: bool) -> OpRecord {
     let mut r = rec(t);
     r.flags |= if v { F_BREG_VAL } else { 0 };
     r
 }
 
-// ---- select ----------------------------------------------------------
-
+/// `slct` writing a GPR: `a` when the condition register is true.
 #[inline(always)]
-fn slct_rr(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-    rec_gpr(
-        t,
-        if breg(cx, t.cond) {
-            reg(cx, t.a)
-        } else {
-            reg(cx, t.b)
-        },
-    )
+fn slct(t: &ThreadedOp, cx: &EvalCtx, a: u32, b: u32) -> OpRecord {
+    gpr(t, if breg(cx, t.cond) { a } else { b })
 }
 
+/// A load: the value lands in the record and the D$ probe at `mem_addr`
+/// stays a pure timing event at issue. A load whose destination folded
+/// away (register zero) skips the functional read, so the memory's TLB
+/// counters see exactly the reads whose values are used.
 #[inline(always)]
-fn slct_ri(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-    rec_gpr(
-        t,
-        if breg(cx, t.cond) {
-            reg(cx, t.a)
-        } else {
-            t.imm
-        },
-    )
-}
-
-#[inline(always)]
-fn slct_ir(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-    rec_gpr(
-        t,
-        if breg(cx, t.cond) {
-            t.imm
-        } else {
-            reg(cx, t.b)
-        },
-    )
-}
-
-#[inline(always)]
-fn slct_ii(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-    rec_gpr(t, if breg(cx, t.cond) { t.imm } else { t.imm2 })
-}
-
-// ---- memory ----------------------------------------------------------
-//
-// Loads read through the Memory fast path (`&self` API: one-entry TLB +
-// direct page access) at activation; the value lands in the record and the
-// D$ probe at `mem_addr` stays a pure timing event at issue. A load whose
-// destination folded away (register zero) skips the functional read,
-// matching the legacy evaluator's side effects (TLB counters included).
-
-macro_rules! load_kind {
-    ($name:ident, $mem:ident, $addr:ident, $read:expr) => {
-        #[inline(always)]
-        fn $name(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-            let $addr = reg(cx, t.a).wrapping_add(t.imm);
-            let mut r = rec(t);
-            r.mem_addr = $addr;
-            if t.rec_flags & F_GPR != 0 {
-                let $mem = cx.mem;
-                r.val = $read;
-            }
-            r
-        }
+fn load(t: &ThreadedOp, cx: &EvalCtx, read: impl Fn(&Memory, u32) -> u32) -> OpRecord {
+    let mem_addr = reg(cx, t.a).wrapping_add(t.imm);
+    let val = if t.rec_flags & F_GPR != 0 {
+        read(cx.mem, mem_addr)
+    } else {
+        0
     };
-}
-
-load_kind!(ld_w, mem, addr, mem.read_u32(addr));
-load_kind!(ld_h, mem, addr, mem.read_u16(addr) as i16 as i32 as u32);
-load_kind!(ld_hu, mem, addr, mem.read_u16(addr) as u32);
-load_kind!(ld_b, mem, addr, mem.read_u8(addr) as i8 as i32 as u32);
-load_kind!(ld_bu, mem, addr, mem.read_u8(addr) as u32);
-
-#[inline(always)]
-fn st_r(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-    let mut r = rec(t);
-    r.mem_addr = reg(cx, t.a).wrapping_add(t.imm);
-    r.val = reg(cx, t.b);
-    r
-}
-
-#[inline(always)]
-fn st_i(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-    let mut r = rec(t);
-    r.mem_addr = reg(cx, t.a).wrapping_add(t.imm);
-    r.val = t.imm2;
-    r
-}
-
-// ---- control ---------------------------------------------------------
-
-#[inline(always)]
-fn cond_br_t(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-    let mut r = rec(t);
-    if breg(cx, t.cond) {
-        r.ctrl = t.imm;
+    OpRecord {
+        val,
+        mem_addr,
+        ..rec(t)
     }
-    r
 }
 
+/// A store of `val`, buffered until commit.
 #[inline(always)]
-fn cond_br_f(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-    let mut r = rec(t);
-    if !breg(cx, t.cond) {
-        r.ctrl = t.imm;
+fn store(t: &ThreadedOp, cx: &EvalCtx, val: u32) -> OpRecord {
+    OpRecord {
+        val,
+        mem_addr: reg(cx, t.a).wrapping_add(t.imm),
+        ..rec(t)
     }
-    r
 }
 
+/// A control record redirecting to `t.imm` when `taken`.
 #[inline(always)]
-fn goto(t: &ThreadedOp, _cx: &EvalCtx) -> OpRecord {
-    let mut r = rec(t);
-    r.ctrl = t.imm;
-    r
-}
-
-#[inline(always)]
-fn halt(t: &ThreadedOp, _cx: &EvalCtx) -> OpRecord {
-    let mut r = rec(t);
-    r.ctrl = CTRL_HALT;
-    r
-}
-
-// ---- communication and folded rarities (table-only kinds) ------------
-
-#[inline(always)]
-fn send(t: &ThreadedOp, _cx: &EvalCtx) -> OpRecord {
-    // The value was captured into the xfer buffer before record building;
-    // the record only carries issue-resource accounting.
-    rec(t)
-}
-
-#[inline(always)]
-fn recv(t: &ThreadedOp, cx: &EvalCtx) -> OpRecord {
-    let mut r = rec(t);
-    if t.rec_flags & F_GPR != 0 {
-        r.val = cx.xfer[t.imm as usize & 15];
+fn branch(t: &ThreadedOp, taken: bool) -> OpRecord {
+    OpRecord {
+        ctrl: if taken { t.imm } else { CTRL_NONE },
+        ..rec(t)
     }
-    r
-}
-
-#[inline(always)]
-fn breg_const(t: &ThreadedOp, _cx: &EvalCtx) -> OpRecord {
-    // Fully folded at decode: the flag byte already carries F_BREG_VAL.
-    rec(t)
-}
-
-#[inline(always)]
-fn effectless(t: &ThreadedOp, _cx: &EvalCtx) -> OpRecord {
-    rec(t)
 }
 
 // ---- lowering --------------------------------------------------------
 
 /// Shape-dispatches a resolved `(a, b)` source pair onto the three
-/// specialized kinds. Two-immediate shapes were folded at decode and must
-/// not reach this point.
+/// specialized kinds. Two-immediate shapes are folded before this point.
 #[inline]
 fn shape(kinds: (Kind, Kind, Kind), t: &mut ThreadedOp, a: u16, b: u16, imm: u32) -> Kind {
     match (a == SRC_IMM, b == SRC_IMM) {
@@ -623,124 +412,156 @@ fn shape(kinds: (Kind, Kind, Kind), t: &mut ThreadedOp, a: u16, b: u16, imm: u32
             t.imm = imm;
             kinds.2
         }
-        (true, true) => unreachable!("two-immediate ALU shape survived decode folding"),
+        (true, true) => unreachable!("two-immediate ALU shape survived constant folding"),
     }
 }
 
-/// Lowers one pre-decoded operation into its threaded-code form. Pure
-/// table construction: every dynamic decision the legacy `OpEval` match
-/// made per activation (opcode class, operand shape, flag assembly,
-/// destination presence) is resolved here, once per program.
-pub(crate) fn lower_op(dop: &DecodedOp) -> ThreadedOp {
+/// Sets a memory operation's address fields: base register in `a`, byte
+/// offset in `imm`. An immediate base folds into the offset; flat index 0
+/// reads zero, so the address stays `a + imm`.
+fn set_address(t: &mut ThreadedOp, op: &Operation) {
+    t.rec_flags |= F_MEM;
+    match resolve_src(op.a) {
+        (_, Some(base)) => t.imm = (op.imm as u32).wrapping_add(base),
+        (base, None) => {
+            t.a = base;
+            t.imm = op.imm as u32;
+        }
+    }
+}
+
+/// Lowers one operation of logical cluster `cluster` into its threaded-code
+/// form. Pure table construction: every decision that does not depend on
+/// architectural state is made here, once per program — opcode class,
+/// operand shape, flag assembly, destination presence, constant folding.
+///
+/// Source operands resolve like [`resolve_src`]: `Breg`/`None` operands
+/// read zero. Writes to the immutable register zero are dropped (the value
+/// would be discarded at commit), so such an ALU operation lowers to
+/// [`Kind::Effectless`] and such a load or recv to a record without a
+/// destination. Control targets outside the program (possible only for
+/// programs that skipped [`vex_isa::Program::validate`], e.g. negative
+/// immediates) are clamped to `program_len`: any out-of-range `pc` behaves
+/// identically (the engine's fell-off-the-end path), and the clamp keeps
+/// targets clear of the record encoding's `u32` control sentinels.
+pub(crate) fn lower_op(op: &Operation, cluster: u8, program_len: usize) -> ThreadedOp {
     let mut t = ThreadedOp {
         k: Kind::Effectless,
         rec_flags: F_PENDING,
         a: 0,
         b: 0,
         cond: BREG_NONE,
-        statics: ((dop.log_cluster as u32) << 16) | ((dop.fu.index() as u32) << 24),
+        statics: (u32::from(cluster) << 16) | ((op.fu_kind().index() as u32) << 24),
         imm: 0,
         imm2: 0,
     };
-    t.k = match dop.eval {
-        OpEval::Load {
-            width,
-            base,
-            off,
-            dst,
-        } => {
-            t.a = base;
-            t.imm = off;
-            t.rec_flags |= F_MEM;
-            if dst != DST_NONE {
-                t.rec_flags |= F_GPR;
-                t.set_dst(dst);
-            }
-            match width {
-                LoadWidth::W => Kind::LdW,
-                LoadWidth::H => Kind::LdH,
-                LoadWidth::Hu => Kind::LdHu,
-                LoadWidth::B => Kind::LdB,
-                LoadWidth::Bu => Kind::LdBu,
+    let gpr_dst = match op.dst {
+        Dest::Gpr(r) if r.index != 0 => Some(r.cluster as u16 * 64 + r.index as u16),
+        _ => None,
+    };
+    let set_gpr_dst = |t: &mut ThreadedOp| {
+        if let Some(d) = gpr_dst {
+            t.rec_flags |= F_GPR;
+            t.set_dst(d);
+        }
+    };
+    let breg_cond = |o: Operand| match o {
+        Operand::Breg(b) => b.cluster as u16 * 8 + b.index as u16,
+        _ => BREG_NONE,
+    };
+    let target = (op.imm as usize).min(program_len) as u32;
+
+    t.k = match op.opcode {
+        o if o.is_load() => {
+            set_address(&mut t, op);
+            set_gpr_dst(&mut t);
+            match o {
+                Opcode::Ldw => Kind::LdW,
+                Opcode::Ldh => Kind::LdH,
+                Opcode::Ldhu => Kind::LdHu,
+                Opcode::Ldb => Kind::LdB,
+                _ => Kind::LdBu,
             }
         }
-        OpEval::Store {
-            size,
-            base,
-            off,
-            value,
-            val_imm,
-        } => {
-            t.a = base;
-            t.imm = off;
-            t.rec_flags |= F_MEM | F_STORE | ((size.trailing_zeros() as u8) << F_SIZE_SHIFT);
-            if value == SRC_IMM {
-                t.imm2 = val_imm;
-                Kind::StI
-            } else {
-                t.b = value;
-                Kind::StR
+        o if o.is_store() => {
+            set_address(&mut t, op);
+            let log2_size = match o {
+                Opcode::Stw => 2,
+                Opcode::Sth => 1,
+                _ => 0,
+            };
+            t.rec_flags |= F_STORE | (log2_size << F_SIZE_SHIFT);
+            match resolve_src(op.b) {
+                (_, Some(v)) => {
+                    t.imm2 = v;
+                    Kind::StI
+                }
+                (value, None) => {
+                    t.b = value;
+                    Kind::StR
+                }
             }
         }
-        OpEval::Send => Kind::Send,
-        OpEval::Recv { pair, dst } => {
-            t.imm = pair as u32;
-            if dst != DST_NONE {
-                t.rec_flags |= F_GPR;
-                t.set_dst(dst);
-            }
+        Opcode::Send => Kind::Send,
+        Opcode::Recv => {
+            t.imm = op.imm as u32 & 15;
+            set_gpr_dst(&mut t);
             Kind::Recv
         }
-        OpEval::CondBr {
-            cond,
-            target,
-            taken_if,
-        } => {
-            t.cond = cond;
-            t.imm = target as u32;
-            if taken_if {
+        Opcode::Br | Opcode::Brf => {
+            t.cond = breg_cond(op.a);
+            t.imm = target;
+            if op.opcode == Opcode::Br {
                 Kind::CondBrT
             } else {
                 Kind::CondBrF
             }
         }
-        OpEval::Goto { target } => {
-            t.imm = target as u32;
+        Opcode::Goto => {
+            t.imm = target;
             Kind::Goto
         }
-        OpEval::Halt => Kind::Halt,
-        OpEval::AluGpr {
-            op,
-            a,
-            b,
-            imm,
-            cond,
-            dst,
-        } => {
-            t.rec_flags |= F_GPR;
-            t.set_dst(dst);
-            t.cond = cond;
-            shape(gpr_kinds(op), &mut t, a, b, imm)
+        Opcode::Halt => Kind::Halt,
+        o => {
+            let (a, a_imm) = resolve_src(op.a);
+            let (b, b_imm) = resolve_src(op.b);
+            let imm = a_imm.or(b_imm).unwrap_or(0);
+            let folded = a_imm.zip(b_imm);
+            match (gpr_dst, op.dst) {
+                (Some(_), _) => {
+                    set_gpr_dst(&mut t);
+                    t.cond = breg_cond(op.c);
+                    match folded {
+                        Some((ia, ib)) if o == Opcode::Slct => {
+                            t.imm = ia;
+                            t.imm2 = ib;
+                            Kind::SlctII
+                        }
+                        // Constant under any condition (only `slct` reads
+                        // `cond`): fold to a move of the result.
+                        Some((ia, ib)) => {
+                            t.imm = o.eval(ia, ib, false);
+                            Kind::MovIR
+                        }
+                        None => shape(gpr_kinds(o), &mut t, a, b, imm),
+                    }
+                }
+                (None, Dest::Breg(d)) => {
+                    t.rec_flags |= F_BREG;
+                    t.set_dst(d.cluster as u16 * 8 + d.index as u16);
+                    match folded {
+                        Some((ia, ib)) => {
+                            if o.eval_cond(ia, ib) {
+                                t.rec_flags |= F_BREG_VAL;
+                            }
+                            Kind::BregConst
+                        }
+                        None => shape(breg_kinds(o), &mut t, a, b, imm),
+                    }
+                }
+                _ => Kind::Effectless,
+            }
         }
-        OpEval::SlctImm { a, b, cond, dst } => {
-            t.rec_flags |= F_GPR;
-            t.set_dst(dst);
-            t.cond = cond;
-            t.imm = a;
-            t.imm2 = b;
-            Kind::SlctII
-        }
-        OpEval::AluBreg { op, a, b, imm, dst } => {
-            t.rec_flags |= F_BREG;
-            t.set_dst(dst);
-            shape(breg_kinds(op), &mut t, a, b, imm)
-        }
-        OpEval::BregConst { v, dst } => {
-            t.rec_flags |= F_BREG | if v { F_BREG_VAL } else { 0 };
-            t.set_dst(dst);
-            Kind::BregConst
-        }
-        OpEval::Effectless => Kind::Effectless,
     };
     t
 }
@@ -749,7 +570,9 @@ pub(crate) fn lower_op(dop: &DecodedOp) -> ThreadedOp {
 mod tests {
     use super::*;
     use crate::decode::DecodedProgram;
-    use vex_isa::{BReg, Dest, Instruction, Operand, Operation, Program, Reg};
+    use crate::thread::ThreadCtx;
+    use std::sync::Arc;
+    use vex_isa::{BReg, Instruction, Program, Reg};
 
     /// The table entry is hot-loop traffic: 16 ops × 20 bytes spans two
     /// cache lines per activation. Growth here is a perf regression.
@@ -758,113 +581,152 @@ mod tests {
         assert_eq!(std::mem::size_of::<ThreadedOp>(), 20);
     }
 
+    fn program_of(inst: Instruction) -> Program {
+        let mut halt = Instruction::nop(4);
+        halt.bundles[0].ops.push(Operation::new(Opcode::Halt));
+        Program::new("t", vec![inst, halt], vec![])
+    }
+
     fn decode_single(op: Operation) -> DecodedProgram {
         let mut inst = Instruction::nop(4);
         inst.bundles[0].ops.push(op);
-        let mut halt = Instruction::nop(4);
-        halt.bundles[0].ops.push(Operation::new(Opcode::Halt));
-        DecodedProgram::decode(&Program::new("t", vec![inst, halt], vec![]))
+        DecodedProgram::decode(&program_of(inst))
     }
 
-    /// Every operand/destination shape a given opcode can decode into.
-    fn shapes_of(op: Opcode) -> Vec<Operation> {
-        let r1 = Operand::Gpr(Reg::new(0, 1));
-        let r2 = Operand::Gpr(Reg::new(0, 2));
-        let imm = Operand::Imm(37);
-        let cond = Operand::Breg(BReg::new(0, 0));
-        let mut out = Vec::new();
-        if op.is_load() {
-            out.push(Operation::load(op, Reg::new(0, 3), Reg::new(0, 2), 8));
-            // Destination register zero: the load's write folds away.
-            out.push(Operation::load(op, Reg::new(0, 0), Reg::new(0, 2), 8));
-        } else if op.is_store() {
-            out.push(Operation::store(op, Reg::new(0, 2), 8, r1));
-            out.push(Operation::store(op, Reg::new(0, 2), 8, imm));
-        } else if op.is_ctrl() {
-            let mut o = Operation::new(op);
-            o.a = cond;
-            o.imm = 1;
-            out.push(o);
-        } else if op == Opcode::Send {
-            let mut o = Operation::new(op);
-            o.a = r1;
-            o.imm = 3;
-            out.push(o);
-        } else if op == Opcode::Recv {
-            let mut o = Operation::new(op);
-            o.dst = Dest::Gpr(Reg::new(0, 4));
-            o.imm = 3;
-            out.push(o);
-        } else {
-            // ALU/MUL: every source shape × every destination class.
-            for (a, b) in [(r1, r2), (r1, imm), (imm, r2), (imm, imm)] {
-                for dst in [
+    fn is_alu(op: Opcode) -> bool {
+        matches!(op.fu_kind(), FuKind::Alu | FuKind::Mul)
+    }
+
+    /// Every ALU/MUL opcode, in every operand shape (register/register,
+    /// register/immediate, immediate/register, immediate/immediate) and
+    /// destination class (a GPR, the immutable `$r0.0`, a branch register,
+    /// none), activated and committed as a one-instruction program, leaves
+    /// exactly the architectural state the ISA's [`Opcode::eval`] /
+    /// [`Opcode::eval_cond`] define on the pre-instruction state — through
+    /// the direct-application loop (the op alone) and through the record
+    /// loop (the op beside a load, which rules direct application out).
+    #[test]
+    fn every_opcode_lowers_and_matches_isa() {
+        let (r1, r2) = (Reg::new(0, 1), Reg::new(0, 2));
+        let values = [
+            (0x8000_0003, 0xffff_fff5),
+            (7, 7),
+            (0, 33),
+            (0xffff, 0x1_0080),
+        ];
+        for op in Opcode::ALL.into_iter().filter(|&o| is_alu(o)) {
+            for (va, vb) in values {
+                let shapes = [
+                    (Operand::Gpr(r1), Operand::Gpr(r2)),
+                    (Operand::Gpr(r1), Operand::Imm(vb as i32)),
+                    (Operand::Imm(va as i32), Operand::Gpr(r2)),
+                    (Operand::Imm(va as i32), Operand::Imm(vb as i32)),
+                ];
+                let dsts = [
                     Dest::Gpr(Reg::new(0, 3)),
+                    Dest::Gpr(Reg::new(0, 0)),
                     Dest::Breg(BReg::new(0, 1)),
                     Dest::None,
-                ] {
-                    let mut o = Operation::bin(op, Reg::new(0, 3), a, b);
-                    o.dst = dst;
-                    o.c = cond;
-                    out.push(o);
+                ];
+                for (a, b) in shapes {
+                    for dst in dsts {
+                        for cond in [false, true] {
+                            for beside_load in [false, true] {
+                                let o = Operation {
+                                    opcode: op,
+                                    dst,
+                                    a,
+                                    b,
+                                    c: Operand::Breg(BReg::new(0, 0)),
+                                    imm: 0,
+                                };
+                                let mut inst = Instruction::nop(4);
+                                inst.bundles[0].ops.push(o.clone());
+                                if beside_load {
+                                    let ld = Operation::load(Opcode::Ldw, Reg::zero(1), r1, 0);
+                                    inst.bundles[1].ops.push(ld);
+                                }
+                                let program = Arc::new(program_of(inst));
+                                let mut t = ThreadCtx::new(program, 0, 4, 0);
+                                assert_eq!(t.decoded.inst(0).direct, !beside_load, "{o}");
+                                for (i, r) in t.regs.iter_mut().enumerate().skip(1) {
+                                    *r = (i as u32).wrapping_mul(0x9e37_79b9);
+                                }
+                                t.regs[1] = va;
+                                t.regs[2] = vb;
+                                t.bregs[0] = cond;
+                                let (mut regs, mut bregs) = (t.regs.clone(), t.bregs.clone());
+                                match dst {
+                                    Dest::Gpr(d) if d.index != 0 => {
+                                        regs[d.index as usize] = op.eval(va, vb, cond);
+                                    }
+                                    Dest::Breg(d) => bregs[d.index as usize] = op.eval_cond(va, vb),
+                                    _ => {}
+                                }
+                                t.activate(false);
+                                t.inflight.n_pending = 0;
+                                t.commit_writes();
+                                let ctx = format!("`{o}` with a={va:#x} b={vb:#x} c={cond}");
+                                assert_eq!(t.regs, regs, "{ctx}, load beside: {beside_load}");
+                                assert_eq!(t.bregs, bregs, "{ctx}, load beside: {beside_load}");
+                            }
+                        }
+                    }
                 }
             }
         }
-        out
     }
 
-    /// Tentpole coverage pin: every opcode, in every operand shape it can
-    /// decode into, lowers to a threaded-code table entry — and the fused
-    /// jump-table arm produces the same record as the pre-bound pointer
-    /// the closure table carries. A silent interpretive fallback (or a
-    /// kind whose two implementations diverge) fails here.
+    /// Every shape a memory, control or communication opcode can take
+    /// lowers to one threaded-code entry of its unit class, which the
+    /// evaluator accepts.
     #[test]
-    fn every_opcode_lowers_and_paths_agree() {
-        let mut regs = [0u32; MAX_CLUSTERS * 64];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = (i as u32).wrapping_mul(0x9e37_79b9);
+    fn every_non_alu_shape_lowers() {
+        let r1 = Operand::Gpr(Reg::new(0, 1));
+        let mut shapes = Vec::new();
+        for op in Opcode::ALL.into_iter().filter(|&o| !is_alu(o)) {
+            if op.is_load() {
+                shapes.push(Operation::load(op, Reg::new(0, 3), Reg::new(0, 2), 8));
+                // Destination register zero: the load's write folds away.
+                shapes.push(Operation::load(op, Reg::new(0, 0), Reg::new(0, 2), 8));
+            } else if op.is_store() {
+                shapes.push(Operation::store(op, Reg::new(0, 2), 8, r1));
+                shapes.push(Operation::store(op, Reg::new(0, 2), 8, Operand::Imm(37)));
+            } else {
+                let mut o = Operation::new(op);
+                o.a = match op {
+                    Opcode::Send => r1,
+                    Opcode::Recv => Operand::None,
+                    _ => Operand::Breg(BReg::new(0, 0)),
+                };
+                if op == Opcode::Recv {
+                    o.dst = Dest::Gpr(Reg::new(0, 4));
+                }
+                o.imm = 1;
+                shapes.push(o);
+            }
         }
-        regs[0] = 0; // architectural zero
-        regs[2] = 0x40; // flat r0.2: in-bounds load/store base
-        let mut bregs = [false; MAX_CLUSTERS * 8];
-        bregs[0] = true;
-        let mut mem = Memory::new();
-        for a in 0..256u32 {
-            mem.write_u8(a, a as u8 ^ 0x5a);
-        }
-        let mut xfer = [0u32; 16];
-        xfer[3] = 0xdead_beef;
+        let regs = [0x40u32; MAX_CLUSTERS * 64];
+        let bregs = [true; MAX_CLUSTERS * 8];
+        let mem = Memory::new();
         let cx = EvalCtx {
             regs: &regs,
             bregs: &bregs,
             mem: &mem,
-            xfer: &xfer,
+            xfer: &[0xdead_beef; 16],
         };
-
-        for op in Opcode::ALL {
-            for shaped in shapes_of(op) {
-                let d = decode_single(shaped.clone());
-                let di = d.inst(0);
-                assert_eq!(
-                    d.tops_of(di).len(),
-                    d.fns_of(di).len(),
-                    "{op:?}: closure table out of step with op table"
-                );
-                for (t, f) in d.tops_of(di).iter().zip(d.fns_of(di)) {
-                    assert_eq!(
-                        eval_dense(t, &cx),
-                        f(t, &cx),
-                        "{op:?} `{shaped}` kind {:?}: fused arm and table entry diverge",
-                        t.k
-                    );
-                }
-            }
+        for shaped in shapes {
+            let d = decode_single(shaped.clone());
+            let tops = d.tops_of(d.inst(0));
+            assert_eq!(tops.len(), 1, "`{shaped}`");
+            assert_eq!(tops[0].fu(), shaped.fu_kind(), "`{shaped}`");
+            let r = eval_op(&tops[0], &cx);
+            assert_eq!(r.fu(), shaped.fu_kind(), "`{shaped}`");
         }
     }
 
-    /// The kind space maps opcode classes where they belong: the hot set
-    /// is dense (fusable), communication is table-only, and the dense
-    /// check matches the declaration split.
+    /// The kind space maps opcode classes and operand shapes where they
+    /// belong.
     #[test]
     fn kind_classification() {
         let k = |o: Operation| {
@@ -878,7 +740,6 @@ mod tests {
             Operand::Imm(5),
         );
         assert_eq!(k(add), Kind::AddRI);
-        assert!(Kind::AddRI.dense());
         assert_eq!(
             k(Operation::load(
                 Opcode::Ldhu,
@@ -891,41 +752,14 @@ mod tests {
         let mut send = Operation::new(Opcode::Send);
         send.a = Operand::Gpr(Reg::new(0, 1));
         assert_eq!(k(send), Kind::Send);
-        assert!(!Kind::Send.dense());
-        assert!(!Kind::SlctII.dense());
-        assert!(Kind::Halt.dense());
-    }
-
-    /// Bundle fusibility lands in the decode tables: a pure-ALU
-    /// instruction fuses whole, a send/recv bundle drops to the per-op
-    /// closure path while its dense siblings stay fused.
-    #[test]
-    fn fused_mask_tracks_dense_bundles() {
-        let add = Operation::bin(
-            Opcode::Add,
+        let folded = Operation::bin(
+            Opcode::Sub,
             Reg::new(0, 3),
-            Operand::Gpr(Reg::new(0, 1)),
-            Operand::Imm(5),
+            Operand::Imm(9),
+            Operand::Imm(4),
         );
-        let d = decode_single(add.clone());
-        let di = d.inst(0);
-        assert_eq!(di.fused_mask, di.bundle_mask);
-
-        let mut send = Operation::new(Opcode::Send);
-        send.a = Operand::Gpr(Reg::new(0, 1));
-        send.imm = 0;
-        let mut recv = Operation::new(Opcode::Recv);
-        recv.dst = Dest::Gpr(Reg::new(1, 2));
-        recv.imm = 0;
-        let mut inst = Instruction::nop(4);
-        inst.bundles[0].ops.push(add);
-        inst.bundles[1].ops.push(send);
-        inst.bundles[2].ops.push(recv);
-        let mut halt = Instruction::nop(4);
-        halt.bundles[0].ops.push(Operation::new(Opcode::Halt));
-        let d = DecodedProgram::decode(&Program::new("t", vec![inst, halt], vec![]));
-        let di = d.inst(0);
-        assert_eq!(di.bundle_mask, 0b0111);
-        assert_eq!(di.fused_mask, 0b0001, "only the ALU bundle is dense");
+        assert_eq!(k(folded.clone()), Kind::MovIR);
+        let d = decode_single(folded);
+        assert_eq!(d.tops_of(d.inst(0))[0].imm, 5);
     }
 }
