@@ -630,12 +630,15 @@ fn cmd_fuzz(args: &[String]) -> Result<(), Fail> {
                 o.size
             )));
         }
-        match vex_gen::check_seed(&cfg)? {
-            Ok(()) => {}
-            Err(failure) => {
-                report_fuzz_failure(&cfg, failure, &o.machine_name, &o.out_path)?;
-                return Ok(());
-            }
+        // The analyzed program is the one checked: generate once per seed.
+        let program = Arc::new(program);
+        if let Err(mismatch) = vex_gen::check_program(&program, &cfg.machine) {
+            let failure = vex_gen::Failure {
+                program: Arc::try_unwrap(program).unwrap_or_else(|a| (*a).clone()),
+                mismatch,
+            };
+            report_fuzz_failure(&cfg, failure, &o.machine_name, &o.out_path)?;
+            return Ok(());
         }
         if (i + 1) % 100 == 0 {
             eprintln!(

@@ -16,7 +16,9 @@ use std::fmt;
 use std::sync::Arc;
 use vex_isa::{MachineConfig, Program};
 use vex_sim::oracle::{interpret, OracleState};
-use vex_sim::{Engine, MemConfig, MemoryMode, MtMode, SimConfig, StopReason, Technique};
+use vex_sim::{
+    Engine, MemConfig, MemoryMode, MtMode, PreparedProgram, SimConfig, StopReason, Technique,
+};
 
 /// Thread counts every technique point is checked under.
 pub const THREAD_COUNTS: [u8; 3] = [1, 2, 4];
@@ -100,11 +102,11 @@ fn compare_context(engine: &Engine, ctx: usize, want: &OracleState) -> Option<St
             return Some(format!("$b{}.{} = {got}, oracle says {exp}", i / 8, i % 8));
         }
     }
-    if t.mem.digest() != want.mem.digest() {
+    if let Some(addr) = t.mem.first_difference(&want.mem) {
         return Some(format!(
-            "memory digest {:#018x}, oracle says {:#018x}",
-            t.mem.digest(),
-            want.mem.digest()
+            "memory byte {addr:#010x} = {:#04x}, oracle says {:#04x}",
+            t.mem.read_u8(addr),
+            want.mem.read_u8(addr)
         ));
     }
     let s = &engine.stats.per_thread[ctx];
@@ -132,7 +134,8 @@ fn compare_context(engine: &Engine, ctx: usize, want: &OracleState) -> Option<St
 /// Runs `program` through all 8 technique points × [`THREAD_COUNTS`] and
 /// asserts every context's final architectural state (registers, branch
 /// registers, memory) and retirement counters are byte-identical to the
-/// in-order reference interpreter.
+/// in-order reference interpreter. The program is decoded once and the
+/// decode table shared by all 24 engines.
 pub fn check_program(program: &Arc<Program>, machine: &MachineConfig) -> Result<(), Mismatch> {
     let want = interpret(program, ORACLE_INST_BOUND);
     if !want.halted {
@@ -147,10 +150,11 @@ pub fn check_program(program: &Arc<Program>, machine: &MachineConfig) -> Result<
         });
     }
 
+    let prepared = PreparedProgram::prepare(Arc::clone(program));
     for (label, technique) in Technique::FIGURE16_SET {
         for n in THREAD_COUNTS {
-            let workload: Vec<Arc<Program>> = (0..n).map(|_| Arc::clone(program)).collect();
-            let mut engine = Engine::new(diff_config(machine, technique, n), &workload);
+            let workload = vec![prepared.clone(); n as usize];
+            let mut engine = Engine::with_prepared(diff_config(machine, technique, n), &workload);
             let reason = engine.run();
             if reason != StopReason::AllRetired {
                 return Err(Mismatch {
@@ -207,4 +211,50 @@ pub fn shrink(cfg: &GenConfig, original: Failure) -> (GenConfig, Failure) {
         }
     }
     (cfg.clone(), original)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A generated program run to completion on the oracle and on one
+    /// single-thread OOSI AS engine, which agree.
+    fn oracle_and_engine() -> (OracleState, Engine) {
+        let cfg = GenConfig {
+            machine: MachineConfig::paper_4c4w(),
+            seed: 7,
+            size: GenConfig::DEFAULT_SIZE,
+        };
+        let program = Arc::new(generate(&cfg).expect("the paper machine fits the generator"));
+        let want = interpret(&program, ORACLE_INST_BOUND);
+        assert!(want.halted);
+        let technique = Technique::FIGURE16_SET[7].1;
+        let mut engine = Engine::new(diff_config(&cfg.machine, technique, 1), &[program]);
+        assert_eq!(engine.run(), StopReason::AllRetired);
+        assert_eq!(compare_context(&engine, 0, &want), None);
+        (want, engine)
+    }
+
+    #[test]
+    fn compare_context_reports_the_differing_memory_byte() {
+        let (want, mut engine) = oracle_and_engine();
+        // Generated programs keep their data in the arena on page 0, so
+        // the oracle's image has that one 64KB page and no page 5.
+        let addr = 0x0005_1234;
+        assert_eq!(want.mem.resident_bytes(), 1 << 16);
+        assert_eq!(want.mem.read_u8(addr), 0);
+        engine.contexts[0].mem.write_u8(addr, 5);
+        assert_eq!(
+            compare_context(&engine, 0, &want).as_deref(),
+            Some("memory byte 0x00051234 = 0x05, oracle says 0x00")
+        );
+    }
+
+    #[test]
+    fn compare_context_reports_a_changed_register() {
+        let (want, mut engine) = oracle_and_engine();
+        engine.contexts[0].regs[64 + 5] ^= 1;
+        let what = compare_context(&engine, 0, &want).expect("the register differs");
+        assert!(what.starts_with("$r1.5 = "), "{what}");
+    }
 }

@@ -33,7 +33,7 @@ fn check(machine: MachineConfig, seed: u64, size: u32) {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 12,
+        cases: 64,
         .. ProptestConfig::default()
     })]
 

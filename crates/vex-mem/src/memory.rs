@@ -273,9 +273,12 @@ impl Memory {
             .collect()
     }
 
-    /// A short, order-independent-free digest of the resident image, used by
-    /// tests to compare final architectural memory states cheaply (FNV-1a
-    /// over (page index, bytes) in page order).
+    /// A 64-bit digest of the architectural image: FNV-1a over (page
+    /// index, page bytes) of every resident page that is not all zero, in
+    /// page order. It is order-dependent and byte-serial — about 100 µs per
+    /// resident 64KB page — and is kept for the `mem digest` column of
+    /// `vex run`. To compare two images, use [`Memory::first_difference`],
+    /// which is exact and compares whole pages at once.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         let mut mix = |b: u8| {
@@ -298,6 +301,33 @@ impl Memory {
             }
         }
         h
+    }
+
+    /// The lowest address at which `self` and `other` hold different
+    /// bytes, or `None` when the two images are architecturally equal. An
+    /// absent page reads as zero, so it equals a materialised all-zero
+    /// page (the equivalence [`Memory::digest`] also makes). Pages are
+    /// compared whole, as slices.
+    pub fn first_difference(&self, other: &Memory) -> Option<u32> {
+        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        fn resident(m: &Memory, idx: usize) -> Option<&[u8]> {
+            m.pages.get(idx)?.as_deref()
+        }
+        for idx in 0..self.pages.len().max(other.pages.len()) {
+            let (a, b) = match (resident(self, idx), resident(other, idx)) {
+                (None, None) => continue,
+                (a, b) => (a.unwrap_or(&ZERO_PAGE), b.unwrap_or(&ZERO_PAGE)),
+            };
+            if a != b {
+                let off = a
+                    .iter()
+                    .zip(b)
+                    .position(|(x, y)| x != y)
+                    .expect("unequal pages of one size differ at some offset");
+                return Some(((idx << PAGE_SHIFT) | off) as u32);
+            }
+        }
+        None
     }
 }
 
@@ -349,6 +379,70 @@ mod tests {
         // Touching a page with zeros only must not change the digest.
         b.write_u8(0x9_0000, 0);
         assert_eq!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn first_difference_of_identical_images_is_none() {
+        let mut a = Memory::new();
+        a.write_u32(0x40, 0xdead_beef);
+        a.write_u8(0x3_0001, 9);
+        let b = a.clone();
+        assert_eq!(a.first_difference(&b), None);
+        assert_eq!(Memory::new().first_difference(&Memory::new()), None);
+    }
+
+    #[test]
+    fn first_difference_treats_absent_pages_as_zero() {
+        let mut touched = Memory::new();
+        touched.write_u8(0x9_0000, 0); // materialises page 9, all zero
+        let untouched = Memory::new();
+        assert_eq!(touched.first_difference(&untouched), None);
+        assert_eq!(untouched.first_difference(&touched), None);
+    }
+
+    #[test]
+    fn first_difference_finds_a_byte_on_a_page_only_one_side_has() {
+        let mut a = Memory::new();
+        a.write_u8(0x5_1234, 5);
+        let b = Memory::new();
+        assert_eq!(a.first_difference(&b), Some(0x5_1234));
+        assert_eq!(b.first_difference(&a), Some(0x5_1234));
+    }
+
+    #[test]
+    fn first_difference_reports_the_lowest_address() {
+        let mut a = Memory::new();
+        let mut b = Memory::new();
+        a.write_u8(0x2_0010, 1);
+        b.write_u8(0x2_0010, 1);
+        // Two pages differ; the lower page wins even though its byte sits
+        // at a higher offset, and within a page the lower offset wins.
+        a.write_u8(0x7_0008, 2);
+        a.write_u8(0x3_fff0, 3);
+        a.write_u8(0x3_8000, 4);
+        assert_eq!(a.first_difference(&b), Some(0x3_8000));
+        assert_eq!(b.first_difference(&a), Some(0x3_8000));
+    }
+
+    #[test]
+    fn first_difference_sees_the_last_byte_of_a_page() {
+        let mut a = Memory::new();
+        let mut b = Memory::new();
+        a.write_u32(0x1_0000, 7);
+        b.write_u32(0x1_0000, 7);
+        let last = (2 << PAGE_SHIFT) - 1;
+        a.write_u8(last, 0x80);
+        assert_eq!(a.first_difference(&b), Some(last));
+    }
+
+    #[test]
+    fn first_difference_of_a_cleared_memory_against_a_new_one_is_none() {
+        let mut m = Memory::new();
+        m.write_u32(0x100, 1);
+        m.write_u64(0x4_0000, u64::MAX);
+        m.clear();
+        assert_eq!(m.first_difference(&Memory::new()), None);
+        assert_eq!(Memory::new().first_difference(&m), None);
     }
 
     #[test]

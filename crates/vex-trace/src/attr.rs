@@ -379,12 +379,16 @@ pub fn attribute(meta: &TraceMeta, events: &[TraceEvent]) -> Result<Attribution,
         .sum();
 
     // Binning walk: one pass over [0, total) per thread with cursors into
-    // the per-thread tapes (all sorted by construction).
+    // the per-thread tapes (all sorted by construction). Each step bins a
+    // whole run of cycles: from `c` up to the next edge at which a cursor
+    // moves or a precedence test flips, so the walk is O(events), not
+    // O(cycles), and a corrupted `End` cycle cannot make it hang.
     let mut threads = Vec::with_capacity(nt);
     for tape in &tapes {
         let mut bins = [0u64; Bin::COUNT];
         let (mut ii, mut is, mut ih, mut isl, mut ig) = (0, 0, 0, 0, 0);
-        for c in 0..total {
+        let mut c = 0;
+        while c < total {
             while ii < tape.issue_cycles.len() && tape.issue_cycles[ii] < c {
                 ii += 1;
             }
@@ -416,7 +420,46 @@ pub fn attribute(meta: &TraceMeta, events: &[TraceEvent]) -> Result<Attribution,
             } else {
                 Bin::Unslotted
             };
-            bins[bin.index()] += 1;
+
+            // The run ends at the next edge: the next issue cycle and the
+            // cycle after it, stall and freeze start and end, a hold cycle
+            // and the cycle after it, slot start and end, and retire. An
+            // issue cycle is a run of one (its own next edge is `c + 1`).
+            let next = if bin == Bin::Issue {
+                c + 1
+            } else {
+                let mut next = total;
+                let mut edge = |e: u64| {
+                    if e > c {
+                        next = next.min(e);
+                    }
+                };
+                if let Some(&i) = tape.issue_cycles.get(ii) {
+                    edge(i);
+                }
+                if let Some(s) = tape.stalls.get(is) {
+                    edge(s.start);
+                    edge(s.end);
+                }
+                if let Some(&h) = tape.holds.get(ih) {
+                    edge(h);
+                    edge(h.saturating_add(1));
+                }
+                if let Some(&(start, end)) = tape.slots.get(isl) {
+                    edge(start);
+                    edge(end);
+                }
+                if let Some(&(start, end)) = global.get(ig) {
+                    edge(start);
+                    edge(end);
+                }
+                if let Some(r) = tape.retire {
+                    edge(r);
+                }
+                next
+            };
+            bins[bin.index()] += next - c;
+            c = next;
         }
         threads.push(bins);
     }
@@ -468,13 +511,12 @@ mod tests {
         assert!(err.contains("End record"), "{err}");
     }
 
-    #[test]
-    fn hand_built_stream_bins_every_cycle_once() {
-        // One thread, slotted the whole run of 10 cycles:
-        //   c0 issue, c1 dmiss-event issue, c2..=4 dmiss stall (pen 3),
-        //   c5 issue+memport overflow 2, c6..=7 global freeze,
-        //   c8 conflict (no event), c9 issue (halt) + retire.
-        let events = [
+    /// One thread, slotted the whole run, which ends at cycle `end`:
+    ///   c0 issue, c1 dmiss-event issue, c2..=4 dmiss stall (pen 3),
+    ///   c5 issue+memport overflow 2, c6..=7 global freeze,
+    ///   c8 conflict (no event), c9 issue (halt) + retire.
+    fn hand_built_stream(end: u64) -> [TraceEvent; 9] {
+        [
             slot(0, 0, 0),
             issue(0, 0, 2, 0b1),
             issue(1, 0, 1, 0b10),
@@ -493,9 +535,13 @@ mod tests {
                 cycle: 9,
                 thread: 0,
             },
-            TraceEvent::End { cycle: 10 },
-        ];
-        let a = attribute(&meta(1, 1, 2), &events).unwrap();
+            TraceEvent::End { cycle: end },
+        ]
+    }
+
+    #[test]
+    fn hand_built_stream_bins_every_cycle_once() {
+        let a = attribute(&meta(1, 1, 2), &hand_built_stream(10)).unwrap();
         assert_eq!(a.total_cycles, 10);
         let bins = &a.threads[0];
         assert_eq!(bins[Bin::Issue.index()], 4, "{bins:?}");
@@ -508,6 +554,22 @@ mod tests {
         assert_eq!(a.clusters[0].busy_cycles, 3);
         assert_eq!(a.clusters[1].busy_cycles, 1);
         a.verify_identity().unwrap();
+    }
+
+    #[test]
+    fn corrupted_end_cycle_bins_the_tail_as_retired_without_walking_it() {
+        // The hand-built stream with bit 32 of its `End` cycle set: the
+        // walk must bin the four-billion-cycle tail in one step instead of
+        // cycle by cycle.
+        let total = (1u64 << 32) + 10;
+        let a = attribute(&meta(1, 1, 2), &hand_built_stream(total)).unwrap();
+        a.verify_identity().unwrap();
+        let bins = &a.threads[0];
+        assert_eq!(bins[Bin::Retired.index()], total - 10, "{bins:?}");
+        assert_eq!(bins[Bin::Issue.index()], 4, "{bins:?}");
+        assert_eq!(bins[Bin::DMiss.index()], 3, "{bins:?}");
+        assert_eq!(bins[Bin::MemPort.index()], 2, "{bins:?}");
+        assert_eq!(bins[Bin::Conflict.index()], 1, "{bins:?}");
     }
 
     #[test]
