@@ -13,6 +13,7 @@
 //! and `deterministic_wall` byte-identical.
 
 use crate::journal::Fnv64;
+use std::hash::Hasher as _;
 use std::time::Duration;
 
 /// Truncated exponential backoff: attempt `n` (2 = first retry) waits

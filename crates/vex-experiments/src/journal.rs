@@ -47,6 +47,7 @@
 //! left behind by dead PIDs are detected and reclaimed.
 
 use std::fs::{self, File, OpenOptions};
+use std::hash::{Hash, Hasher};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use vex_isa::Program;
@@ -70,8 +71,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// FNV-1a 64-bit hasher that accepts `std::fmt::Write`, so `Debug` output
-/// can be streamed into it without building intermediate strings.
+/// FNV-1a 64-bit hasher. It implements [`std::hash::Hasher`], so any
+/// `Hash` value can be digested structurally, and `std::fmt::Write`, so
+/// formatted text can be streamed into it without intermediate strings.
 pub struct Fnv64(u64);
 
 impl Fnv64 {
@@ -86,11 +88,6 @@ impl Fnv64 {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -107,13 +104,45 @@ impl std::fmt::Write for Fnv64 {
     }
 }
 
-/// Digest of a compiled program's full `Debug` form. The compiler is
-/// deterministic, so this is stable across processes for the same source
-/// and machine — exactly what cross-run resume needs.
+/// Every integer is folded as fixed-width little-endian bytes (`usize`
+/// and enum discriminants as 8), so a digest depends on neither the
+/// host's endianness nor its pointer width: the default methods would
+/// hash native-endian bytes.
+impl Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.update(&n.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.update(&n.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.update(&n.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    /// The digest so far.
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Structural digest of a compiled program: its derived `Hash` — name,
+/// every operation of every bundle, the instruction addresses and the
+/// data segments, each `Vec` length-prefixed — fed through [`Fnv64`].
+/// The compiler is deterministic, so this is stable across processes
+/// for the same source and machine — exactly what cross-run resume needs.
 pub fn program_digest(program: &Program) -> u64 {
-    use std::fmt::Write;
     let mut h = Fnv64::new();
-    let _ = write!(h, "{program:?}");
+    program.hash(&mut h);
     h.0
 }
 
@@ -700,6 +729,105 @@ mod tests {
             assert_eq!(entries.len(), 1, "cut at {cut}");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A two-instruction, two-segment program built by hand, so its
+    /// digest does not depend on the compiler.
+    fn hand_built() -> Program {
+        use vex_isa::{DataSegment, Instruction, Opcode, Operand, Operation, Reg};
+        let load = Operation::load(Opcode::Ldw, Reg::new(0, 2), Reg::new(0, 1), 8);
+        let add = Operation::bin(
+            Opcode::Add,
+            Reg::new(1, 3),
+            Operand::Gpr(Reg::new(1, 3)),
+            Operand::Imm(-5),
+        );
+        let mut halt = Instruction::nop(4);
+        halt.bundles[0].ops.push(Operation::new(Opcode::Halt));
+        Program::new(
+            "pinned",
+            vec![Instruction::from_ops(4, [(0, load), (1, add)]), halt],
+            vec![
+                DataSegment {
+                    base: 0x100,
+                    bytes: vec![1, 2, 3, 4],
+                },
+                DataSegment {
+                    base: 0x2000,
+                    bytes: vec![0xff; 6],
+                },
+            ],
+        )
+    }
+
+    #[test]
+    fn integers_fold_as_fixed_width_little_endian() {
+        let digest = |f: &dyn Fn(&mut Fnv64)| {
+            let mut h = Fnv64::new();
+            f(&mut h);
+            h.finish()
+        };
+        let bytes = |b: &[u8]| digest(&|h| h.update(b));
+        assert_eq!(digest(&|h| h.write_u16(0x0102)), bytes(&[2, 1]));
+        assert_eq!(digest(&|h| h.write_u32(0x0102_0304)), bytes(&[4, 3, 2, 1]));
+        assert_eq!(
+            digest(&|h| h.write_i32(-2)),
+            bytes(&[0xfe, 0xff, 0xff, 0xff])
+        );
+        assert_eq!(
+            digest(&|h| h.write_usize(3)),
+            bytes(&[3, 0, 0, 0, 0, 0, 0, 0]),
+            "usize is hashed as 8 bytes on every host"
+        );
+        assert_eq!(
+            digest(&|h| vex_isa::Operand::Imm(1).hash(h)),
+            bytes(&[3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]),
+            "an enum's discriminant is hashed as 8 bytes, then its fields"
+        );
+    }
+
+    #[test]
+    fn builtin_compiled_twice_digests_equal() {
+        let m = vex_isa::MachineConfig::paper_4c4w();
+        let a = vex_workloads::compile_benchmark_for("mcf", &m).unwrap();
+        let b = vex_workloads::compile_benchmark_for("mcf", &m).unwrap();
+        assert!(!std::sync::Arc::ptr_eq(&a, &b), "two separate compiles");
+        assert_eq!(program_digest(&a), program_digest(&b));
+    }
+
+    #[test]
+    fn every_field_reaches_the_digest() {
+        let base = hand_built();
+        let d0 = program_digest(&base);
+        type Mutation = (&'static str, fn(&mut Program));
+        let mutations: [Mutation; 7] = [
+            ("name", |p| p.name.push('x')),
+            ("immediate", |p| {
+                p.instructions[0].bundles[0].ops[0].imm += 1
+            }),
+            ("destination register", |p| {
+                p.instructions[0].bundles[1].ops[0].dst =
+                    vex_isa::Dest::Gpr(vex_isa::Reg::new(1, 4))
+            }),
+            ("instruction address", |p| p.inst_addr[1] += 4),
+            ("segment base", |p| p.data[1].base += 4),
+            ("data byte", |p| p.data[0].bytes[3] ^= 1),
+            ("segment order", |p| p.data.swap(0, 1)),
+        ];
+        for (what, mutate) in mutations {
+            let mut p = base.clone();
+            mutate(&mut p);
+            assert_ne!(p, base, "{what}: the mutation must change the program");
+            assert_ne!(program_digest(&p), d0, "{what} does not reach the digest");
+        }
+    }
+
+    /// Pins key derivation: journals and served caches are keyed by this
+    /// digest, so a change here orphans every stored result and must be
+    /// a deliberate, visible edit.
+    #[test]
+    fn hand_built_program_digest_is_pinned() {
+        assert_eq!(program_digest(&hand_built()), 0x9019_831c_3ca7_c047);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 ///
 /// A bundle is the unit of splitting for cluster-level split-issue: all
 /// operations of a bundle always issue together (paper §III).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Bundle {
     /// The operations; at most `ClusterResources::slots` of them.
     pub ops: Vec<Operation>,
@@ -48,7 +48,7 @@ impl Bundle {
 /// An instruction whose bundles are all empty is an explicit vertical NOP
 /// (the compiler emits those for empty schedule cycles, as a VLIW binary
 /// would encode them).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Instruction {
     /// `bundles[c]` holds the operations for cluster `c`; the vector length
     /// equals the machine's cluster count.

@@ -5,7 +5,7 @@ use crate::machine::MachineConfig;
 use std::fmt;
 
 /// An initialised region of a program's (private) data address space.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DataSegment {
     /// Base byte address.
     pub base: u32,
@@ -20,7 +20,7 @@ pub struct DataSegment {
 /// Control-flow targets are *instruction indices* (`Operation::imm`); the
 /// byte layout exists only so the instruction cache sees realistic
 /// variable-length code addresses.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct Program {
     /// Human-readable benchmark name.
     pub name: String,

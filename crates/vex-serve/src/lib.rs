@@ -10,9 +10,10 @@
 //!   quarantined; results are journaled crash-safely and served from a
 //!   content-addressed cache, so overlapping or repeated sweeps never
 //!   recompute a point. SIGTERM drains gracefully.
-//! * **Worker** ([`worker_main`]) — a stateless simulation process that
-//!   pulls assignments and heartbeats from inside the engine's cycle
-//!   loop.
+//! * **Worker** ([`worker_main`]) — a simulation process that pulls
+//!   assignments, heartbeats from inside the engine's cycle loop, and
+//!   keeps nothing between assignments but the prepared programs of its
+//!   last mix.
 //! * **Client** ([`submit`]) — submits a spec, waits, and reassembles a
 //!   [`SweepOutcome`](vex_experiments::SweepOutcome) byte-identical to an
 //!   uninterrupted in-process run.

@@ -26,7 +26,10 @@
 //! Worker → server: `HELLO <pid>`, `GET`, `HEARTBEAT <key> <cycle>`,
 //! `RESULT <key>` + journal payload body, `FAIL <key>` + message body.
 //! Server → worker: `OK`, `ASSIGN <key> <zero_wall> <heartbeat_ms>` +
-//! single-point spec body, `WAIT <ms>`, `SHUTDOWN`.
+//! single-point spec body, `SHUTDOWN`. The reply to `GET` comes when
+//! there is one: the server holds it until a point can be assigned
+//! (`ASSIGN`) or a drain has finished every point (`SHUTDOWN`), so an
+//! idle worker never polls.
 //! Client → server: `SUBMIT` + spec body, `POLL` + key-per-line body,
 //! `FETCH <key>`, `STATUS`, `DRAIN`.
 //! Server → client: `ACCEPTED <total> <cached> <enqueued>`, `DRAINING`,

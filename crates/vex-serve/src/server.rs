@@ -38,16 +38,26 @@
 //! SIGTERM/SIGINT (or the `DRAIN` verb) puts the server into drain mode:
 //! new submissions are refused, accepted work is finished and journaled,
 //! idle workers are told to `SHUTDOWN`, and the server exits 0.
+//!
+//! ## Threads
+//!
+//! A blocking acceptor thread takes connections and gives each its own
+//! thread; the main thread supervises the pool on a 10 ms tick. Nothing
+//! on the request path sleeps: a worker's `GET` parks on a condition
+//! variable paired with the state mutex until a task is assignable (a
+//! timed wait when the soonest one is behind a backoff delay), drain has
+//! made every task terminal, or the server closes. Every state change
+//! that can end such a wait notifies it.
 
 use crate::proto::{parse_key, read_frame, split_message, write_frame};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use vex_experiments::journal::crc32;
 use vex_experiments::runner::ProgramLoader;
@@ -289,18 +299,92 @@ struct Shared<'a> {
     loader: Option<ProgramLoader<'a>>,
     backoff: BackoffPolicy,
     state: Mutex<State>,
+    /// Paired with `state`: notified on every change that can end a
+    /// parked `GET` (a task became assignable or terminal, drain, close).
+    ready: Condvar,
     journal: Mutex<Option<Journal>>,
     subs: Mutex<Option<SubsLog>>,
     /// Clones of every accepted connection, so drain can unblock their
     /// reader threads.
     conns: Mutex<Vec<TcpStream>>,
+    /// Set (under the `state` lock, so no parked `GET` misses it) when
+    /// the server shuts down.
     closed: AtomicBool,
+}
+
+impl<'a> Shared<'a> {
+    /// Opens the durable state `cfg` names — the result journal, whose
+    /// replayed entries fill the cache, and the submission log — and
+    /// returns it with the logged submission texts to re-enqueue.
+    fn open(
+        cfg: &'a ServeConfig,
+        loader: Option<ProgramLoader<'a>>,
+    ) -> Result<(Shared<'a>, Vec<String>), String> {
+        let mut cache: HashMap<u64, JournalEntry> = HashMap::new();
+        let journal = match &cfg.journal {
+            Some(p) if cfg.resume => {
+                let (j, entries, report) = Journal::open_resume(Path::new(p))?;
+                eprintln!(
+                    "[vex serve] journal `{p}`: replayed {} completed point(s){}",
+                    entries.len(),
+                    if report.dropped_bytes > 0 {
+                        format!(" (dropped a torn {}-byte tail)", report.dropped_bytes)
+                    } else {
+                        String::new()
+                    }
+                );
+                for e in entries {
+                    cache.insert(e.key, e);
+                }
+                Some(j)
+            }
+            Some(p) => Some(Journal::create(Path::new(p))?),
+            None => None,
+        };
+        let (subs, prior) = match &cfg.journal {
+            Some(p) => {
+                let (s, texts) = SubsLog::open(Path::new(&format!("{p}.subs")), cfg.resume)?;
+                (Some(s), texts)
+            }
+            None => (None, Vec::new()),
+        };
+        let shared = Shared {
+            cfg,
+            loader,
+            backoff: BackoffPolicy {
+                base_ms: cfg.policy.backoff_base_ms,
+                max_ms: cfg.policy.backoff_max_ms,
+                jitter: true,
+            },
+            state: Mutex::new(State {
+                tasks: HashMap::new(),
+                order: Vec::new(),
+                cache,
+                draining: false,
+            }),
+            ready: Condvar::new(),
+            journal: Mutex::new(journal),
+            subs: Mutex::new(subs),
+            conns: Mutex::new(Vec::new()),
+            closed: AtomicBool::new(false),
+        };
+        Ok((shared, prior))
+    }
+
+    /// Marks the server closed and wakes every parked `GET` to see it.
+    fn shut(&self) {
+        {
+            let _st = lock(&self.state);
+            self.closed.store(true, Ordering::SeqCst);
+        }
+        self.ready.notify_all();
+    }
 }
 
 /// Mutex lock that shrugs off poisoning: the protected data is only ever
 /// whole values.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 const DRAINING_MSG: &str = "server is draining; not accepting new submissions";
@@ -361,6 +445,7 @@ fn enqueue_spec(
         }
     }
     drop(st);
+    shared.ready.notify_all();
     if record {
         if let Some(s) = lock(&shared.subs).as_mut() {
             s.append(text)?;
@@ -369,44 +454,87 @@ fn enqueue_spec(
     Ok((points.len(), cached, enqueued))
 }
 
-/// Picks the next ready task for worker `pid`, or tells it to wait or
-/// shut down.
-fn next_assignment(shared: &Shared<'_>, pid: u32) -> String {
+/// Answers worker `pid`'s `GET` on connection `peer`: blocks until a task
+/// is assignable (`ASSIGN`) or drain has made every task terminal
+/// (`SHUTDOWN`). `None` when the server closes or the worker hung up
+/// while parked: the connection is over, and no task was taken.
+fn next_assignment(shared: &Shared<'_>, pid: u32, peer: &TcpStream) -> Option<String> {
     let mut st = lock(&shared.state);
-    let now = Instant::now();
-    let mut soonest: Option<Duration> = None;
-    for i in 0..st.order.len() {
-        let key = st.order[i];
-        let Some(t) = st.tasks.get_mut(&key) else {
-            continue;
-        };
-        if !matches!(t.state, TaskState::Queued) {
-            continue;
+    loop {
+        if shared.closed.load(Ordering::SeqCst) {
+            return None;
         }
-        if t.ready_at <= now {
+        let now = Instant::now();
+        let mut soonest: Option<Instant> = None;
+        let mut ready: Option<u64> = None;
+        for key in &st.order {
+            match st.tasks.get(key) {
+                Some(t) if matches!(t.state, TaskState::Queued) => {
+                    if t.ready_at <= now {
+                        ready = Some(*key);
+                        break;
+                    }
+                    soonest = Some(soonest.map_or(t.ready_at, |s| s.min(t.ready_at)));
+                }
+                _ => {}
+            }
+        }
+        if let Some(key) = ready {
+            // A dead worker's parked GET must not take the task it can
+            // never run (its process is reaped, so nothing else would
+            // re-queue the point until the heartbeat timeout).
+            if peer_gone(peer) {
+                return None;
+            }
+            let t = st.tasks.get_mut(&key).expect("key from the same map");
             t.attempts += 1;
             t.state = TaskState::Running {
                 pid,
                 since: now,
                 last_hb: now,
             };
-            return format!(
+            return Some(format!(
                 "ASSIGN {key:016x} {} {}\n{}",
                 if shared.cfg.zero_wall { 1 } else { 0 },
                 shared.cfg.policy.heartbeat_ms,
                 t.assign
-            );
+            ));
         }
-        let until = t.ready_at - now;
-        soonest = Some(soonest.map_or(until, |s| s.min(until)));
+        if st.draining && st.all_terminal() {
+            return Some("SHUTDOWN".to_string());
+        }
+        st = match soonest {
+            Some(at) => {
+                shared
+                    .ready
+                    .wait_timeout(st, at - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+            None => shared
+                .ready
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner),
+        };
     }
-    if st.draining && st.all_terminal() {
-        return "SHUTDOWN".to_string();
+}
+
+/// Whether the peer has closed its end of `stream`. A worker parked on
+/// `GET` sends nothing until it is answered, so a nonblocking peek finds
+/// either nothing (alive) or the end of the stream (gone).
+fn peer_gone(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
     }
-    let ms = soonest
-        .map(|d| d.as_millis().clamp(5, 200) as u64)
-        .unwrap_or(50);
-    format!("WAIT {ms}")
+    let gone = match stream.peek(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+        ),
+    };
+    stream.set_nonblocking(false).ok();
+    gone
 }
 
 /// Journals and caches a completed point. The journal append (fsync
@@ -428,6 +556,10 @@ fn handle_result(shared: &Shared<'_>, key: u64, payload: &str) -> Result<(), Str
     if let Some(t) = st.tasks.get_mut(&key) {
         t.state = TaskState::Done;
     }
+    drop(st);
+    // During drain, this may have been the last task that was not
+    // terminal.
+    shared.ready.notify_all();
     Ok(())
 }
 
@@ -449,6 +581,8 @@ fn handle_fail(shared: &Shared<'_>, key: u64, msg: &str) {
             }
         }
     }
+    drop(st);
+    shared.ready.notify_all();
 }
 
 /// Crash accounting for one task whose worker died while holding it:
@@ -498,6 +632,8 @@ fn worker_died(shared: &Shared<'_>, pid: u32, why: &str) {
             }
         );
     }
+    drop(st);
+    shared.ready.notify_all();
 }
 
 // ---- status / fetch / poll ----------------------------------------
@@ -597,7 +733,10 @@ fn handle_conn(shared: &Shared<'_>, mut stream: TcpStream) {
                 peer_pid = parts.next().and_then(|p| p.parse().ok()).unwrap_or(0);
                 Some("OK".to_string())
             }
-            "GET" => Some(next_assignment(shared, peer_pid)),
+            "GET" => match next_assignment(shared, peer_pid, &stream) {
+                Some(reply) => Some(reply),
+                None => return,
+            },
             "HEARTBEAT" => {
                 // One-way: refresh the liveness stamp if this worker
                 // still holds the point (a reaped worker's stale beats
@@ -730,6 +869,9 @@ fn supervise(
             }
         }
     }
+    if !to_kill.is_empty() {
+        shared.ready.notify_all();
+    }
     for pid in to_kill {
         kill_process(pid);
         // The child reap on a later pass removes it from the pool; its
@@ -737,16 +879,20 @@ fn supervise(
         // finds nothing (idempotent by design).
     }
 
-    // Keep the pool at strength.
     if !draining {
-        if let Some(cmd) = &shared.cfg.worker_cmd {
-            while children.len() < pool_size {
-                match spawn_worker(cmd, addr) {
-                    Ok(c) => children.push(c),
-                    Err(e) => {
-                        eprintln!("[vex serve] {e}");
-                        break;
-                    }
+        fill_pool(shared.cfg, children, addr, pool_size);
+    }
+}
+
+/// Spawns workers until the pool is at strength.
+fn fill_pool(cfg: &ServeConfig, children: &mut Vec<Child>, addr: &str, pool_size: usize) {
+    if let Some(cmd) = &cfg.worker_cmd {
+        while children.len() < pool_size {
+            match spawn_worker(cmd, addr) {
+                Ok(c) => children.push(c),
+                Err(e) => {
+                    eprintln!("[vex serve] {e}");
+                    break;
                 }
             }
         }
@@ -754,6 +900,50 @@ fn supervise(
 }
 
 // ---- the server ---------------------------------------------------
+
+/// Enters drain mode (idempotent): refuse new submissions, and wake parked
+/// `GET`s so idle workers learn of the drain once nothing is left to do.
+fn begin_drain(shared: &Shared<'_>) {
+    let mut st = lock(&shared.state);
+    if st.draining {
+        return;
+    }
+    st.draining = true;
+    eprintln!(
+        "[vex serve] drain requested: finishing {} in-flight point(s), \
+         refusing new submissions",
+        st.tasks
+            .values()
+            .filter(|t| !matches!(t.state, TaskState::Done | TaskState::Failed { .. }))
+            .count()
+    );
+    drop(st);
+    shared.ready.notify_all();
+}
+
+/// Shuts the server down so the thread scope can join: wakes parked
+/// `GET`s, unblocks every connection thread, and wakes the acceptor by
+/// connecting to its own address until it has exited.
+fn close(
+    shared: &Shared<'_>,
+    mut bound: SocketAddr,
+    acceptor: &std::thread::ScopedJoinHandle<'_, Result<(), String>>,
+) {
+    shared.shut();
+    for c in lock(&shared.conns).drain(..) {
+        c.shutdown(Shutdown::Both).ok();
+    }
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    while !acceptor.is_finished() {
+        TcpStream::connect_timeout(&bound, Duration::from_secs(1)).ok();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 /// Runs the sweep service until drained (SIGTERM/SIGINT or the `DRAIN`
 /// verb). Returns once every accepted point is terminal, the journal is
@@ -764,72 +954,44 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
 
     let listener =
         TcpListener::bind(&cfg.listen).map_err(|e| format!("cannot bind `{}`: {e}", cfg.listen))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot set the listener nonblocking: {e}"))?;
-    let addr = listener
+    let bound = listener
         .local_addr()
-        .map_err(|e| format!("cannot read the bound address: {e}"))?
-        .to_string();
-    if let Some(pf) = &cfg.port_file {
-        // Write-then-rename so a polling test never reads a half-written
-        // address.
-        let tmp = format!("{pf}.tmp");
-        fs::write(&tmp, &addr)
-            .and_then(|_| fs::rename(&tmp, pf))
-            .map_err(|e| format!("cannot write port file `{pf}`: {e}"))?;
-    }
-    eprintln!("[vex serve] listening on {addr}");
+        .map_err(|e| format!("cannot read the bound address: {e}"))?;
+    let addr = bound.to_string();
 
-    // Durable state: the result journal feeds the cache, the submission
-    // log re-enqueues interrupted sweeps.
-    let mut cache: HashMap<u64, JournalEntry> = HashMap::new();
-    let journal = match &cfg.journal {
-        Some(p) if cfg.resume => {
-            let (j, entries, report) = Journal::open_resume(Path::new(p))?;
-            eprintln!(
-                "[vex serve] journal `{p}`: replayed {} completed point(s){}",
-                entries.len(),
-                if report.dropped_bytes > 0 {
-                    format!(" (dropped a torn {}-byte tail)", report.dropped_bytes)
-                } else {
-                    String::new()
-                }
-            );
-            for e in entries {
-                cache.insert(e.key, e);
+    // Start the pool first: the workers' process start-up overlaps the
+    // journal's creation (four fsyncs) or replay, and their connections
+    // wait in the listen backlog until the acceptor runs.
+    let pool_size = if cfg.worker_cmd.is_none() {
+        0
+    } else if cfg.workers == 0 {
+        vex_experiments::default_workers()
+    } else {
+        cfg.workers as usize
+    };
+    let mut children: Vec<Child> = Vec::new();
+    fill_pool(cfg, &mut children, &addr, pool_size);
+    let opened = (|| {
+        if let Some(pf) = &cfg.port_file {
+            // Write-then-rename so a polling test never reads a
+            // half-written address.
+            let tmp = format!("{pf}.tmp");
+            fs::write(&tmp, &addr)
+                .and_then(|_| fs::rename(&tmp, pf))
+                .map_err(|e| format!("cannot write port file `{pf}`: {e}"))?;
+        }
+        eprintln!("[vex serve] listening on {addr}");
+        Shared::open(cfg, loader)
+    })();
+    let (shared, prior) = match opened {
+        Ok(opened) => opened,
+        Err(e) => {
+            for c in &mut children {
+                c.kill().ok();
+                c.wait().ok();
             }
-            Some(j)
+            return Err(e);
         }
-        Some(p) => Some(Journal::create(Path::new(p))?),
-        None => None,
-    };
-    let (subs, prior) = match &cfg.journal {
-        Some(p) => {
-            let (s, texts) = SubsLog::open(Path::new(&format!("{p}.subs")), cfg.resume)?;
-            (Some(s), texts)
-        }
-        None => (None, Vec::new()),
-    };
-
-    let shared = Shared {
-        cfg,
-        loader,
-        backoff: BackoffPolicy {
-            base_ms: cfg.policy.backoff_base_ms,
-            max_ms: cfg.policy.backoff_max_ms,
-            jitter: true,
-        },
-        state: Mutex::new(State {
-            tasks: HashMap::new(),
-            order: Vec::new(),
-            cache,
-            draining: false,
-        }),
-        journal: Mutex::new(journal),
-        subs: Mutex::new(subs),
-        conns: Mutex::new(Vec::new()),
-        closed: AtomicBool::new(false),
     };
 
     // Re-enqueue interrupted submissions before accepting new ones: the
@@ -844,63 +1006,45 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
         }
     }
 
-    let pool_size = if cfg.worker_cmd.is_none() {
-        0
-    } else if cfg.workers == 0 {
-        vex_experiments::default_workers()
-    } else {
-        cfg.workers as usize
-    };
-
-    let mut children: Vec<Child> = Vec::new();
     let served = std::thread::scope(|s| -> Result<(), String> {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nodelay(true).ok();
-                    if let Ok(clone) = stream.try_clone() {
-                        lock(&shared.conns).push(clone);
-                    }
-                    let shared = &shared;
-                    s.spawn(move || handle_conn(shared, stream));
+        let shared = &shared;
+        let acceptor = s.spawn(move || -> Result<(), String> {
+            for conn in listener.incoming() {
+                // Checked under the `conns` lock, so a connection is either
+                // registered before `close` shuts them all down or dropped
+                // here.
+                let mut conns = lock(&shared.conns);
+                if shared.closed.load(Ordering::SeqCst) {
+                    return Ok(());
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(format!("accept failed: {e}")),
+                let stream = conn.map_err(|e| format!("accept failed: {e}"))?;
+                stream.set_nodelay(true).ok();
+                if let Ok(clone) = stream.try_clone() {
+                    conns.push(clone);
+                }
+                drop(conns);
+                s.spawn(move || handle_conn(shared, stream));
             }
+            Ok(())
+        });
 
+        // Supervision tick; it ends once drained, or when accepting failed.
+        while !acceptor.is_finished() {
             if DRAIN_REQUESTED.load(Ordering::SeqCst) {
-                let mut st = lock(&shared.state);
-                if !st.draining {
-                    st.draining = true;
-                    eprintln!(
-                        "[vex serve] drain requested: finishing {} in-flight point(s), \
-                         refusing new submissions",
-                        st.tasks
-                            .values()
-                            .filter(|t| !matches!(
-                                t.state,
-                                TaskState::Done | TaskState::Failed { .. }
-                            ))
-                            .count()
-                    );
-                }
+                begin_drain(shared);
             }
-
             let draining = lock(&shared.state).draining;
-            supervise(&shared, &mut children, &addr, pool_size, draining);
-
+            supervise(shared, &mut children, &addr, pool_size, draining);
             if draining && lock(&shared.state).all_terminal() && children.is_empty() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
 
-        // Unblock every connection thread so the scope can join.
-        shared.closed.store(true, Ordering::SeqCst);
-        for c in lock(&shared.conns).drain(..) {
-            c.shutdown(Shutdown::Both).ok();
-        }
-        Ok(())
+        close(shared, bound, &acceptor);
+        acceptor
+            .join()
+            .unwrap_or_else(|_| Err("the acceptor thread panicked".to_string()))
     });
     served?;
 
@@ -919,6 +1063,155 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
+    /// The longest any dispatch test waits for a reply that must come.
+    const BOUND: Duration = Duration::from_secs(10);
+
+    /// One point, small enough to compile in milliseconds.
+    const ONE_POINT: &str = "name = \"d\"\ninst_limit = 100\ntimeslice = 50\n\
+                             techniques = [\"SMT\"]\nthreads = [1]\nmixes = [\"llll\"]\n";
+
+    /// Both ends of a loopback connection: (server side, worker side).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let worker = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (server, worker)
+    }
+
+    /// Closes the server when dropped, so a failed assertion releases a
+    /// still-parked `GET` instead of hanging the thread scope.
+    struct ShutOnDrop<'s, 'a>(&'s Shared<'a>);
+
+    impl Drop for ShutOnDrop<'_, '_> {
+        fn drop(&mut self) {
+            self.0.shut();
+        }
+    }
+
+    /// Runs worker 1's `GET` on its own thread; `body` gets the channel
+    /// its reply arrives on.
+    fn with_parked_get(shared: &Shared<'_>, body: impl FnOnce(&mpsc::Receiver<Option<String>>)) {
+        let (peer, _worker) = socket_pair();
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel();
+            let peer = &peer;
+            s.spawn(move || tx.send(next_assignment(shared, 1, peer)).ok());
+            let _shut = ShutOnDrop(shared);
+            body(&rx);
+        });
+    }
+
+    fn assigned_key(reply: &str) -> u64 {
+        let head = split_message(reply).0;
+        assert!(
+            head.starts_with("ASSIGN "),
+            "expected an assignment, got `{head}`"
+        );
+        parse_key(head.split(' ').nth(1).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn parked_get_is_assigned_once_a_spec_is_enqueued() {
+        let cfg = ServeConfig::default();
+        let (shared, _) = Shared::open(&cfg, None).unwrap();
+        with_parked_get(&shared, |rx| {
+            // An empty queue parks the GET: no reply at all, not a
+            // wait-and-ask-again.
+            assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+            enqueue_spec(&shared, ONE_POINT, false).unwrap();
+            let reply = rx
+                .recv_timeout(BOUND)
+                .expect("the parked GET was never woken");
+            assigned_key(&reply.expect("a live worker gets a reply"));
+        });
+    }
+
+    #[test]
+    fn backed_off_task_is_assigned_when_its_delay_passes() {
+        let mut cfg = ServeConfig::default();
+        cfg.policy.backoff_base_ms = 200;
+        let (shared, _) = Shared::open(&cfg, None).unwrap();
+        enqueue_spec(&shared, ONE_POINT, false).unwrap();
+        let (peer, _worker) = socket_pair();
+        let key = assigned_key(&next_assignment(&shared, 1, &peer).unwrap());
+        handle_fail(&shared, key, "transient");
+        let ready_at = lock(&shared.state).tasks[&key].ready_at;
+        assert!(
+            ready_at > Instant::now(),
+            "the retry must be behind a delay"
+        );
+        with_parked_get(&shared, |rx| {
+            let reply = rx
+                .recv_timeout(BOUND)
+                .expect("the delay never ended the wait");
+            assert_eq!(assigned_key(&reply.unwrap()), key);
+            assert!(
+                Instant::now() >= ready_at,
+                "assigned before its backoff delay"
+            );
+        });
+        assert_eq!(lock(&shared.state).tasks[&key].attempts, 2);
+    }
+
+    #[test]
+    fn drain_answers_a_parked_get_with_shutdown() {
+        let cfg = ServeConfig::default();
+        let (shared, _) = Shared::open(&cfg, None).unwrap();
+        with_parked_get(&shared, |rx| {
+            assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+            begin_drain(&shared);
+            let reply = rx.recv_timeout(BOUND).expect("drain never woke the GET");
+            assert_eq!(reply.as_deref(), Some("SHUTDOWN"));
+        });
+    }
+
+    #[test]
+    fn drain_waits_for_the_last_result_then_shuts_down() {
+        let cfg = ServeConfig::default();
+        let (shared, _) = Shared::open(&cfg, None).unwrap();
+        enqueue_spec(&shared, ONE_POINT, false).unwrap();
+        let (peer, _worker) = socket_pair();
+        let key = assigned_key(&next_assignment(&shared, 1, &peer).unwrap());
+        with_parked_get(&shared, |rx| {
+            begin_drain(&shared);
+            // A point is still running: the idle worker stays parked.
+            assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+            let entry = JournalEntry {
+                key,
+                label: "llll/SMT/1t/paper".into(),
+                stop: vex_sim::StopReason::InstLimit,
+                wall_secs: 0.0,
+                stats: vex_sim::SimStats::default(),
+            };
+            handle_result(&shared, key, &entry.to_payload()).unwrap();
+            let reply = rx
+                .recv_timeout(BOUND)
+                .expect("the last result never woke the GET");
+            assert_eq!(reply.as_deref(), Some("SHUTDOWN"));
+        });
+    }
+
+    #[test]
+    fn get_of_a_worker_that_hung_up_takes_no_task() {
+        let cfg = ServeConfig::default();
+        let (shared, _) = Shared::open(&cfg, None).unwrap();
+        let (peer, worker) = socket_pair();
+        drop(worker);
+        let deadline = Instant::now() + BOUND;
+        while !peer_gone(&peer) {
+            assert!(Instant::now() < deadline, "the hang-up never showed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        enqueue_spec(&shared, ONE_POINT, false).unwrap();
+        assert_eq!(next_assignment(&shared, 1, &peer), None);
+        let st = lock(&shared.state);
+        assert!(st
+            .tasks
+            .values()
+            .all(|t| matches!(t.state, TaskState::Queued) && t.attempts == 0));
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

@@ -60,7 +60,10 @@ pub fn submit(
             (next()?, next()?, next()?)
         }
         "DRAINING" => return Err("server is draining; not accepting new submissions".to_string()),
-        "ERROR" => return Err(format!("server rejected the spec: {}", &head[6..])),
+        "ERROR" => {
+            let why = head.split_once(' ').map_or("", |(_, msg)| msg);
+            return Err(format!("server rejected the spec: {why}"));
+        }
         other => return Err(format!("unexpected reply to SUBMIT: `{other}`")),
     };
     if total != points.len() {
@@ -148,4 +151,41 @@ fn request(stream: &mut TcpStream, text: &str) -> Result<String, String> {
     read_frame(stream)
         .map_err(|e| format!("cannot read from the server: {e}"))?
         .ok_or_else(|| "server closed the connection".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A one-shot server that answers every connection's first frame with
+    /// the next of `replies`.
+    fn fake_server(replies: &'static [&'static str]) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            for reply in replies {
+                let (mut conn, _) = listener.accept().unwrap();
+                read_frame(&mut conn).unwrap();
+                write_frame(&mut conn, reply).unwrap();
+            }
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn error_reply_with_or_without_a_message_is_an_error() {
+        let spec = "name = \"e\"\ninst_limit = 100\ntimeslice = 50\n\
+                    techniques = [\"SMT\"]\nthreads = [1]\nmixes = [\"llll\"]\n";
+        let (addr, server) = fake_server(&["ERROR\nno reason on the verb line", "ERROR bad spec"]);
+        let bare = submit(&addr, spec, None, 1)
+            .err()
+            .expect("a bare ERROR is an error");
+        assert_eq!(bare, "server rejected the spec: ");
+        let with_msg = submit(&addr, spec, None, 1)
+            .err()
+            .expect("ERROR <msg> is an error");
+        assert_eq!(with_msg, "server rejected the spec: bad spec");
+        server.join().unwrap();
+    }
 }

@@ -2,11 +2,18 @@
 //! assignments, simulates them, and streams heartbeats from inside the
 //! cycle loop so the supervisor can tell "still grinding" from "hung".
 //!
-//! A worker is deliberately stateless: everything it needs arrives in the
-//! assignment (a canonical single-point spec), and everything it produces
-//! leaves as a journal payload. Killing a worker at any instant loses at
-//! most the in-flight point, which the server re-queues — that is the
-//! whole fault-isolation contract.
+//! Everything a worker needs arrives in the assignment (a canonical
+//! single-point spec), and everything it produces leaves as a journal
+//! payload. Killing a worker at any instant loses at most the in-flight
+//! point, which the server re-queues — that is the whole fault-isolation
+//! contract. The one thing it keeps between assignments is a cache
+//! derivable from the assignment alone: the prepared (compiled and
+//! decoded) programs of its last mix, reused when the next assignment
+//! names the same machine and the same built-in members — a spec's
+//! points share their mix, so consecutive assignments usually do. It
+//! holds at most one mix (a different one replaces it), re-reads
+//! program-file members on every assignment, and re-derives and checks
+//! the key every time.
 //!
 //! ## Fault injection (`VEX_WORKER_FAULT`)
 //!
@@ -27,16 +34,40 @@
 use crate::proto::{parse_key, read_frame, split_message, write_frame};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use vex_experiments::jobs::key_of;
+use vex_experiments::jobs::{key_of, PreparedMap};
 use vex_experiments::runner::ProgramLoader;
 use vex_experiments::{panic_message, prepare_programs, JournalEntry};
+use vex_isa::MachineConfig;
 use vex_sim::{run_prepared_observed, PreparedProgram};
-use vex_spec::SweepSpec;
+use vex_spec::{RunSpec, SweepSpec, WorkloadRef};
 
 /// How often (in simulated cycles) the engine surfaces control to the
 /// heartbeat hook. Cheap enough to be negligible, frequent enough that a
 /// live worker never looks silent (the hook rate-limits actual sends).
 const OBSERVE_EVERY_CYCLES: u64 = 50_000;
+
+/// The prepared programs of the last assignment and what they were
+/// prepared for.
+struct PreparedMix {
+    machine: MachineConfig,
+    members: Vec<WorkloadRef>,
+    programs: PreparedMap,
+}
+
+impl PreparedMix {
+    /// Whether `run` can use these programs as they are: the same machine
+    /// and the same members, all built-ins (a program file may have
+    /// changed on disk since it was read).
+    fn serves(&self, run: &RunSpec) -> bool {
+        self.machine == run.machine.config
+            && self.members == run.mix.members
+            && run
+                .mix
+                .members
+                .iter()
+                .all(|m| matches!(m, WorkloadRef::Builtin(_)))
+    }
+}
 
 /// Runs the worker loop against the server at `addr` until the server
 /// says `SHUTDOWN`.
@@ -45,6 +76,7 @@ pub fn worker_main(addr: &str, loader: Option<ProgramLoader<'_>>) -> Result<(), 
         TcpStream::connect(addr).map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
     stream.set_nodelay(true).ok();
     expect_ok(&mut stream, &format!("HELLO {}", std::process::id()))?;
+    let mut mix: Option<PreparedMix> = None;
     loop {
         let reply = request(&mut stream, "GET")?;
         let (head, body) = split_message(&reply);
@@ -54,7 +86,15 @@ pub fn worker_main(addr: &str, loader: Option<ProgramLoader<'_>>) -> Result<(), 
                 let key = parse_key(parts.next().ok_or("ASSIGN without a key")?)?;
                 let zero_wall = parts.next() == Some("1");
                 let heartbeat_ms: u64 = parts.next().and_then(|v| v.parse().ok()).unwrap_or(1000);
-                let outcome = run_point(&stream, body, key, zero_wall, heartbeat_ms, loader);
+                let outcome = run_point(
+                    &stream,
+                    body,
+                    key,
+                    zero_wall,
+                    heartbeat_ms,
+                    loader,
+                    &mut mix,
+                );
                 match outcome {
                     Ok(entry) => expect_ok(
                         &mut stream,
@@ -68,10 +108,6 @@ pub fn worker_main(addr: &str, loader: Option<ProgramLoader<'_>>) -> Result<(), 
                         expect_ok(&mut stream, &format!("FAIL {key:016x}\n{msg}"))?;
                     }
                 }
-            }
-            "WAIT" => {
-                let ms: u64 = parts.next().and_then(|v| v.parse().ok()).unwrap_or(50);
-                std::thread::sleep(Duration::from_millis(ms));
             }
             "SHUTDOWN" => return Ok(()),
             other => return Err(format!("unexpected server reply `{other}`")),
@@ -100,7 +136,8 @@ fn expect_ok(stream: &mut TcpStream, text: &str) -> Result<(), String> {
     }
 }
 
-/// Simulates one assignment: parses the single-point spec, re-derives the
+/// Simulates one assignment: parses the single-point spec, prepares its
+/// programs (or reuses `mix`, the last assignment's), re-derives the
 /// content-addressed key (refusing a mismatched assignment — the key is
 /// the integrity check of the whole exchange), and runs the engine with
 /// the heartbeat hook wired to the server connection.
@@ -111,6 +148,7 @@ fn run_point(
     zero_wall: bool,
     heartbeat_ms: u64,
     loader: Option<ProgramLoader<'_>>,
+    mix: &mut Option<PreparedMix>,
 ) -> Result<JournalEntry, String> {
     let spec = SweepSpec::parse(spec_text).map_err(|e| format!("bad assignment spec: {e}"))?;
     let points = spec.expand();
@@ -120,8 +158,21 @@ fn run_point(
             points.len()
         ));
     };
-    let prepared = prepare_programs(points.as_slice(), loader)?;
-    let computed = key_of(run, &prepared);
+    let prepared = match mix {
+        Some(m) if m.serves(run) => &m.programs,
+        _ => {
+            // Replace, never accumulate: the old programs go before the
+            // new ones are built.
+            *mix = None;
+            &mix.insert(PreparedMix {
+                machine: run.machine.config.clone(),
+                members: run.mix.members.clone(),
+                programs: prepare_programs(points.as_slice(), loader)?,
+            })
+            .programs
+        }
+    };
+    let computed = key_of(run, prepared);
     if computed != key {
         return Err(format!(
             "key mismatch: assigned {key:016x}, recomputed {computed:016x}"
@@ -226,4 +277,48 @@ fn claim_marker(path: &str) -> bool {
         .create_new(true)
         .open(path)
         .is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vex_spec::MixSpec;
+
+    fn point(members: &[WorkloadRef], machine: MachineConfig) -> RunSpec {
+        let mut spec = SweepSpec::base(vex_sim::Scale {
+            inst_limit: 100,
+            timeslice: 50,
+        });
+        spec.machines[0].config = machine;
+        spec.mixes = vec![MixSpec {
+            name: "m".into(),
+            members: members.to_vec(),
+            seed: 1,
+        }];
+        spec.expand().remove(0)
+    }
+
+    fn mix_for(members: &[WorkloadRef], machine: MachineConfig) -> PreparedMix {
+        PreparedMix {
+            machine,
+            members: members.to_vec(),
+            programs: PreparedMap::new(),
+        }
+    }
+
+    #[test]
+    fn a_prepared_mix_serves_only_its_machine_and_built_in_members() {
+        let paper = MachineConfig::paper_4c4w();
+        let builtins = [WorkloadRef::Builtin("mcf".into())];
+        let mix = mix_for(&builtins, paper.clone());
+        assert!(mix.serves(&point(&builtins, paper.clone())));
+        assert!(!mix.serves(&point(&[WorkloadRef::Builtin("gsm".into())], paper.clone())));
+        assert!(!mix.serves(&point(&builtins, MachineConfig::narrow_2c())));
+
+        let file = [WorkloadRef::Path("kernel.vex".into())];
+        assert!(
+            !mix_for(&file, paper.clone()).serves(&point(&file, paper)),
+            "a program file may have changed on disk: it is read again"
+        );
+    }
 }
