@@ -1331,11 +1331,12 @@ fn cmd_run(args: &[String]) -> Result<(), Fail> {
     Ok(())
 }
 
-/// `vex trace --attribute FILE`: replays a recorded `.vext` stream into
-/// the per-thread, per-cycle attribution and renders it as tables (or
-/// JSON). The replay hard-checks the defining identity — every thread's
-/// bins sum exactly to the run's total cycles — and fails loudly on a
-/// torn or truncated stream rather than reporting partial numbers.
+/// `vex trace --attribute FILE`: streams a recorded `.vext` trace (from
+/// FILE, or stdin for `-`) into the per-thread, per-cycle attribution and
+/// renders it as tables (or JSON). The replay validates every record,
+/// hard-checks the defining identity — every thread's bins sum exactly to
+/// the run's total cycles — and fails loudly on a torn, truncated or
+/// inconsistent stream rather than reporting partial numbers.
 fn cmd_trace(args: &[String]) -> Result<(), Fail> {
     let mut input: Option<String> = None;
     let mut attribute = false;
@@ -1383,11 +1384,16 @@ fn cmd_trace(args: &[String]) -> Result<(), Fail> {
         ));
     }
     let input = input.unwrap_or_else(|| "-".to_string());
-    let bytes = read_input(&input).map_err(Fail::input)?;
-    let (meta, events) =
-        vex_trace::read_trace(&bytes).map_err(|e| Fail::input(format!("{input}: {e}")))?;
-    let attr =
-        vex_trace::attribute(&meta, &events).map_err(|e| Fail::input(format!("{input}: {e}")))?;
+    let source: Box<dyn Read> = if input == "-" {
+        Box::new(std::io::stdin().lock())
+    } else {
+        Box::new(
+            std::fs::File::open(&input)
+                .map_err(|e| Fail::input(format!("reading `{input}`: {e}")))?,
+        )
+    };
+    let (meta, attr) =
+        vex_trace::attribute_stream(source).map_err(|e| Fail::input(format!("{input}: {e}")))?;
     let report = if json {
         vex_sim::attribution_json(&meta, &attr)
     } else {

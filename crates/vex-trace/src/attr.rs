@@ -1,8 +1,9 @@
 //! Replay: turn an event stream back into per-cycle attribution.
 //!
-//! [`attribute`] reconstructs, for every context and every simulated
+//! [`Attributor`] reconstructs, for every context and every simulated
 //! cycle, *why that cycle was spent*, by replaying the engine's stall
-//! semantics from the raw events:
+//! semantics from the raw events in one streaming pass ([`attribute`]
+//! runs it over a slice, [`attribute_stream`] over a `.vext` reader):
 //!
 //! * an I$ miss at cycle `c` stalls its thread for `[c, c + penalty)`;
 //! * a D$ miss or taken branch at `c` stalls for `[c + 1, c + 1 + penalty)`,
@@ -37,6 +38,9 @@
 //! and the test suite pins against `SimStats`.
 
 use crate::event::{TraceEvent, TraceMeta, NO_CTX};
+use crate::format::TraceReader;
+use std::collections::VecDeque;
+use std::io::Read;
 
 /// Why a context spent a cycle. See the module docs for the exact
 /// precedence between overlapping explanations.
@@ -156,326 +160,497 @@ impl Attribution {
     }
 }
 
-/// One claimed stall interval `[start, end)` of a thread.
+/// One claimed stall interval `[start, end)` of a context.
 struct StallSpan {
     start: u64,
     end: u64,
     bin: Bin,
 }
 
-/// Per-thread replay state gathered in the single pass over the events.
+/// One context's replay state. Its cycles before `binned` are in `bins`;
+/// the rest of the state describes the cycles from `binned` on.
 #[derive(Default)]
-struct ThreadTape {
-    /// Cycles with an `Issue` event (one per cycle at most), in order.
-    issue_cycles: Vec<u64>,
-    /// Claimed stall spans, non-overlapping, sorted by start.
-    stalls: Vec<StallSpan>,
+struct Context {
+    binned: u64,
+    bins: [u64; Bin::COUNT],
+    /// Claimed stall spans not yet binned past: disjoint, sorted.
+    stalls: VecDeque<StallSpan>,
     /// High-water mark of `stall_until` (the engine's `max` rule).
     until: u64,
-    /// Cycles with a `CommHold` event, in order.
-    holds: Vec<u64>,
-    /// Cycles at which the context was slotted / unslotted: intervals
-    /// `[start, end)`, sorted.
-    slots: Vec<(u64, u64)>,
-    slotted_since: Option<u64>,
-    retire: Option<u64>,
+    /// The cycle of the latest `CommHold`, until it is binned.
+    hold: Option<u64>,
+    /// Hardware slots currently running the context.
+    slots: u32,
+    retired: bool,
     splits: u64,
     split_parts: u64,
 }
 
-impl ThreadTape {
+impl Context {
     /// Claims the extension a stall event adds beyond the current
     /// high-water mark, replicating `stall_until = max(stall_until, end)`.
     fn claim(&mut self, start: u64, end: u64, bin: Bin) {
-        let claim_start = start.max(self.until);
         if end > self.until {
-            self.stalls.push(StallSpan {
-                start: claim_start,
+            self.stalls.push_back(StallSpan {
+                start: start.max(self.until),
                 end,
                 bin,
             });
             self.until = end;
         }
     }
+
+    /// Bins the cycles `[binned, to)`. Nothing that happens at or after
+    /// the current record's cycle can change them, and no issue falls in
+    /// them (an issue is binned as it arrives), so the context's own state
+    /// changes only at its stall-span edges and its hold cycle: each step
+    /// bins one run of cycles up to the next of those edges, and the
+    /// freeze windows over the run take their cycles from its bin.
+    fn bin_to(&mut self, to: u64, freezes: &Freezes) {
+        let mut c = self.binned;
+        if c >= to {
+            return;
+        }
+        self.binned = to;
+        if self.retired {
+            self.bins[Bin::Retired.index()] += to - c;
+            return;
+        }
+        let idle = if self.slots > 0 {
+            Bin::Conflict
+        } else {
+            Bin::Unslotted
+        };
+        while c < to {
+            while self.stalls.front().is_some_and(|s| s.end <= c) {
+                self.stalls.pop_front();
+            }
+            let (end, bin) = match self.stalls.front() {
+                Some(s) if s.start <= c => (s.end.min(to), s.bin),
+                next => {
+                    let next = next.map_or(to, |s| s.start.min(to));
+                    match self.hold {
+                        Some(h) if h == c => (c + 1, Bin::CommHold),
+                        Some(h) if h > c => (h.min(next), idle),
+                        _ => (next, idle),
+                    }
+                }
+            };
+            let frozen = freezes.within(c, end);
+            self.bins[Bin::MemPort.index()] += frozen;
+            self.bins[bin.index()] += end - c - frozen;
+            c = end;
+        }
+        if self.hold.is_some_and(|h| h < to) {
+            self.hold = None;
+        }
+    }
+
+    fn set_slots(&mut self, slots: u32, now: u64, freezes: &Freezes) {
+        if (slots > 0) != (self.slots > 0) {
+            self.bin_to(now, freezes);
+        }
+        self.slots = slots;
+    }
 }
 
-/// Replays `events` (recorded under `meta`) into an [`Attribution`].
+/// The union of the memory-port freeze windows: disjoint spans in cycle
+/// order, each with the frozen cycles before it, so the frozen cycles in
+/// any range are a difference of two prefix counts.
+#[derive(Default)]
+struct Freezes {
+    /// `(start, end, frozen cycles before start)`.
+    spans: VecDeque<(u64, u64, u64)>,
+    /// Frozen cycles over every span, dropped ones included.
+    frozen: u64,
+}
+
+impl Freezes {
+    /// Adds the window `[start, end)`; starts arrive in nondecreasing
+    /// order, so the window extends the last span or follows it.
+    fn add(&mut self, start: u64, end: u64) {
+        match self.spans.back_mut() {
+            Some(last) if start <= last.1 => {
+                let extra = end.saturating_sub(last.1);
+                last.1 += extra;
+                self.frozen += extra;
+            }
+            _ if end > start => {
+                self.spans.push_back((start, end, self.frozen));
+                self.frozen += end - start;
+            }
+            _ => {}
+        }
+    }
+
+    /// Frozen cycles before `x`, which must not precede a dropped span's
+    /// end.
+    fn before(&self, x: u64) -> u64 {
+        match self.spans.partition_point(|s| s.0 <= x).checked_sub(1) {
+            Some(i) => {
+                let (start, end, before) = self.spans[i];
+                before + x.min(end) - start
+            }
+            None => self.spans.front().map_or(self.frozen, |s| s.2),
+        }
+    }
+
+    /// Frozen cycles in `[from, to)`.
+    fn within(&self, from: u64, to: u64) -> u64 {
+        if self.spans.back().map_or(true, |s| s.1 <= from) {
+            return 0;
+        }
+        self.before(to) - self.before(from)
+    }
+}
+
+/// Per-bit counts over a stream of 16-bit masks. A mask is added into
+/// sixteen byte-wide counters, packed two words wide, with two table
+/// lookups and two adds; the bytes are folded into the totals before one
+/// can overflow.
+#[derive(Default)]
+struct BitCounts {
+    totals: [u64; 16],
+    bytes: [u64; 2],
+    pending: u8,
+}
+
+/// Byte `b` of `SPREAD[m]` is bit `b` of `m`.
+const SPREAD: [u64; 256] = {
+    let mut t = [0u64; 256];
+    let mut m = 0;
+    while m < 256 {
+        let mut b = 0;
+        while b < 8 {
+            t[m] |= ((m as u64) >> b & 1) << (8 * b);
+            b += 1;
+        }
+        m += 1;
+    }
+    t
+};
+
+impl BitCounts {
+    fn add(&mut self, mask: u16) {
+        self.bytes[0] += SPREAD[usize::from(mask & 0xFF)];
+        self.bytes[1] += SPREAD[usize::from(mask >> 8)];
+        self.pending += 1;
+        if self.pending == u8::MAX {
+            self.fold();
+        }
+    }
+
+    fn fold(&mut self) {
+        for (bit, n) in self.totals.iter_mut().enumerate() {
+            *n += self.bytes[bit / 8] >> (bit % 8 * 8) & 0xFF;
+        }
+        self.bytes = [0; 2];
+        self.pending = 0;
+    }
+
+    fn totals(&mut self) -> [u64; 16] {
+        self.fold();
+        self.totals
+    }
+}
+
+/// Spans [`Freezes`] may hold (or one per context, if that is more)
+/// before the [`Attributor`] bins every context up to the current cycle
+/// and drops the spans behind it; each span thus pays O(1) binning.
+const FREEZE_SPANS: usize = 1024;
+
+/// The issue records of one cycle, aggregated into the cycle-level tallies
+/// when the next cycle's first issue arrives.
+#[derive(Default)]
+struct IssueCycle {
+    cycle: u64,
+    /// Records that issued ≥ 1 operation.
+    issuers: u64,
+    /// Union of the records' cluster masks.
+    clusters: u16,
+}
+
+/// Replays an event stream into an [`Attribution`] online, one record at a
+/// time, in memory O(contexts + clusters + open freeze windows).
 ///
-/// Fails when the stream is structurally unusable: no `End` record (the
-/// run was never finalized), or an event referencing a context outside
-/// the header's geometry.
-pub fn attribute(meta: &TraceMeta, events: &[TraceEvent]) -> Result<Attribution, String> {
-    let nt = meta.n_contexts as usize;
-    let total = events
-        .iter()
-        .rev()
-        .find_map(|e| match e {
-            TraceEvent::End { cycle } => Some(*cycle),
-            _ => None,
-        })
-        .ok_or_else(|| {
-            "trace has no End record — the run was not finalized (or the ring sink \
-             dropped it); re-record with a larger ring or a file sink"
-                .to_string()
-        })?;
+/// [`Attributor::push`] validates each record and rejects the stream at
+/// the first bad one, naming its index: a cycle lower than the previous
+/// record's, a context or slot outside the header's geometry, a stall,
+/// freeze or issue that ends past `u64::MAX`, an `End` before the last
+/// issue, and (at [`Attributor::finish`]) a record after the final `End`.
+///
+/// A context is binned lazily, only when its state changes: at an issue
+/// (the cycles before it, then the issue cycle itself), a stall, hold or
+/// retire record naming it, a `SlotAssign` that slots or unslots it, and
+/// at `finish`. A record thus costs amortized constant work plus a
+/// binary search among the held freeze spans, whatever the header's
+/// geometry.
+pub struct Attributor {
+    contexts: Vec<Context>,
+    /// Slot → context mapping ([`NO_CTX`] = empty).
+    slot_owner: Vec<u16>,
+    n_clusters: usize,
+    /// Issue events per cluster.
+    cluster_issues: BitCounts,
+    /// Busy cycles per cluster.
+    cluster_busy: [u64; 16],
+    freezes: Freezes,
+    issue: IssueCycle,
+    issue_cycles: u64,
+    merged_cycles: u64,
+    /// Index of the next record.
+    record: u64,
+    /// Cycle of the previous record.
+    now: u64,
+    /// One past the latest issue cycle: no `End` may precede it.
+    issued_to: u64,
+    /// Cycle of the latest `End`.
+    end: Option<u64>,
+    /// The first record after the latest `End`.
+    after_end: Option<u64>,
+}
 
-    let mut tapes: Vec<ThreadTape> = (0..nt).map(|_| ThreadTape::default()).collect();
-    let mut clusters = vec![ClusterUse::default(); meta.n_clusters as usize];
-    let mut cluster_last_busy = vec![u64::MAX; meta.n_clusters as usize];
-    // Global pipeline-freeze windows [start, end), in order.
-    let mut global: Vec<(u64, u64)> = Vec::new();
-    // Current slot → context mapping, diffed at each SlotAssign batch.
-    let mut slot_owner = vec![NO_CTX; meta.hw_threads as usize];
-    // Issue-cycle aggregation: (cycle, #threads issuing ops > 0).
-    let mut cur_issue: Option<(u64, u32)> = None;
-    let mut issue_cycles = 0u64;
-    let mut merged_cycles = 0u64;
+impl Attributor {
+    /// An attributor for a stream recorded under `meta`.
+    pub fn new(meta: &TraceMeta) -> Self {
+        Attributor {
+            contexts: (0..meta.n_contexts).map(|_| Context::default()).collect(),
+            slot_owner: vec![NO_CTX; meta.hw_threads as usize],
+            n_clusters: meta.n_clusters as usize,
+            cluster_issues: BitCounts::default(),
+            cluster_busy: [0; 16],
+            freezes: Freezes::default(),
+            issue: IssueCycle::default(),
+            issue_cycles: 0,
+            merged_cycles: 0,
+            record: 0,
+            now: 0,
+            issued_to: 0,
+            end: None,
+            after_end: None,
+        }
+    }
 
-    let tape = |tapes: &mut Vec<ThreadTape>, t: u16| -> Result<usize, String> {
-        let i = t as usize;
-        if i >= tapes.len() {
+    /// Replays one record. After an error the stream is unusable.
+    pub fn push(&mut self, ev: &TraceEvent) -> Result<(), String> {
+        let i = self.record;
+        self.record += 1;
+        let cycle = ev.cycle();
+        if cycle < self.now {
             return Err(format!(
-                "trace references context {i} but the header declares {} contexts",
-                tapes.len()
+                "record {i}: cycle {cycle} is lower than the previous record's cycle {}",
+                self.now
             ));
         }
-        Ok(i)
-    };
-
-    let mut i = 0usize;
-    while i < events.len() {
-        match events[i] {
+        self.now = cycle;
+        // `cycle + len`, which must not overflow.
+        let plus = |len: u64| {
+            cycle.checked_add(len).ok_or_else(|| {
+                format!("record {i}: cycle {cycle} plus {len} overflows the cycle counter")
+            })
+        };
+        if self.end.is_some() && self.after_end.is_none() && !matches!(ev, TraceEvent::End { .. }) {
+            self.after_end = Some(i);
+        }
+        match *ev {
             TraceEvent::Issue {
-                cycle,
                 thread,
                 ops,
                 clusters: mask,
                 ..
             } => {
-                let t = tape(&mut tapes, thread)?;
-                tapes[t].issue_cycles.push(cycle);
-                if ops > 0 {
-                    match cur_issue {
-                        Some((c, ref mut n)) if c == cycle => *n += 1,
-                        _ => {
-                            if let Some((_, n)) = cur_issue {
-                                issue_cycles += 1;
-                                if n >= 2 {
-                                    merged_cycles += 1;
-                                }
-                            }
-                            cur_issue = Some((cycle, 1));
-                        }
-                    }
+                let next = plus(1)?;
+                let t = self.context(i, thread)?;
+                let ctx = &mut self.contexts[t];
+                ctx.bin_to(cycle, &self.freezes);
+                if ctx.binned == cycle {
+                    ctx.bins[Bin::Issue.index()] += 1;
+                    ctx.binned = next;
                 }
-                let mut m = mask;
-                while m != 0 {
-                    let c = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if let Some(u) = clusters.get_mut(c) {
-                        u.issue_events += 1;
-                        if cluster_last_busy[c] != cycle {
-                            cluster_last_busy[c] = cycle;
-                            u.busy_cycles += 1;
-                        }
-                    }
+                self.issued_to = next;
+                if cycle != self.issue.cycle {
+                    self.close_issue_cycle();
+                    self.issue.cycle = cycle;
                 }
+                self.issue.issuers += u64::from(ops > 0);
+                self.issue.clusters |= mask;
+                self.cluster_issues.add(mask);
             }
             TraceEvent::IMissStall {
-                cycle,
-                thread,
-                penalty,
+                thread, penalty, ..
             } => {
-                let t = tape(&mut tapes, thread)?;
-                tapes[t].claim(cycle, cycle + penalty as u64, Bin::IMiss);
+                let end = plus(penalty.into())?;
+                self.stall(i, thread, cycle, end, Bin::IMiss)?;
             }
             TraceEvent::DMissStall {
-                cycle,
-                thread,
-                penalty,
+                thread, penalty, ..
             } => {
-                let t = tape(&mut tapes, thread)?;
-                tapes[t].claim(cycle + 1, cycle + 1 + penalty as u64, Bin::DMiss);
+                let end = plus(1 + u64::from(penalty))?;
+                self.stall(i, thread, cycle + 1, end, Bin::DMiss)?;
             }
             TraceEvent::BranchStall {
-                cycle,
-                thread,
-                penalty,
+                thread, penalty, ..
             } => {
-                let t = tape(&mut tapes, thread)?;
-                tapes[t].claim(cycle + 1, cycle + 1 + penalty as u64, Bin::Branch);
+                let end = plus(1 + u64::from(penalty))?;
+                self.stall(i, thread, cycle + 1, end, Bin::Branch)?;
             }
-            TraceEvent::MemPortStall { cycle, cycles } => {
-                global.push((cycle + 1, cycle + 1 + cycles as u64));
+            TraceEvent::MemPortStall { cycles, .. } => {
+                let end = plus(1 + u64::from(cycles))?;
+                self.freezes.add(cycle + 1, end);
+                if self.freezes.spans.len() > FREEZE_SPANS.max(self.contexts.len()) {
+                    for ctx in &mut self.contexts {
+                        ctx.bin_to(cycle, &self.freezes);
+                    }
+                    while self.freezes.spans.front().is_some_and(|s| s.1 <= cycle) {
+                        self.freezes.spans.pop_front();
+                    }
+                }
             }
-            TraceEvent::CommHold { cycle, thread } => {
-                let t = tape(&mut tapes, thread)?;
-                tapes[t].holds.push(cycle);
+            TraceEvent::CommHold { thread, .. } => {
+                let t = self.context(i, thread)?;
+                let ctx = &mut self.contexts[t];
+                ctx.bin_to(cycle, &self.freezes);
+                ctx.hold = Some(cycle);
             }
             TraceEvent::SplitCommit { thread, parts, .. } => {
-                let t = tape(&mut tapes, thread)?;
-                tapes[t].splits += 1;
-                tapes[t].split_parts += parts as u64;
+                let t = self.context(i, thread)?;
+                self.contexts[t].splits += 1;
+                self.contexts[t].split_parts += u64::from(parts);
             }
-            TraceEvent::SlotAssign { cycle, .. } => {
-                // The engine re-emits the whole mapping in one batch of
-                // consecutive same-cycle records; consume the batch and
-                // diff it against the previous mapping so a context that
-                // merely moved between slots keeps one open interval.
-                let mut next_owner = slot_owner.clone();
-                while i < events.len() {
-                    let TraceEvent::SlotAssign {
-                        cycle: c,
-                        slot,
-                        ctx,
-                    } = events[i]
-                    else {
-                        break;
-                    };
-                    if c != cycle {
-                        break;
-                    }
-                    if let Some(o) = next_owner.get_mut(slot as usize) {
-                        *o = ctx;
-                    }
-                    i += 1;
+            TraceEvent::SlotAssign { slot, ctx, .. } => {
+                if ctx != NO_CTX {
+                    self.context(i, ctx)?;
                 }
-                for t in 0..nt as u16 {
-                    let was = slot_owner.contains(&t);
-                    let is = next_owner.contains(&t);
-                    if !was && is {
-                        tapes[t as usize].slotted_since = Some(cycle);
-                    } else if was && !is {
-                        if let Some(since) = tapes[t as usize].slotted_since.take() {
-                            tapes[t as usize].slots.push((since, cycle));
-                        }
-                    }
-                }
-                slot_owner = next_owner;
-                continue; // `i` already advanced past the batch
-            }
-            TraceEvent::Retire { cycle, thread } => {
-                let t = tape(&mut tapes, thread)?;
-                tapes[t].retire.get_or_insert(cycle);
-            }
-            TraceEvent::End { .. } => {}
-        }
-        i += 1;
-    }
-    if let Some((_, n)) = cur_issue {
-        issue_cycles += 1;
-        if n >= 2 {
-            merged_cycles += 1;
-        }
-    }
-    for tape in &mut tapes {
-        if let Some(since) = tape.slotted_since.take() {
-            tape.slots.push((since, total));
-        }
-    }
-    let memport_cycles: u64 = global
-        .iter()
-        .map(|&(s, e)| e.min(total).saturating_sub(s))
-        .sum();
-
-    // Binning walk: one pass over [0, total) per thread with cursors into
-    // the per-thread tapes (all sorted by construction). Each step bins a
-    // whole run of cycles: from `c` up to the next edge at which a cursor
-    // moves or a precedence test flips, so the walk is O(events), not
-    // O(cycles), and a corrupted `End` cycle cannot make it hang.
-    let mut threads = Vec::with_capacity(nt);
-    for tape in &tapes {
-        let mut bins = [0u64; Bin::COUNT];
-        let (mut ii, mut is, mut ih, mut isl, mut ig) = (0, 0, 0, 0, 0);
-        let mut c = 0;
-        while c < total {
-            while ii < tape.issue_cycles.len() && tape.issue_cycles[ii] < c {
-                ii += 1;
-            }
-            while is < tape.stalls.len() && tape.stalls[is].end <= c {
-                is += 1;
-            }
-            while ih < tape.holds.len() && tape.holds[ih] < c {
-                ih += 1;
-            }
-            while isl < tape.slots.len() && tape.slots[isl].1 <= c {
-                isl += 1;
-            }
-            while ig < global.len() && global[ig].1 <= c {
-                ig += 1;
-            }
-
-            let bin = if ii < tape.issue_cycles.len() && tape.issue_cycles[ii] == c {
-                Bin::Issue
-            } else if tape.retire.is_some_and(|r| c >= r) {
-                Bin::Retired
-            } else if ig < global.len() && global[ig].0 <= c {
-                Bin::MemPort
-            } else if is < tape.stalls.len() && tape.stalls[is].start <= c {
-                tape.stalls[is].bin
-            } else if ih < tape.holds.len() && tape.holds[ih] == c {
-                Bin::CommHold
-            } else if isl < tape.slots.len() && tape.slots[isl].0 <= c {
-                Bin::Conflict
-            } else {
-                Bin::Unslotted
-            };
-
-            // The run ends at the next edge: the next issue cycle and the
-            // cycle after it, stall and freeze start and end, a hold cycle
-            // and the cycle after it, slot start and end, and retire. An
-            // issue cycle is a run of one (its own next edge is `c + 1`).
-            let next = if bin == Bin::Issue {
-                c + 1
-            } else {
-                let mut next = total;
-                let mut edge = |e: u64| {
-                    if e > c {
-                        next = next.min(e);
-                    }
+                let Some(owner) = self.slot_owner.get_mut(slot as usize) else {
+                    return Err(format!(
+                        "record {i}: slot {slot} is outside the header's {} hardware threads",
+                        self.slot_owner.len()
+                    ));
                 };
-                if let Some(&i) = tape.issue_cycles.get(ii) {
-                    edge(i);
+                let old = std::mem::replace(owner, ctx);
+                if old != ctx {
+                    if old != NO_CTX {
+                        let c = &mut self.contexts[old as usize];
+                        c.set_slots(c.slots - 1, cycle, &self.freezes);
+                    }
+                    if ctx != NO_CTX {
+                        let c = &mut self.contexts[ctx as usize];
+                        c.set_slots(c.slots + 1, cycle, &self.freezes);
+                    }
                 }
-                if let Some(s) = tape.stalls.get(is) {
-                    edge(s.start);
-                    edge(s.end);
+            }
+            TraceEvent::Retire { thread, .. } => {
+                let t = self.context(i, thread)?;
+                self.contexts[t].bin_to(cycle, &self.freezes);
+                self.contexts[t].retired = true;
+            }
+            TraceEvent::End { .. } => {
+                if cycle < self.issued_to {
+                    return Err(format!(
+                        "record {i}: End at cycle {cycle} precedes the issue at cycle {}",
+                        self.issued_to - 1
+                    ));
                 }
-                if let Some(&h) = tape.holds.get(ih) {
-                    edge(h);
-                    edge(h.saturating_add(1));
-                }
-                if let Some(&(start, end)) = tape.slots.get(isl) {
-                    edge(start);
-                    edge(end);
-                }
-                if let Some(&(start, end)) = global.get(ig) {
-                    edge(start);
-                    edge(end);
-                }
-                if let Some(r) = tape.retire {
-                    edge(r);
-                }
-                next
-            };
-            bins[bin.index()] += next - c;
-            c = next;
+                self.end = Some(cycle);
+                self.after_end = None;
+            }
         }
-        threads.push(bins);
+        Ok(())
     }
 
-    let attr = Attribution {
-        total_cycles: total,
-        threads,
-        clusters,
-        issue_cycles,
-        merged_cycles,
-        memport_cycles,
-        split_instructions: tapes.iter().map(|t| t.splits).collect(),
-        split_parts: tapes.iter().map(|t| t.split_parts).collect(),
-    };
-    attr.verify_identity()?;
-    Ok(attr)
+    /// Bins what is left up to the final `End` and returns the attribution.
+    ///
+    /// Fails when the stream is unusable: no `End` record (the run was
+    /// never finalized), or a record after the final `End`.
+    pub fn finish(mut self) -> Result<Attribution, String> {
+        let total = self.end.ok_or_else(|| {
+            "trace has no End record — the run was not finalized (or the ring sink \
+             dropped it); re-record with a larger ring or a file sink"
+                .to_string()
+        })?;
+        if let Some(i) = self.after_end {
+            return Err(format!("record {i} follows the final End record"));
+        }
+        self.close_issue_cycle();
+        for ctx in &mut self.contexts {
+            ctx.bin_to(total, &self.freezes);
+        }
+        let mut clusters = vec![ClusterUse::default(); self.n_clusters];
+        for ((u, &busy), issues) in clusters
+            .iter_mut()
+            .zip(&self.cluster_busy)
+            .zip(self.cluster_issues.totals())
+        {
+            u.busy_cycles = busy;
+            u.issue_events = issues;
+        }
+        let attr = Attribution {
+            total_cycles: total,
+            threads: self.contexts.iter().map(|c| c.bins).collect(),
+            clusters,
+            issue_cycles: self.issue_cycles,
+            merged_cycles: self.merged_cycles,
+            memport_cycles: self.freezes.before(total),
+            split_instructions: self.contexts.iter().map(|c| c.splits).collect(),
+            split_parts: self.contexts.iter().map(|c| c.split_parts).collect(),
+        };
+        attr.verify_identity()?;
+        Ok(attr)
+    }
+
+    fn context(&self, i: u64, thread: u16) -> Result<usize, String> {
+        let t = thread as usize;
+        if t >= self.contexts.len() {
+            return Err(format!(
+                "record {i}: trace references context {t} but the header declares {} contexts",
+                self.contexts.len()
+            ));
+        }
+        Ok(t)
+    }
+
+    fn stall(&mut self, i: u64, thread: u16, start: u64, end: u64, bin: Bin) -> Result<(), String> {
+        let t = self.context(i, thread)?;
+        let ctx = &mut self.contexts[t];
+        ctx.bin_to(self.now, &self.freezes);
+        ctx.claim(start, end, bin);
+        Ok(())
+    }
+
+    /// Folds the aggregated issue cycle into the cycle-level tallies.
+    fn close_issue_cycle(&mut self) {
+        let issue = std::mem::take(&mut self.issue);
+        if issue.issuers > 0 {
+            self.issue_cycles += 1;
+            self.merged_cycles += u64::from(issue.issuers >= 2);
+        }
+        for (bit, n) in self.cluster_busy.iter_mut().enumerate() {
+            *n += u64::from(issue.clusters >> bit & 1);
+        }
+    }
+}
+
+/// Replays `events` (recorded under `meta`) into an [`Attribution`]
+/// through one [`Attributor`].
+pub fn attribute(meta: &TraceMeta, events: &[TraceEvent]) -> Result<Attribution, String> {
+    let mut attributor = Attributor::new(meta);
+    for ev in events {
+        attributor.push(ev)?;
+    }
+    attributor.finish()
+}
+
+/// Streams a `.vext` trace out of `source` through one [`TraceReader`]
+/// and one [`Attributor`], in constant memory: the path `vex trace
+/// --attribute` takes.
+pub fn attribute_stream(source: impl Read) -> Result<(TraceMeta, Attribution), String> {
+    let reader = TraceReader::new(source)?;
+    let meta = reader.meta();
+    let mut attributor = Attributor::new(&meta);
+    for ev in reader {
+        attributor.push(&ev?)?;
+    }
+    Ok((meta, attributor.finish()?))
 }
 
 #[cfg(test)]
@@ -720,5 +895,128 @@ mod tests {
         let events = [issue(0, 7, 1, 1), TraceEvent::End { cycle: 1 }];
         let err = attribute(&meta(2, 1, 1), &events).unwrap_err();
         assert!(err.contains("context 7"), "{err}");
+    }
+
+    #[test]
+    fn freeze_windows_behind_every_context_are_dropped() {
+        // ctx0 issues on even cycles, each followed by a one-cycle freeze;
+        // ctx1 is never named, so only the periodic drop bins it.
+        let n = 3 * FREEZE_SPANS as u64;
+        let mut attributor = Attributor::new(&meta(2, 1, 1));
+        attributor.push(&slot(0, 0, 0)).unwrap();
+        for k in 0..n {
+            attributor.push(&issue(2 * k, 0, 1, 0b1)).unwrap();
+            let freeze = TraceEvent::MemPortStall {
+                cycle: 2 * k,
+                cycles: 1,
+            };
+            attributor.push(&freeze).unwrap();
+            assert!(attributor.freezes.spans.len() <= FREEZE_SPANS + 1);
+        }
+        attributor.push(&TraceEvent::End { cycle: 2 * n }).unwrap();
+        let a = attributor.finish().unwrap();
+        assert_eq!(a.memport_cycles, n);
+        assert_eq!(a.threads[0][Bin::Issue.index()], n);
+        assert_eq!(a.threads[0][Bin::MemPort.index()], n);
+        assert_eq!(a.threads[1][Bin::MemPort.index()], n);
+        assert_eq!(a.threads[1][Bin::Unslotted.index()], n);
+    }
+
+    #[test]
+    fn a_cycle_lower_than_the_previous_record_is_rejected() {
+        // An issue at 50 then one at 10 used to count one issue cycle.
+        let events = [
+            slot(0, 0, 0),
+            issue(50, 0, 1, 0b1),
+            issue(10, 0, 1, 0b1),
+            TraceEvent::End { cycle: 60 },
+        ];
+        let err = attribute(&meta(1, 1, 1), &events).unwrap_err();
+        assert!(err.starts_with("record 2: cycle 10 is lower"), "{err}");
+        // An End at 20 after an issue at 50 used to drop the issue.
+        let events = [
+            slot(0, 0, 0),
+            issue(50, 0, 1, 0b1),
+            TraceEvent::End { cycle: 20 },
+        ];
+        let err = attribute(&meta(1, 1, 1), &events).unwrap_err();
+        assert!(err.starts_with("record 2: cycle 20 is lower"), "{err}");
+    }
+
+    #[test]
+    fn an_end_at_the_cycle_of_an_issue_is_rejected() {
+        let events = [
+            slot(0, 0, 0),
+            issue(5, 0, 1, 0b1),
+            TraceEvent::End { cycle: 5 },
+        ];
+        let err = attribute(&meta(1, 1, 1), &events).unwrap_err();
+        assert!(
+            err.starts_with("record 2: End at cycle 5 precedes"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_record_after_the_final_end_is_rejected() {
+        let events = [
+            slot(0, 0, 0),
+            issue(0, 0, 1, 0b1),
+            TraceEvent::End { cycle: 1 },
+            issue(1, 0, 1, 0b1),
+        ];
+        let err = attribute(&meta(1, 1, 1), &events).unwrap_err();
+        assert!(err.contains("record 3 follows the final End"), "{err}");
+        // A mid-run snapshot's End is not final.
+        let mut events = events.to_vec();
+        events.push(TraceEvent::End { cycle: 2 });
+        let a = attribute(&meta(1, 1, 1), &events).unwrap();
+        assert_eq!(a.total_cycles, 2);
+        assert_eq!(a.threads[0][Bin::Issue.index()], 2);
+    }
+
+    #[test]
+    fn cycle_arithmetic_past_u64_max_is_rejected() {
+        let near = u64::MAX - 4;
+        for ev in [
+            TraceEvent::IMissStall {
+                cycle: near,
+                thread: 0,
+                penalty: 100,
+            },
+            TraceEvent::DMissStall {
+                cycle: near,
+                thread: 0,
+                penalty: 100,
+            },
+            TraceEvent::BranchStall {
+                cycle: near,
+                thread: 0,
+                penalty: 100,
+            },
+            TraceEvent::MemPortStall {
+                cycle: near,
+                cycles: 100,
+            },
+            issue(u64::MAX, 0, 1, 0b1),
+        ] {
+            let events = [slot(0, 0, 0), ev, TraceEvent::End { cycle: u64::MAX }];
+            let err = attribute(&meta(1, 1, 1), &events).unwrap_err();
+            assert!(err.starts_with("record 1: cycle"), "{ev:?}: {err}");
+            assert!(err.contains("overflows"), "{ev:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn slot_assign_outside_the_geometry_is_rejected() {
+        let end = TraceEvent::End { cycle: 1 };
+        let err = attribute(&meta(2, 1, 1), &[slot(0, 1, 0), end]).unwrap_err();
+        assert!(err.starts_with("record 0: slot 1 is outside"), "{err}");
+        let err = attribute(&meta(2, 1, 1), &[slot(0, 0, 2), end]).unwrap_err();
+        assert!(
+            err.starts_with("record 0: trace references context 2"),
+            "{err}"
+        );
+        attribute(&meta(2, 1, 1), &[slot(0, 0, NO_CTX), end]).unwrap();
     }
 }

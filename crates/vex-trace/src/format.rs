@@ -26,8 +26,12 @@
 //! can grow per-kind payloads without a version bump as long as record
 //! size is unchanged. Readers must reject a mismatched `record_len`
 //! rather than guessing.
+//!
+//! [`TraceReader`] is the one decoder: it streams records out of any
+//! [`Read`] through a fixed buffer; [`read_trace`] collects its events.
 
 use crate::event::{TraceEvent, TraceMeta};
+use std::io::{ErrorKind, Read};
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"VEXT";
@@ -216,25 +220,132 @@ pub fn write_trace(meta: &TraceMeta, events: &[TraceEvent]) -> Vec<u8> {
     out
 }
 
-/// Parses a whole trace back into its metadata and event stream.
+/// Bytes a [`TraceReader`] buffers.
+const READ_BUF_LEN: usize = 1 << 16;
+
+/// Streams a `VEXT` trace out of `R`: [`TraceReader::new`] checks the
+/// header, then the iterator decodes one event per 20-byte record out of
+/// one fixed 64 KiB buffer, so memory stays constant however long the
+/// trace is. A record may straddle two reads.
 ///
 /// A trailing partial record is an error (the write was torn), as is any
-/// unknown record kind — a trace is evidence, and silently dropping part
-/// of it would make the attribution lie.
-pub fn read_trace(bytes: &[u8]) -> Result<(TraceMeta, Vec<TraceEvent>), String> {
-    let meta = decode_header(bytes)?;
-    let body = &bytes[HEADER_LEN..];
-    if body.len() % RECORD_LEN != 0 {
-        return Err(format!(
+/// unknown record kind or read error — a trace is evidence, and silently
+/// dropping part of it would make the attribution lie. The iterator ends
+/// after its first error.
+pub struct TraceReader<R> {
+    inner: R,
+    meta: TraceMeta,
+    buf: Box<[u8]>,
+    /// The bytes read but not yet decoded are `buf[pos..len]`.
+    pos: usize,
+    len: usize,
+    /// Records decoded so far.
+    records: u64,
+    /// Set at the end of the stream or at the first error.
+    done: bool,
+}
+
+impl<R: Read> TraceReader<R> {
+    /// Reads and validates the header.
+    pub fn new(mut inner: R) -> Result<Self, String> {
+        let mut header = [0u8; HEADER_LEN];
+        let got = fill(&mut inner, &mut header)?;
+        let meta = decode_header(&header[..got])?;
+        Ok(TraceReader {
+            inner,
+            meta,
+            buf: vec![0; READ_BUF_LEN].into_boxed_slice(),
+            pos: 0,
+            len: 0,
+            records: 0,
+            done: false,
+        })
+    }
+
+    /// The geometry declared by the header.
+    pub fn meta(&self) -> TraceMeta {
+        self.meta
+    }
+
+    /// Moves the unread bytes to the front of the buffer and reads more
+    /// behind them. `Ok(false)` at the end of the input (or after an
+    /// error); a partial record left at the end is a torn write.
+    fn refill(&mut self) -> Result<bool, String> {
+        if self.done {
+            return Ok(false);
+        }
+        self.buf.copy_within(self.pos..self.len, 0);
+        self.len -= self.pos;
+        self.pos = 0;
+        match fill(&mut self.inner, &mut self.buf[self.len..]) {
+            Ok(got) => self.len += got,
+            Err(e) => {
+                self.done = true;
+                return Err(e);
+            }
+        }
+        if self.len >= RECORD_LEN {
+            return Ok(true);
+        }
+        self.done = true;
+        if self.len == 0 {
+            return Ok(false);
+        }
+        Err(format!(
             "trace body is {} bytes, not a multiple of the {RECORD_LEN}-byte record \
              (torn write?)",
-            body.len()
-        ));
+            self.records * RECORD_LEN as u64 + self.len as u64
+        ))
     }
-    let mut events = Vec::with_capacity(body.len() / RECORD_LEN);
-    for chunk in body.chunks_exact(RECORD_LEN) {
-        let rec: &[u8; RECORD_LEN] = chunk.try_into().unwrap();
-        events.push(decode_record(rec)?);
+}
+
+impl<R: Read> Iterator for TraceReader<R> {
+    type Item = Result<TraceEvent, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.len - self.pos < RECORD_LEN {
+            match self.refill() {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
+            }
+        }
+        let rec: &[u8; RECORD_LEN] = self.buf[self.pos..self.pos + RECORD_LEN]
+            .try_into()
+            .expect("the slice is one record long");
+        self.pos += RECORD_LEN;
+        let i = self.records;
+        self.records += 1;
+        Some(decode_record(rec).map_err(|e| {
+            self.done = true;
+            self.pos = self.len;
+            format!("record {i}: {e}")
+        }))
+    }
+}
+
+/// Reads until `buf` is full or the input ends; returns the bytes read.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, String> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("reading trace: {e}")),
+        }
+    }
+    Ok(got)
+}
+
+/// Parses a whole trace back into its metadata and event stream, through
+/// [`TraceReader`].
+pub fn read_trace(bytes: &[u8]) -> Result<(TraceMeta, Vec<TraceEvent>), String> {
+    let reader = TraceReader::new(bytes)?;
+    let meta = reader.meta();
+    let mut events = Vec::with_capacity(bytes.len().saturating_sub(HEADER_LEN) / RECORD_LEN);
+    for ev in reader {
+        events.push(ev?);
     }
     Ok((meta, events))
 }
@@ -364,5 +475,58 @@ mod tests {
         assert!(read_trace(&bad_kind).unwrap_err().contains("kind"));
 
         assert!(read_trace(&[]).unwrap_err().contains("truncated"));
+    }
+
+    /// Hands out 1–37 bytes per `read`, in a fixed pseudo-random pattern.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        state: u64,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.state = self
+                .state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let n = (1 + (self.state >> 33) % 37) as usize;
+            let n = n.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_trickling_reader_decodes_what_read_trace_does() {
+        let meta = TraceMeta {
+            n_contexts: 3,
+            hw_threads: 2,
+            n_clusters: 4,
+        };
+        // 200 KB: the 64 KiB buffer refills with records straddling it.
+        let events: Vec<TraceEvent> = sample_events().into_iter().cycle().take(10_000).collect();
+        let bytes = write_trace(&meta, &events);
+        let reader = TraceReader::new(Trickle {
+            bytes: &bytes,
+            state: 1,
+        })
+        .unwrap();
+        assert_eq!(reader.meta(), meta);
+        let streamed: Vec<TraceEvent> = reader.collect::<Result<_, _>>().unwrap();
+        assert_eq!(streamed, read_trace(&bytes).unwrap().1);
+        assert_eq!(streamed, events);
+
+        let torn = Trickle {
+            bytes: &bytes[..bytes.len() - 7],
+            state: 2,
+        };
+        let mut reader = TraceReader::new(torn).unwrap();
+        let err = reader.by_ref().collect::<Result<Vec<_>, _>>().unwrap_err();
+        assert!(err.contains("torn"), "{err}");
+        assert!(
+            reader.next().is_none(),
+            "the reader ends at its first error"
+        );
     }
 }

@@ -16,15 +16,18 @@
 //! * [`TraceEvent`] / [`TraceMeta`] — the event taxonomy. Each event
 //!   carries its cycle plus the thread / cluster / instruction identity
 //!   the replay needs; see `docs/TRACE.md` for the taxonomy's semantics.
-//! * [`format`] — the `VEXT` binary encoding: a 16-byte header followed
-//!   by fixed 20-byte little-endian records.
+//! * [`format`](mod@format) — the `VEXT` binary encoding: a 16-byte
+//!   header followed by fixed 20-byte little-endian records, decoded by
+//!   the streaming [`TraceReader`].
 //! * [`TraceSink`] — where the engine streams events: [`RingSink`] keeps
 //!   the last N events in memory (bounded, allocation-free steady state),
 //!   [`FileSink`] streams the binary format to disk.
-//! * [`attribute`](attribute()) — replays an event stream into an
-//!   [`Attribution`]: per-thread cycle bins that **sum exactly to the
-//!   run's total cycles** (the identity the test suite pins against
-//!   `SimStats`), plus per-cluster occupancy.
+//! * [`Attributor`] — validates and replays an event stream, one record
+//!   at a time, into an [`Attribution`]: per-thread cycle bins that **sum
+//!   exactly to the run's total cycles** (the identity the test suite pins
+//!   against `SimStats`), plus per-cluster occupancy.
+//!   [`attribute`](attribute()) runs it over a slice of events,
+//!   [`attribute_stream`] over a `.vext` reader.
 //!
 //! The crate is dependency-free and knows nothing about the simulator's
 //! types; `vex-sim` depends on it, not the other way around.
@@ -37,7 +40,7 @@ mod event;
 pub mod format;
 mod sink;
 
-pub use attr::{attribute, Attribution, Bin, ClusterUse};
+pub use attr::{attribute, attribute_stream, Attribution, Attributor, Bin, ClusterUse};
 pub use event::{TraceEvent, TraceMeta, NO_CTX};
-pub use format::{read_trace, write_trace};
+pub use format::{read_trace, write_trace, TraceReader};
 pub use sink::{FileSink, RingSink, TraceSink};

@@ -115,7 +115,8 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Streams the `VEXT` binary format to a file through a buffered writer.
+/// Streams the `VEXT` binary format to a file through a 64 KiB buffered
+/// writer.
 ///
 /// I/O errors are latched at the first failure and reported by
 /// [`TraceSink::finish`]; the per-record path never panics mid-run.
@@ -136,7 +137,7 @@ impl FileSink {
             .map_err(|e| format!("creating trace file `{path_str}`: {e}"))?;
         Ok(FileSink {
             path: path_str,
-            writer: Some(std::io::BufWriter::new(file)),
+            writer: Some(std::io::BufWriter::with_capacity(1 << 16, file)),
             error: None,
             records: 0,
         })

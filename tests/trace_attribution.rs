@@ -24,16 +24,23 @@
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test --test trace_attribution
 //! ```
+//!
+//! The streaming half writes the same runs through a `FileSink` and
+//! requires `attribute_stream` (the `vex trace --attribute` path) to
+//! reproduce the ring's attribution, then mutates the golden trace's
+//! bytes: every mutant must be attributed or rejected within a second.
 
 use clustered_vliw_smt::asm::parse_program;
 use clustered_vliw_smt::gen::{generate, GenConfig};
 use clustered_vliw_smt::isa::{MachineConfig, Program};
 use clustered_vliw_smt::sim::{
-    attribute, render_attribution, Attribution, Engine, MemoryMode, MtMode, RingSink, SimConfig,
-    SimStats, Technique, TraceMeta,
+    attribute, render_attribution, Attribution, Bin, Engine, FileSink, MemoryMode, MtMode,
+    RingSink, SimConfig, SimStats, Technique, TraceMeta,
 };
+use clustered_vliw_smt::trace::{attribute_stream, write_trace};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Runs a workload with a ring tracer attached and returns the stats
 /// next to the replayed attribution (checking `attribute`'s internal
@@ -162,4 +169,112 @@ fn attribution_report_matches_golden_snapshot() {
         "attribution report diverged from the golden snapshot; if the \
          timing model changed intentionally, re-bless with UPDATE_GOLDEN=1"
     );
+}
+
+// ---- streaming replay ------------------------------------------------
+
+fn golden_workload(contexts: usize) -> Vec<Arc<Program>> {
+    let golden = Arc::new(parse_program(GOLDEN).expect("golden fixture must parse"));
+    (0..contexts).map(|_| Arc::clone(&golden)).collect()
+}
+
+#[test]
+fn file_sink_trace_streams_to_the_ring_attribution() {
+    let workload = golden_workload(3);
+    for (i, (name, tech)) in Technique::FIGURE16_SET.into_iter().enumerate() {
+        let path =
+            std::env::temp_dir().join(format!("vex_trace_stream_{}_{i}.vext", std::process::id()));
+        let mut engine = Engine::new(snapshot_config(tech), &workload);
+        engine.set_tracer(Box::new(
+            FileSink::create(&path).expect("create trace file"),
+        ));
+        engine.run();
+        let mut sink = engine.take_tracer().expect("tracer was installed");
+        sink.finish().expect("trace file written");
+
+        let file = std::fs::File::open(&path).expect("open trace file");
+        let (_, streamed) = attribute_stream(file).expect("streamed replay must succeed");
+        let (_, _, from_ring) = run_attributed(&snapshot_config(tech), &workload);
+        assert_eq!(streamed, from_ring, "{name}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The golden workload on two contexts, recorded to bytes: header bytes
+/// 8..10 and 10..12 hold its 2 contexts and 2 hardware threads.
+fn golden_trace() -> &'static [u8] {
+    static TRACE: OnceLock<Vec<u8>> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let mut engine = Engine::new(
+            snapshot_config(Technique::FIGURE16_SET[2].1),
+            &golden_workload(2),
+        );
+        engine.set_tracer(Box::new(RingSink::unbounded()));
+        engine.run();
+        let ring = RingSink::reclaim(engine.take_tracer().expect("tracer was installed"))
+            .expect("sink is a RingSink");
+        let meta = ring.meta().expect("begin() recorded the geometry");
+        write_trace(&meta, &ring.into_events())
+    })
+}
+
+/// Streams `bytes`, which must finish, either way, within a second.
+fn stream_within_budget(bytes: &[u8]) -> Result<Attribution, String> {
+    let started = Instant::now();
+    let result = attribute_stream(bytes).map(|(_, attr)| attr);
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "replay took {took:?}: {:?}",
+        result.as_ref().map(|a| a.total_cycles)
+    );
+    result
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        ..ProptestConfig::default()
+    })]
+
+    /// A `.vext` with 1–4 bytes flipped (a quarter of them in the
+    /// header) or cut at any offset is attributed or rejected, never a
+    /// panic (this runs with overflow checks) and never a hang.
+    #[test]
+    fn mutated_traces_are_attributed_or_rejected_promptly(
+        truncate in any::<bool>(),
+        cut in any::<usize>(),
+        flips in prop::collection::vec((any::<usize>(), 1u8..u8::MAX), 1..5),
+    ) {
+        let mut bytes = golden_trace().to_vec();
+        if truncate {
+            bytes.truncate(cut % bytes.len());
+        } else {
+            for (site, xor) in flips {
+                let at = if site % 4 == 0 { site / 4 % 16 } else { site % bytes.len() };
+                bytes[at] ^= xor;
+            }
+        }
+        let _ = stream_within_budget(&bytes);
+    }
+}
+
+#[test]
+fn widened_header_geometry_attributes_promptly() {
+    // Byte 9 raises the context count to 65282; byte 11 the hardware
+    // threads. The contexts the trace never names stay unslotted.
+    for widened in [&[9, 11][..], &[9][..]] {
+        let mut bytes = golden_trace().to_vec();
+        for &i in widened {
+            bytes[i] = 0xFF;
+        }
+        let attr = stream_within_budget(&bytes).expect("a wider geometry is still valid");
+        assert_eq!(attr.threads.len(), 65282, "{widened:?}");
+        let idle = attr.threads[65281];
+        assert_eq!(
+            idle[Bin::Unslotted.index()] + idle[Bin::MemPort.index()],
+            attr.total_cycles,
+            "{widened:?}"
+        );
+    }
 }
