@@ -5,7 +5,10 @@
 //! * `decode(encode(p)) == p` for the same programs (binary round-trip);
 //! * both hold for every compiled built-in benchmark, which exercises the
 //!   compiler's full output surface (send/recv pairs, remote branch
-//!   registers, NOPs, data segments).
+//!   registers, NOPs, data segments);
+//! * a mutated `.vexb` decodes or is rejected with a `BinError`,
+//!   and whatever decodes validates or is rejected, and analyzes, promptly
+//!   and without a panic.
 //!
 //! "Canonical" means the form the parser itself produces: operand slots
 //! filled left to right, `imm == 0` where the syntax does not carry an
@@ -14,8 +17,12 @@
 //! canonical text.
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 use vex_asm::{decode, encode, parse_program, print_program};
-use vex_isa::{BReg, DataSegment, Dest, Instruction, Opcode, Operand, Operation, Program, Reg};
+use vex_isa::{
+    BReg, DataSegment, Dest, Instruction, MachineConfig, Opcode, Operand, Operation, Program, Reg,
+};
 
 // ---- strategies ---------------------------------------------------
 
@@ -311,5 +318,75 @@ fn generated_fuzz_programs_roundtrip_through_text_and_binary() {
             let decoded = decode(&encode(&program)).unwrap();
             assert_eq!(program, decoded, "seed {seed}: binary round-trip diverged");
         }
+    }
+}
+
+// ---- hostile binaries ---------------------------------------------
+
+/// Encoded `.vexb` files to mutate: every built-in benchmark and 36
+/// generated programs for the paper and the narrow machine.
+fn binary_corpus() -> &'static [Vec<u8>] {
+    static CORPUS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let mut corpus: Vec<Vec<u8>> = vex_workloads::compile_all()
+            .iter()
+            .map(|(_, p)| encode(p))
+            .collect();
+        for seed in 0..36u64 {
+            let machine = if seed % 2 == 0 {
+                MachineConfig::paper_4c4w()
+            } else {
+                MachineConfig::narrow_2c()
+            };
+            let program = vex_gen::generate(&vex_gen::GenConfig::new(machine, seed)).unwrap();
+            corpus.push(encode(&program));
+        }
+        corpus
+    })
+}
+
+/// Decodes `bytes` (a program or a `BinError`) and, when that succeeds,
+/// validates the program for the paper machine and analyzes it when valid;
+/// all of it within a second.
+fn decode_within_budget(bytes: &[u8]) {
+    let m = MachineConfig::paper_4c4w();
+    let started = Instant::now();
+    if let Ok(p) = decode(bytes) {
+        if p.validate(&m).is_ok() {
+            let _ = vex_analyze::analyze(&p, &m);
+        }
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "decoding took {took:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        ..ProptestConfig::default()
+    })]
+
+    /// A `.vexb` with 1–4 bytes flipped (a quarter of them within the first
+    /// 64 bytes: magic, version, name and the first instructions) or cut at
+    /// any offset decodes or is rejected with a `BinError`, never a panic
+    /// (this runs with overflow checks) and never a hang.
+    #[test]
+    fn mutated_binaries_are_decoded_or_rejected_promptly(
+        pick in any::<usize>(),
+        truncate in any::<bool>(),
+        cut in any::<usize>(),
+        flips in prop::collection::vec((any::<usize>(), 1u8..u8::MAX), 1..5),
+    ) {
+        let corpus = binary_corpus();
+        let mut bytes = corpus[pick % corpus.len()].clone();
+        if truncate {
+            bytes.truncate(cut % bytes.len());
+        } else {
+            for (site, xor) in flips {
+                let at = if site % 4 == 0 { site / 4 % 64 } else { site } % bytes.len();
+                bytes[at] ^= xor;
+            }
+        }
+        decode_within_budget(&bytes);
     }
 }

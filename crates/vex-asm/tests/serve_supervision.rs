@@ -107,6 +107,21 @@ impl Server {
         std::fs::read_to_string(&self.stderr_path).unwrap_or_default()
     }
 
+    /// The log once it contains `line`, or as it stands after the 20 s
+    /// `spawn` allows: the server writes its port file before it replays
+    /// its journal, so lines about the replay may still be due when
+    /// `spawn` returns.
+    fn log_after(&self, line: &str) -> String {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let log = self.log();
+            if log.contains(line) || Instant::now() >= deadline {
+                return log;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
     /// SIGTERM + wait: the graceful-drain exit must be 0.
     fn drain(mut self) -> (String, bool) {
         extern "C" {
@@ -324,10 +339,10 @@ fn sigkilled_server_resumes_byte_identically_and_without_recomputing() {
     // Second life: resume the journal, submit the superset. Only the new
     // point may be scheduled; the bytes must match a clean run.
     let server = Server::spawn(&dir, "life2", &jflags, None);
+    let log = server.log_after("replayed 2 completed point(s)");
     assert!(
-        server.log().contains("replayed 2 completed point(s)"),
-        "resume must replay the journal:\n{}",
-        server.log()
+        log.contains("replayed 2 completed point(s)"),
+        "resume must replay the journal:\n{log}"
     );
     let (code, json, stderr) = submit(&dir, &superset, &server.addr, "out2.json");
     assert_eq!(code, 0, "superset submit failed:\n{stderr}");

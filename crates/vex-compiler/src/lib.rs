@@ -102,7 +102,7 @@ pub fn compile(kernel: &ir::Kernel, m: &MachineConfig) -> Result<Program, Compil
     let scheduled = schedule::schedule_kernel(&legal, m)?;
     verify::verify_schedule(&legal, &scheduled, m)?;
     let alloc = regalloc::allocate(&legal, m)?;
-    let program = schedule::emit(&legal, &scheduled, &alloc, m);
+    let program = schedule::emit(legal, &scheduled, &alloc, m);
     program
         .validate(m)
         .map_err(|e| CompileError::BadSchedule(format!("emitted program invalid: {e}")))?;

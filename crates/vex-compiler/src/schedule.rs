@@ -24,10 +24,11 @@
 //! targets to instruction indices.
 
 use crate::cluster::{LBlock, LOp, LegalKernel};
-use crate::ir::{BinKind, CmpKind, IrOp, MemWidth, Terminator, VBreg, VReg, Val};
+use crate::ir::{BinKind, CmpKind, IrOp, MemWidth, Terminator, VReg, Val};
 use crate::regalloc::RegAlloc;
 use crate::CompileError;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use vex_isa::{
     ClusterId, Dest, FuKind, Instruction, MachineConfig, Opcode, Operand, Operation, Program,
 };
@@ -89,75 +90,74 @@ pub fn term_emits_op(block_id: usize, term: &Terminator) -> bool {
     }
 }
 
+/// Per-register state of the dependence builder, indexed by the dense
+/// `VReg`/`VBreg` id.
+#[derive(Clone, Default)]
+struct RegState {
+    /// The op that last defined the register.
+    last_def: Option<usize>,
+    /// Ops that read the register since that definition.
+    uses: Vec<usize>,
+    /// Number of definitions so far (the reaching-definition version).
+    version: u32,
+}
+
+/// Grows a table indexed by a dense id so that `id` is in range.
+fn entry<T: Clone + Default>(table: &mut Vec<T>, id: u32) -> &mut T {
+    let i = id as usize;
+    if i >= table.len() {
+        table.resize(i + 1, T::default());
+    }
+    &mut table[i]
+}
+
 /// Builds the dependence graph of a block. Also used by the independent
 /// schedule verifier.
-pub fn build_deps(block_id: usize, block: &LBlock, m: &MachineConfig) -> BlockDeps {
+pub fn build_deps(block: &LBlock, m: &MachineConfig) -> BlockDeps {
     let n = block.ops.len();
     let mut deps = BlockDeps {
         preds: vec![Vec::new(); n],
-        term_preds: Vec::new(),
+        term_preds: Vec::with_capacity(n + 1),
     };
 
-    let mut last_def: HashMap<VReg, usize> = HashMap::new();
-    let mut uses_since_def: HashMap<VReg, Vec<usize>> = HashMap::new();
-    let mut last_bdef: HashMap<VBreg, usize> = HashMap::new();
-    let mut buses_since_def: HashMap<VBreg, Vec<usize>> = HashMap::new();
-    let mut stores_in_class: HashMap<u8, Vec<usize>> = HashMap::new();
-    let mut loads_in_class: HashMap<u8, Vec<usize>> = HashMap::new();
-    // Reaching-definition version of every vreg, snapshotted per op so the
-    // base+offset disambiguator knows when two ops see the same base value.
-    let mut def_version: HashMap<VReg, u32> = HashMap::new();
-    let mut version_at: Vec<HashMap<VReg, u32>> = Vec::with_capacity(n);
+    let mut regs: Vec<RegState> = Vec::new();
+    let mut bregs: Vec<RegState> = Vec::new();
+    // Prior loads and stores of each alias class, with the address key each
+    // had when it was recorded.
+    let mut loads_in_class: Vec<Vec<(usize, MemKey)>> = Vec::new();
+    let mut stores_in_class: Vec<Vec<(usize, MemKey)>> = Vec::new();
 
     for (i, lop) in block.ops.iter().enumerate() {
         let op = &lop.op;
         // RAW on GPRs.
         for v in op.src_vregs() {
-            if let Some(&d) = last_def.get(&v) {
+            let r = entry(&mut regs, v.0);
+            if let Some(d) = r.last_def {
                 deps.preds[i].push(DepEdge {
                     pred: d,
                     lat: result_latency(&block.ops[d].op, m),
                 });
             }
-            uses_since_def.entry(v).or_default().push(i);
+            r.uses.push(i);
         }
         // RAW on branch registers (select reads).
         if let Some(b) = op.src_vbregs() {
-            if let Some(&d) = last_bdef.get(&b) {
+            let r = entry(&mut bregs, b.0);
+            if let Some(d) = r.last_def {
                 deps.preds[i].push(DepEdge {
                     pred: d,
                     lat: m.lat.alu as u32,
                 });
             }
-            buses_since_def.entry(b).or_default().push(i);
+            r.uses.push(i);
         }
         // WAW / WAR on GPR destination.
         if let Some(d) = op.dst_vreg() {
-            if let Some(&p) = last_def.get(&d) {
-                deps.preds[i].push(DepEdge { pred: p, lat: 1 });
-            }
-            if let Some(users) = uses_since_def.remove(&d) {
-                for u in users {
-                    if u != i {
-                        deps.preds[i].push(DepEdge { pred: u, lat: 0 });
-                    }
-                }
-            }
-            last_def.insert(d, i);
+            redefine(entry(&mut regs, d.0), i, &mut deps.preds[i]);
         }
         // WAW / WAR on branch destination.
         if let Some(d) = op.dst_vbreg() {
-            if let Some(&p) = last_bdef.get(&d) {
-                deps.preds[i].push(DepEdge { pred: p, lat: 1 });
-            }
-            if let Some(users) = buses_since_def.remove(&d) {
-                for u in users {
-                    if u != i {
-                        deps.preds[i].push(DepEdge { pred: u, lat: 0 });
-                    }
-                }
-            }
-            last_bdef.insert(d, i);
+            redefine(entry(&mut bregs, d.0), i, &mut deps.preds[i]);
         }
         // Memory ordering within the alias class, refined by base+offset
         // disambiguation: accesses through the *same base register value*
@@ -165,40 +165,32 @@ pub fn build_deps(block_id: usize, block: &LBlock, m: &MachineConfig) -> BlockDe
         // offsets are independent — the bread-and-butter analysis of VLIW
         // compilers, without which unrolled row stores would serialise.
         if let Some((class, is_store)) = op.mem_alias() {
-            let me = mem_key(op, &def_version);
+            // The key sees the versions before this op's own definition.
+            let me = mem_key(op, &regs);
+            let loads = entry(&mut loads_in_class, class.into());
+            let stores = entry(&mut stores_in_class, class.into());
+            // A store orders after every possibly-aliasing prior load and
+            // store; a load only after the stores.
+            let prior_loads = if is_store { &loads[..] } else { &[] };
+            for &(p, key) in prior_loads.iter().chain(stores.iter()) {
+                if may_alias(&me, &key) {
+                    deps.preds[i].push(DepEdge { pred: p, lat: 1 });
+                }
+            }
             if is_store {
-                // Order after every possibly-aliasing prior load and store.
-                for &l in loads_in_class.get(&class).into_iter().flatten() {
-                    if may_alias(&me, &mem_key(&block.ops[l].op, &version_at[l])) {
-                        deps.preds[i].push(DepEdge { pred: l, lat: 1 });
-                    }
-                }
-                for &s in stores_in_class.get(&class).into_iter().flatten() {
-                    if may_alias(&me, &mem_key(&block.ops[s].op, &version_at[s])) {
-                        deps.preds[i].push(DepEdge { pred: s, lat: 1 });
-                    }
-                }
-                stores_in_class.entry(class).or_default().push(i);
+                stores.push((i, me));
             } else {
-                for &s in stores_in_class.get(&class).into_iter().flatten() {
-                    if may_alias(&me, &mem_key(&block.ops[s].op, &version_at[s])) {
-                        deps.preds[i].push(DepEdge { pred: s, lat: 1 });
-                    }
-                }
-                loads_in_class.entry(class).or_default().push(i);
+                loads.push((i, me));
             }
         }
-        version_at.push(def_version.clone());
-        // Record the new definition *after* snapshotting the version map the
-        // op's own operands saw.
         if let Some(d) = op.dst_vreg() {
-            *def_version.entry(d).or_insert(0) += 1;
+            regs[d.0 as usize].version += 1;
         }
     }
 
     // Terminator edges.
     if let Terminator::CondBr { cond, .. } = block.term {
-        if let Some(&d) = last_bdef.get(&cond) {
+        if let Some(d) = bregs.get(cond.0 as usize).and_then(|r| r.last_def) {
             deps.term_preds.push(DepEdge {
                 pred: d,
                 lat: m.lat.cmp_to_br as u32,
@@ -213,8 +205,21 @@ pub fn build_deps(block_id: usize, block: &LBlock, m: &MachineConfig) -> BlockDe
             lat: result_latency(&lop.op, m).saturating_sub(1),
         });
     }
-    let _ = block_id;
     deps
+}
+
+/// Records op `i` as the new definition of `r`: WAW after the previous
+/// definition, WAR (same cycle legal) after every read since it.
+fn redefine(r: &mut RegState, i: usize, preds: &mut Vec<DepEdge>) {
+    if let Some(p) = r.last_def {
+        preds.push(DepEdge { pred: p, lat: 1 });
+    }
+    for u in r.uses.drain(..) {
+        if u != i {
+            preds.push(DepEdge { pred: u, lat: 0 });
+        }
+    }
+    r.last_def = Some(i);
 }
 
 /// Address summary of a memory op for base+offset disambiguation.
@@ -236,7 +241,7 @@ fn mem_width_size(w: MemWidth) -> i32 {
     }
 }
 
-fn mem_key(op: &IrOp, version: &HashMap<VReg, u32>) -> MemKey {
+fn mem_key(op: &IrOp, regs: &[RegState]) -> MemKey {
     let (w, base, off) = match *op {
         IrOp::Load { w, base, off, .. } => (w, base, off),
         IrOp::Store { w, base, off, .. } => (w, base, off),
@@ -244,7 +249,7 @@ fn mem_key(op: &IrOp, version: &HashMap<VReg, u32>) -> MemKey {
     };
     match base {
         Val::V(r) => MemKey {
-            base: Some((r, version.get(&r).copied().unwrap_or(0))),
+            base: Some((r, regs.get(r.0 as usize).map_or(0, |s| s.version))),
             start: off,
             size: mem_width_size(w),
         },
@@ -270,17 +275,42 @@ fn may_alias(a: &MemKey, b: &MemKey) -> bool {
     }
 }
 
-/// Resource usage demanded by one op: (cluster, fu-kind) pairs; each pair
-/// also consumes one issue slot in its cluster.
-pub fn requirements(lop: &LOp, lk: &LegalKernel) -> Vec<(ClusterId, FuKind)> {
-    match &lop.op {
-        IrOp::Xfer { src, .. } => {
-            let from = lk.vreg_cluster[src.0 as usize];
-            vec![(from, FuKind::Send), (lop.cluster, FuKind::Recv)]
+/// Resources one op occupies in its issue cycle: one (cluster, fu-kind)
+/// pair, or two for an inter-cluster transfer. Each pair also consumes one
+/// issue slot in its cluster.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Requirements {
+    pairs: [(ClusterId, FuKind); 2],
+    len: u8,
+}
+
+impl Requirements {
+    fn one(cluster: ClusterId, kind: FuKind) -> Self {
+        Requirements {
+            pairs: [(cluster, kind); 2],
+            len: 1,
         }
-        IrOp::Bin { kind, .. } if kind.is_mul() => vec![(lop.cluster, FuKind::Mul)],
-        IrOp::Load { .. } | IrOp::Store { .. } => vec![(lop.cluster, FuKind::Mem)],
-        _ => vec![(lop.cluster, FuKind::Alu)],
+    }
+
+    /// The (cluster, fu-kind) pairs.
+    pub fn as_slice(&self) -> &[(ClusterId, FuKind)] {
+        &self.pairs[..self.len as usize]
+    }
+}
+
+/// Resource usage demanded by one op.
+pub fn requirements(lop: &LOp, lk: &LegalKernel) -> Requirements {
+    match &lop.op {
+        IrOp::Xfer { src, .. } => Requirements {
+            pairs: [
+                (lk.vreg_cluster[src.0 as usize], FuKind::Send),
+                (lop.cluster, FuKind::Recv),
+            ],
+            len: 2,
+        },
+        IrOp::Bin { kind, .. } if kind.is_mul() => Requirements::one(lop.cluster, FuKind::Mul),
+        IrOp::Load { .. } | IrOp::Store { .. } => Requirements::one(lop.cluster, FuKind::Mem),
+        _ => Requirements::one(lop.cluster, FuKind::Alu),
     }
 }
 
@@ -292,7 +322,8 @@ struct ResTable {
     slots: Vec<u8>,
 }
 
-fn fu_index(k: FuKind) -> usize {
+/// Column of `k` in a per-cluster fu-kind count array.
+pub(crate) fn fu_index(k: FuKind) -> usize {
     match k {
         FuKind::Alu => 0,
         FuKind::Mul => 1,
@@ -313,9 +344,10 @@ impl ResTable {
     }
 
     fn grow(&mut self, cycle: usize) {
-        while self.used.len() <= cycle * self.n_clusters + self.n_clusters {
-            self.used.push([0; 6]);
-            self.slots.push(0);
+        let len = cycle * self.n_clusters + self.n_clusters + 1;
+        if self.used.len() < len {
+            self.used.resize(len, [0; 6]);
+            self.slots.resize(len, 0);
         }
     }
 
@@ -342,6 +374,38 @@ impl ResTable {
     }
 }
 
+/// A set of priority ranks, as a bitset.
+struct RankSet {
+    words: Vec<u64>,
+}
+
+impl RankSet {
+    fn new(n: usize) -> Self {
+        RankSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, r: usize) {
+        self.words[r / 64] |= 1 << (r % 64);
+    }
+
+    fn remove(&mut self, r: usize) {
+        self.words[r / 64] &= !(1 << (r % 64));
+    }
+
+    /// The smallest member `>= r`.
+    fn first_from(&self, r: usize) -> Option<usize> {
+        let mut w = r / 64;
+        let mut bits = self.words.get(w)? & (!0u64 << (r % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
 /// Schedules every block of a legalised kernel.
 pub fn schedule_kernel(
     lk: &LegalKernel,
@@ -354,6 +418,22 @@ pub fn schedule_kernel(
     Ok(KernelSchedule { blocks })
 }
 
+/// A block whose ops still issue at this cycle has not converged.
+const MAX_CYCLES: u32 = 1_000_000;
+
+/// Cycle-by-cycle list scheduling. Each cycle scans the candidates in
+/// priority order — height (descending), then op index — and places every
+/// op that fits the cycle's resources and, when the scan reaches it, has
+/// all predecessors placed with their latencies elapsed. A 0-latency (WAR)
+/// successor can therefore issue in the same cycle as its predecessor. (A
+/// predecessor's height is at least its successor's and its index is lower,
+/// so the priority order is topological: an op made ready during the scan
+/// always lies ahead of it.)
+///
+/// Only ready ops are scanned: a bitset over priority ranks, walked with a
+/// cursor that re-reads it, holds the ops that may issue now, and a heap
+/// keyed by the earliest cycle holds ops whose predecessors are placed but
+/// whose latencies have not elapsed.
 fn schedule_block(
     bid: usize,
     block: &LBlock,
@@ -361,10 +441,11 @@ fn schedule_block(
     m: &MachineConfig,
 ) -> Result<BlockSchedule, CompileError> {
     let n = block.ops.len();
-    let deps = build_deps(bid, block, m);
+    let deps = build_deps(block, m);
 
     // Successor lists and critical-path heights (ops are in topological
-    // order already: every dependence points backwards).
+    // order already: every dependence points backwards). The drain edges
+    // give each op a floor.
     let mut succs: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
     for (i, preds) in deps.preds.iter().enumerate() {
         for e in preds {
@@ -372,57 +453,82 @@ fn schedule_block(
         }
     }
     let mut height = vec![0u32; n];
+    for e in &deps.term_preds {
+        height[e.pred] = height[e.pred].max(e.lat);
+    }
     for i in (0..n).rev() {
-        let mut h = 0;
         for &(s, lat) in &succs[i] {
-            h = h.max(height[s] + lat);
+            height[i] = height[i].max(height[s] + lat);
         }
-        for e in &deps.term_preds {
-            if e.pred == i {
-                h = h.max(e.lat);
-            }
-        }
-        height[i] = h;
     }
 
-    // List scheduling.
+    // Priority order and each op's rank in it.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| height[b].cmp(&height[a]).then(a.cmp(&b)));
+    let mut rank = vec![0usize; n];
+    for (r, &i) in order.iter().enumerate() {
+        rank[i] = r;
+    }
+    let reqs: Vec<Requirements> = block.ops.iter().map(|lop| requirements(lop, lk)).collect();
+
     let mut cycle_of = vec![u32::MAX; n];
     let mut earliest = vec![0u32; n];
-    let mut remaining: Vec<usize> = (0..n).collect();
-    // Order candidates by height (desc) then index for determinism.
-    remaining.sort_by(|&a, &b| height[b].cmp(&height[a]).then(a.cmp(&b)));
+    let mut preds_left: Vec<usize> = deps.preds.iter().map(Vec::len).collect();
+    let mut ready = RankSet::new(n);
+    let mut waiting: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
+    for (i, &left) in preds_left.iter().enumerate() {
+        if left == 0 {
+            ready.insert(rank[i]);
+        }
+    }
 
     let mut table = ResTable::new(m.n_clusters as usize);
     let mut n_done = 0usize;
     let mut cycle = 0u32;
-    let mut preds_done = vec![0usize; n];
-    let n_preds: Vec<usize> = deps.preds.iter().map(std::vec::Vec::len).collect();
-
     while n_done < n {
-        let mut placed_any = false;
-        for &i in remaining.iter() {
-            if cycle_of[i] != u32::MAX || preds_done[i] < n_preds[i] || earliest[i] > cycle {
-                continue;
-            }
-            let req = requirements(&block.ops[i], lk);
-            if table.fits(cycle as usize, &req, m) {
-                table.take(cycle as usize, &req);
-                cycle_of[i] = cycle;
-                n_done += 1;
-                placed_any = true;
-                for &(s, lat) in &succs[i] {
-                    preds_done[s] += 1;
-                    earliest[s] = earliest[s].max(cycle + lat);
-                }
+        // Cycles in which nothing is ready stay empty: skip them.
+        if ready.first_from(0).is_none() {
+            if let Some(&Reverse((t, _))) = waiting.peek() {
+                cycle = cycle.max(t);
             }
         }
-        let _ = placed_any;
-        cycle += 1;
-        if cycle > 1_000_000 {
+        if cycle >= MAX_CYCLES {
             return Err(CompileError::BadSchedule(format!(
                 "block {bid}: scheduler did not converge"
             )));
         }
+        while let Some(&Reverse((t, i))) = waiting.peek() {
+            if t > cycle {
+                break;
+            }
+            waiting.pop();
+            ready.insert(rank[i]);
+        }
+        let mut cursor = 0;
+        while let Some(r) = ready.first_from(cursor) {
+            cursor = r + 1;
+            let i = order[r];
+            let req = reqs[i].as_slice();
+            if !table.fits(cycle as usize, req, m) {
+                continue;
+            }
+            table.take(cycle as usize, req);
+            ready.remove(r);
+            cycle_of[i] = cycle;
+            n_done += 1;
+            for &(s, lat) in &succs[i] {
+                earliest[s] = earliest[s].max(cycle + lat);
+                preds_left[s] -= 1;
+                if preds_left[s] == 0 {
+                    if earliest[s] <= cycle {
+                        ready.insert(rank[s]);
+                    } else {
+                        waiting.push(Reverse((earliest[s], s)));
+                    }
+                }
+            }
+        }
+        cycle += 1;
     }
 
     // Terminator placement.
@@ -509,8 +615,9 @@ fn store_opcode(w: MemWidth) -> Opcode {
 }
 
 /// Emits the final program: layout, physical registers, branch patching.
+/// The program takes over the kernel's name and data image.
 pub fn emit(
-    lk: &LegalKernel,
+    lk: LegalKernel,
     sched: &KernelSchedule,
     alloc: &RegAlloc,
     m: &MachineConfig,
@@ -666,7 +773,7 @@ pub fn emit(
         }
     }
 
-    Program::new(lk.name.clone(), insts, lk.data.clone())
+    Program::new(lk.name, insts, lk.data)
 }
 
 #[cfg(test)]
@@ -760,7 +867,7 @@ mod tests {
         let lk = legalize_xfers(&kernel, &asg, &m);
         let s = schedule_kernel(&lk, &m).unwrap();
         let alloc = allocate(&lk, &m).unwrap();
-        let p = emit(&lk, &s, &alloc, &m);
+        let p = emit(lk, &s, &alloc, &m);
         // mul at 0, nop at 1, add at 2 (+ halt padding)
         assert!(p.instructions[1].is_nop());
         assert!(p.validate(&m).is_ok());
@@ -780,7 +887,7 @@ mod tests {
         let lk = legalize_xfers(&kernel, &asg, &m);
         let s = schedule_kernel(&lk, &m).unwrap();
         let alloc = allocate(&lk, &m).unwrap();
-        let p = emit(&lk, &s, &alloc, &m);
+        let p = emit(lk, &s, &alloc, &m);
         let comm_inst = p
             .instructions
             .iter()

@@ -11,7 +11,9 @@
 
 use crate::cluster::LegalKernel;
 use crate::ir::{BinKind, CmpKind, IrOp, Kernel, MemWidth, Terminator, Val};
-use crate::schedule::{build_deps, requirements, result_latency, term_emits_op, KernelSchedule};
+use crate::schedule::{
+    build_deps, fu_index, requirements, result_latency, term_emits_op, KernelSchedule,
+};
 use crate::CompileError;
 use std::collections::HashMap;
 use vex_isa::{FuKind, MachineConfig};
@@ -26,7 +28,7 @@ pub fn verify_schedule(
 ) -> Result<(), CompileError> {
     for (bid, block) in lk.blocks.iter().enumerate() {
         let bs = &sched.blocks[bid];
-        let deps = build_deps(bid, block, m);
+        let deps = build_deps(block, m);
 
         // Dependence latencies.
         for (i, preds) in deps.preds.iter().enumerate() {
@@ -74,21 +76,11 @@ pub fn verify_schedule(
 
         // Resources.
         let mut used: HashMap<(u32, u8), (u8, [u8; 6])> = HashMap::new();
-        let fu_idx = |k: FuKind| -> usize {
-            match k {
-                FuKind::Alu => 0,
-                FuKind::Mul => 1,
-                FuKind::Mem => 2,
-                FuKind::Br => 3,
-                FuKind::Send => 4,
-                FuKind::Recv => 5,
-            }
-        };
         let mut charge = |cycle: u32, c: u8, k: FuKind| -> Result<(), CompileError> {
             let entry = used.entry((cycle, c)).or_insert((0, [0; 6]));
             entry.0 += 1;
-            entry.1[fu_idx(k)] += 1;
-            if entry.0 > m.cluster.slots || entry.1[fu_idx(k)] > m.cluster.count(k) {
+            entry.1[fu_index(k)] += 1;
+            if entry.0 > m.cluster.slots || entry.1[fu_index(k)] > m.cluster.count(k) {
                 return Err(CompileError::BadSchedule(format!(
                     "block {bid}: cycle {cycle} cluster {c} over-subscribed ({k:?})"
                 )));
@@ -96,7 +88,7 @@ pub fn verify_schedule(
             Ok(())
         };
         for (i, lop) in block.ops.iter().enumerate() {
-            for (c, k) in requirements(lop, lk) {
+            for &(c, k) in requirements(lop, lk).as_slice() {
                 charge(bs.cycle[i], c, k)?;
             }
         }

@@ -6,14 +6,20 @@
 //! * the verifier is a *real* oracle: corrupting a valid schedule makes it
 //!   fail (meta-test);
 //! * compiled code is functionally equal to the sequential interpreter
-//!   when replayed instruction-by-instruction in program order.
+//!   when replayed instruction-by-instruction in program order;
+//! * the ready-list scheduler places every op exactly where the plain
+//!   cycle-by-cycle scan over all ops would.
 
 use proptest::prelude::*;
-use vex_compiler::cluster::{assign_clusters, legalize_xfers};
+use std::cmp::Reverse;
+use std::collections::HashMap;
+use vex_compiler::cluster::{assign_clusters, legalize_xfers, LegalKernel};
 use vex_compiler::ir::{BinKind, CmpKind, Kernel, KernelBuilder, MemWidth, Val};
-use vex_compiler::schedule::schedule_kernel;
+use vex_compiler::schedule::{
+    build_deps, requirements, result_latency, schedule_kernel, term_emits_op,
+};
 use vex_compiler::{compile, verify};
-use vex_isa::MachineConfig;
+use vex_isa::{FuKind, MachineConfig};
 
 fn bin_kind(i: u8) -> BinKind {
     [
@@ -65,7 +71,158 @@ fn build(spec: &[(u8, u8, u8, u8)], n_regs: u8, iters: u8) -> Kernel {
     k.finish()
 }
 
+/// Builds a kernel whose loop body holds a few hundred ops over `n_regs`
+/// registers spread across `n_clusters` clusters: ALU and multiply ops,
+/// compare + select pairs, loads and stores through a register base that is
+/// sometimes redefined, and WAR chains — runs of ops each overwriting the
+/// register its predecessor read, so 0-latency edges link them.
+fn build_long(spec: &[(u8, u8, u8, u8)], n_regs: u8, n_clusters: u8) -> Kernel {
+    let mut k = KernelBuilder::new("long");
+    let body = k.new_block();
+    let exit = k.new_block();
+    let regs: Vec<_> = (0..n_regs).map(|j| k.vreg_on(j % n_clusters)).collect();
+    let ptr = k.vreg_on(0);
+    let i = k.vreg_on(0);
+    for (j, &r) in regs.iter().enumerate() {
+        k.movi(r, j as i32 * 7 + 1);
+    }
+    k.movi(ptr, 0x4000);
+    k.movi(i, 0);
+    k.jump(body);
+    k.switch_to(body);
+    let r = |x: u8| regs[x as usize % regs.len()];
+    for &(sel, d, a, b) in spec {
+        let base = if b & 1 == 0 {
+            Val::V(ptr)
+        } else {
+            Val::Imm(0x4000)
+        };
+        let off = (b as i32 >> 1) % 16 * 4;
+        match sel % 8 {
+            0..=2 => k.bin(bin_kind(sel / 8), r(d), r(a), r(b)),
+            3 => {
+                for j in 0..a % 8 + 2 {
+                    let x = d.wrapping_add(j);
+                    k.bin(bin_kind(b), r(x), r(x.wrapping_add(1)), j as i32);
+                }
+            }
+            4 => k.store(MemWidth::W, r(a), base, off, sel / 8 % 2),
+            5 => k.load(MemWidth::W, r(d), base, off, sel / 8 % 2),
+            6 => k.select(CmpKind::Lt, r(d), r(a), r(b), r(b), 1),
+            _ => k.add(ptr, ptr, (a % 2) as i32 * 4),
+        }
+    }
+    k.add(i, i, 1);
+    k.cond_br(CmpKind::Lt, i, 3, body, exit);
+    k.switch_to(exit);
+    k.halt();
+    k.finish()
+}
+
+/// The list scheduler written as plainly as possible: every cycle, scan all
+/// ops in priority order (height descending, then index) and place each
+/// unplaced one whose predecessors are all placed with their latencies
+/// elapsed and whose resources fit. Returns `(cycle, term_cycle, len)` per
+/// block.
+fn reference_schedule(lk: &LegalKernel, m: &MachineConfig) -> Vec<(Vec<u32>, u32, u32)> {
+    let mut out = Vec::new();
+    for (bid, block) in lk.blocks.iter().enumerate() {
+        let n = block.ops.len();
+        let deps = build_deps(block, m);
+        let mut height = vec![0u32; n];
+        for i in (0..n).rev() {
+            for (s, preds) in deps.preds.iter().enumerate() {
+                for e in preds.iter().filter(|e| e.pred == i) {
+                    height[i] = height[i].max(height[s] + e.lat);
+                }
+            }
+            for e in deps.term_preds.iter().filter(|e| e.pred == i) {
+                height[i] = height[i].max(e.lat);
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| (Reverse(height[i]), i));
+
+        let mut slots: HashMap<(u32, u8), u8> = HashMap::new();
+        let mut units: HashMap<(u32, u8, FuKind), u8> = HashMap::new();
+        let mut place = |t: u32, req: &[(u8, FuKind)]| {
+            let fits = req.iter().all(|&(c, k)| {
+                slots.get(&(t, c)).map_or(0, |&u| u) < m.cluster.slots
+                    && units.get(&(t, c, k)).map_or(0, |&u| u) < m.cluster.count(k)
+            });
+            if fits {
+                for &(c, k) in req {
+                    *slots.entry((t, c)).or_default() += 1;
+                    *units.entry((t, c, k)).or_default() += 1;
+                }
+            }
+            fits
+        };
+        let mut cycle_of = vec![u32::MAX; n];
+        let mut cycle = 0;
+        while cycle_of.contains(&u32::MAX) {
+            for &i in &order {
+                let ready = cycle_of[i] == u32::MAX
+                    && deps.preds[i]
+                        .iter()
+                        .all(|e| cycle_of[e.pred] != u32::MAX && cycle_of[e.pred] + e.lat <= cycle);
+                if ready && place(cycle, requirements(&block.ops[i], lk).as_slice()) {
+                    cycle_of[i] = cycle;
+                }
+            }
+            cycle += 1;
+            assert!(cycle < 100_000, "block {bid} did not converge");
+        }
+
+        let term_earliest = deps
+            .term_preds
+            .iter()
+            .map(|e| cycle_of[e.pred] + e.lat)
+            .max();
+        if term_emits_op(bid, &block.term) {
+            let mut t = term_earliest.unwrap_or(0);
+            while !place(t, &[(block.term_cluster, FuKind::Br)]) {
+                t += 1;
+            }
+            out.push((cycle_of, t, t + 1));
+        } else {
+            let len = (0..n)
+                .map(|i| cycle_of[i] + result_latency(&block.ops[i].op, m))
+                .max();
+            let len = len.unwrap_or(0);
+            out.push((cycle_of, len.saturating_sub(1), len.max(u32::from(n > 0))));
+        }
+    }
+    out
+}
+
 proptest! {
+    /// The ready-list scheduler agrees with the reference scan on every
+    /// block, across machine shapes with different resource pressure.
+    #[test]
+    fn ready_list_scheduler_matches_the_reference_scan(
+        spec in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 50..300),
+        n_regs in 4u8..16,
+        machine in 0u8..4,
+    ) {
+        let m = match machine {
+            0 => MachineConfig::paper_4c4w(),
+            1 => MachineConfig::narrow_2c(),
+            2 => MachineConfig::small(1, 4),
+            _ => MachineConfig::small(4, 2),
+        };
+        let kernel = build_long(&spec, n_regs, m.n_clusters);
+        let lk = legalize_xfers(&kernel, &assign_clusters(&kernel, &m), &m);
+        let got = schedule_kernel(&lk, &m).expect("random kernel must schedule");
+        let want = reference_schedule(&lk, &m);
+        prop_assert_eq!(got.blocks.len(), want.len());
+        for (bid, (b, (cycle, term_cycle, len))) in got.blocks.iter().zip(want).enumerate() {
+            prop_assert_eq!(&b.cycle, &cycle, "block {} op cycles", bid);
+            prop_assert_eq!((b.term_cycle, b.len), (term_cycle, len), "block {} end", bid);
+        }
+        verify::verify_schedule(&lk, &got, &m).expect("schedule verifies");
+    }
+
     /// Compilation never produces an invalid program, whatever the kernel.
     #[test]
     fn random_kernels_compile_clean(
@@ -115,7 +272,7 @@ proptest! {
         }
         // Blocks whose every op is independent and resource-free can evade
         // corruption; only assert when the block has real structure.
-        let has_deps = vex_compiler::schedule::build_deps(1, &lk.blocks[1], &m)
+        let has_deps = vex_compiler::schedule::build_deps(&lk.blocks[1], &m)
             .preds
             .iter()
             .any(|p| !p.is_empty());
