@@ -121,7 +121,8 @@ RUN OPTIONS:
                                           it; --trace overrides the spec's
                                           `trace` knob)
     --profile                             print the simulator fast-path profile
-                                          (cache filters, TLBs, issue scans)
+                                          (cache miss ratios, issue scans,
+                                          evaluated operations)
     --trace FILE                          stream the run's event trace to FILE
                                           in the binary .vext format
 

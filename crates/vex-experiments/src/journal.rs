@@ -16,7 +16,8 @@
 //! (CRC-32 over the payload), so replay can always tell a complete record
 //! from a torn one: a crash mid-append leaves a truncated or garbled tail,
 //! which [`Journal::open_resume`] detects, reports, and drops — never a
-//! fatal error. The payload is line-oriented text:
+//! fatal error. The framing is [`FramedLog`], which `vex serve`'s
+//! submission log uses too. The journal's payload is line-oriented text:
 //!
 //! ```text
 //! key=<16 hex digits>        content-addressed point identity
@@ -54,7 +55,11 @@ use vex_isa::Program;
 use vex_sim::{SimStats, StopReason};
 use vex_spec::RunSpec;
 
-const MAGIC: &str = "VEXJ 1\n";
+/// The sweep journal's header and name.
+const JOURNAL: LogKind = LogKind {
+    magic: "VEXJ 1\n",
+    name: "vex sweep journal",
+};
 
 // ---- hashing --------------------------------------------------------
 
@@ -371,107 +376,115 @@ impl Drop for LockGuard {
     }
 }
 
-/// An open journal file, positioned for appending. Holds the advisory
-/// lock ([`LockGuard`]) for as long as it is open.
-#[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
-    file: File,
-    _lock: LockGuard,
+// ---- framed log -------------------------------------------------------
+
+/// What a [`FramedLog`] is called and how its file starts.
+#[derive(Clone, Copy, Debug)]
+pub struct LogKind {
+    /// The header line the file starts with (`"VEXJ 1\n"`).
+    pub magic: &'static str,
+    /// Its name in error messages (`"vex sweep journal"`).
+    pub name: &'static str,
 }
 
-impl Journal {
-    /// Creates (or truncates) a journal at `path` and writes the header.
-    /// Takes the advisory lock; fails fast if another live process holds
-    /// it.
-    pub fn create(path: &Path) -> Result<Journal, String> {
-        let lock = LockGuard::acquire(path)?;
-        Journal::create_locked(path, lock)
-    }
+/// An append-only file of CRC-framed records behind a header line:
+///
+/// ```text
+/// <magic>
+/// +<len:hex> <crc32:08x>\n<payload of exactly len bytes>\n
+/// ...
+/// ```
+///
+/// Every write ends with `fdatasync`; creating the file also syncs its
+/// directory ([`sync_parent_dir`]). Opening an existing file keeps its
+/// longest prefix of valid records and truncates the rest, so appends
+/// always start on a record boundary.
+#[derive(Debug)]
+pub struct FramedLog {
+    path: PathBuf,
+    file: File,
+    kind: LogKind,
+}
 
-    fn create_locked(path: &Path, lock: LockGuard) -> Result<Journal, String> {
+impl FramedLog {
+    /// Creates (or truncates) the file at `path` and writes the header.
+    pub fn create(path: &Path, kind: LogKind) -> Result<FramedLog, String> {
+        let name = kind.name;
         let mut file = File::create(path)
-            .map_err(|e| format!("cannot create journal `{}`: {e}", path.display()))?;
-        file.write_all(MAGIC.as_bytes())
+            .map_err(|e| format!("cannot create {name} `{}`: {e}", path.display()))?;
+        file.write_all(kind.magic.as_bytes())
             .and_then(|_| file.sync_data())
-            .map_err(|e| format!("cannot write journal `{}`: {e}", path.display()))?;
+            .map_err(|e| format!("cannot write {name} `{}`: {e}", path.display()))?;
         // Make the directory entry durable too: without this, a crash
         // right after creation can lose the whole file even though its
         // contents were synced.
         sync_parent_dir(path)?;
-        Ok(Journal {
+        Ok(FramedLog {
             path: path.to_path_buf(),
             file,
-            _lock: lock,
+            kind,
         })
     }
 
-    /// Opens an existing journal for resume: replays every valid record,
-    /// truncates any torn tail, and returns the journal positioned for
-    /// appending. A missing file is not an error — it starts fresh.
-    /// Takes the advisory lock first, like [`Journal::create`].
-    pub fn open_resume(path: &Path) -> Result<(Journal, Vec<JournalEntry>, ReplayReport), String> {
-        let lock = LockGuard::acquire(path)?;
+    /// Opens the file at `path` for appending after its valid records.
+    /// `accept` sees each checksum-valid payload in order; the first one
+    /// it rejects ends the valid prefix like a torn record does. Returns
+    /// the log and the number of bytes dropped after that prefix.
+    ///
+    /// A missing file starts fresh. So does a strict prefix of the header
+    /// (including an empty file): a crash can tear even the first write.
+    /// Any other file without the header was never such a log, and is
+    /// refused rather than clobbered.
+    pub fn open(
+        path: &Path,
+        kind: LogKind,
+        mut accept: impl FnMut(&str) -> bool,
+    ) -> Result<(FramedLog, u64), String> {
         if !path.exists() {
-            let j = Journal::create_locked(path, lock)?;
-            return Ok((j, Vec::new(), ReplayReport::default()));
+            return Ok((FramedLog::create(path, kind)?, 0));
         }
+        let name = kind.name;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
-            .map_err(|e| format!("cannot open journal `{}`: {e}", path.display()))?;
+            .map_err(|e| format!("cannot open {name} `{}`: {e}", path.display()))?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)
-            .map_err(|e| format!("cannot read journal `{}`: {e}", path.display()))?;
-        if !bytes.starts_with(MAGIC.as_bytes()) {
-            // A crash can tear even the very first write: a strict prefix
-            // of the magic is *our* torn header, so rewrite it and start
-            // fresh. Anything else was never a journal — refuse to
-            // clobber what is probably an operator error.
-            if MAGIC.as_bytes().starts_with(&bytes) {
+            .map_err(|e| format!("cannot read {name} `{}`: {e}", path.display()))?;
+        let magic = kind.magic.as_bytes();
+        if !bytes.starts_with(magic) {
+            if magic.starts_with(&bytes) {
                 drop(file);
-                let j = Journal::create_locked(path, lock)?;
-                return Ok((
-                    j,
-                    Vec::new(),
-                    ReplayReport {
-                        valid: 0,
-                        dropped_bytes: bytes.len() as u64,
-                    },
-                ));
+                return Ok((FramedLog::create(path, kind)?, bytes.len() as u64));
             }
             return Err(format!(
-                "`{}` is not a vex sweep journal (missing `VEXJ 1` header)",
-                path.display()
+                "`{}` is not a {name} (missing `{}` header)",
+                path.display(),
+                kind.magic.trim_end()
             ));
         }
-
-        let (entries, valid_end) = replay(&bytes);
-        let report = ReplayReport {
-            valid: entries.len(),
-            dropped_bytes: (bytes.len() - valid_end) as u64,
-        };
-        // Drop the torn tail so subsequent appends start on a record
-        // boundary.
+        let mut valid_end = magic.len();
+        while let Some((payload, len)) = parse_frame(&bytes[valid_end..]) {
+            if !accept(payload) {
+                break;
+            }
+            valid_end += len;
+        }
         file.set_len(valid_end as u64)
             .and_then(|_| file.seek(SeekFrom::End(0)))
             .and_then(|_| file.sync_data())
-            .map_err(|e| format!("cannot truncate journal `{}`: {e}", path.display()))?;
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file,
-                _lock: lock,
-            },
-            entries,
-            report,
-        ))
+            .map_err(|e| format!("cannot truncate {name} `{}`: {e}", path.display()))?;
+        let log = FramedLog {
+            path: path.to_path_buf(),
+            file,
+            kind,
+        };
+        Ok((log, (bytes.len() - valid_end) as u64))
     }
 
     /// Appends one record and syncs it to disk before returning.
-    pub fn append(&mut self, entry: &JournalEntry) -> Result<(), String> {
-        let payload = entry.to_payload();
+    pub fn append(&mut self, payload: &str) -> Result<(), String> {
         let record = format!(
             "+{:x} {:08x}\n{payload}\n",
             payload.len(),
@@ -480,32 +493,15 @@ impl Journal {
         self.file
             .write_all(record.as_bytes())
             .and_then(|_| self.file.sync_data())
-            .map_err(|e| format!("cannot append to journal `{}`: {e}", self.path.display()))
+            .map_err(|e| {
+                let name = self.kind.name;
+                format!("cannot append to {name} `{}`: {e}", self.path.display())
+            })
     }
 
-    /// The journal's path (for diagnostics).
+    /// The file's path (for diagnostics).
     pub fn path(&self) -> &Path {
         &self.path
-    }
-}
-
-/// Walks the record stream, returning every valid entry and the byte
-/// offset where validity ends. Any malformed frame — truncated header,
-/// short payload, checksum mismatch, unparsable fields — stops the walk
-/// there; everything before it is kept.
-fn replay(bytes: &[u8]) -> (Vec<JournalEntry>, usize) {
-    let mut entries = Vec::new();
-    let mut pos = MAGIC.len();
-    loop {
-        let Some(frame_end) = parse_frame(&bytes[pos..]) else {
-            return (entries, pos);
-        };
-        let (payload, next) = frame_end;
-        match JournalEntry::from_payload(payload) {
-            Ok(e) => entries.push(e),
-            Err(_) => return (entries, pos),
-        }
-        pos += next;
     }
 }
 
@@ -513,9 +509,6 @@ fn replay(bytes: &[u8]) -> (Vec<JournalEntry>, usize) {
 /// Returns the payload and the frame's total length, or `None` if the
 /// frame is incomplete or invalid.
 fn parse_frame(rest: &[u8]) -> Option<(&str, usize)> {
-    if rest.is_empty() {
-        return None;
-    }
     let nl = rest.iter().position(|&b| b == b'\n')?;
     let header = std::str::from_utf8(&rest[..nl]).ok()?;
     let (len_hex, crc_hex) = header.strip_prefix('+')?.split_once(' ')?;
@@ -532,6 +525,63 @@ fn parse_frame(rest: &[u8]) -> Option<(&str, usize)> {
         return None;
     }
     Some((std::str::from_utf8(payload).ok()?, body_end + 1))
+}
+
+// ---- the journal --------------------------------------------------------
+
+/// An open journal file, positioned for appending. Holds the advisory
+/// lock ([`LockGuard`]) for as long as it is open.
+#[derive(Debug)]
+pub struct Journal {
+    log: FramedLog,
+    _lock: LockGuard,
+}
+
+impl Journal {
+    /// Creates (or truncates) a journal at `path` and writes the header.
+    /// Takes the advisory lock; fails fast if another live process holds
+    /// it.
+    pub fn create(path: &Path) -> Result<Journal, String> {
+        let lock = LockGuard::acquire(path)?;
+        Ok(Journal {
+            log: FramedLog::create(path, JOURNAL)?,
+            _lock: lock,
+        })
+    }
+
+    /// Opens an existing journal for resume: replays every valid record,
+    /// truncates any torn tail, and returns the journal positioned for
+    /// appending. A record whose payload does not parse ends the valid
+    /// prefix. A missing file is not an error — it starts fresh. Takes
+    /// the advisory lock first, like [`Journal::create`].
+    pub fn open_resume(path: &Path) -> Result<(Journal, Vec<JournalEntry>, ReplayReport), String> {
+        let lock = LockGuard::acquire(path)?;
+        let mut entries = Vec::new();
+        let (log, dropped_bytes) = FramedLog::open(path, JOURNAL, |payload| {
+            match JournalEntry::from_payload(payload) {
+                Ok(e) => {
+                    entries.push(e);
+                    true
+                }
+                Err(_) => false,
+            }
+        })?;
+        let report = ReplayReport {
+            valid: entries.len(),
+            dropped_bytes,
+        };
+        Ok((Journal { log, _lock: lock }, entries, report))
+    }
+
+    /// Appends one record and syncs it to disk before returning.
+    pub fn append(&mut self, entry: &JournalEntry) -> Result<(), String> {
+        self.log.append(&entry.to_payload())
+    }
+
+    /// The journal's path (for diagnostics).
+    pub fn path(&self) -> &Path {
+        self.log.path()
+    }
 }
 
 #[cfg(test)]
@@ -718,8 +768,8 @@ mod tests {
         // A crash cut the very first write mid-magic: every strict prefix
         // of `VEXJ 1\n` (including the empty file) must be recognised as
         // ours and rewritten, not refused as a foreign file.
-        for cut in 0..MAGIC.len() {
-            std::fs::write(&path, &MAGIC.as_bytes()[..cut]).unwrap();
+        for cut in 0..JOURNAL.magic.len() {
+            std::fs::write(&path, &JOURNAL.magic.as_bytes()[..cut]).unwrap();
             let (mut j, entries, report) = Journal::open_resume(&path).unwrap();
             assert!(entries.is_empty());
             assert_eq!(report.dropped_bytes, cut as u64);

@@ -40,7 +40,7 @@ pub use backoff::{BackoffPolicy, NoSleep, OsSleeper, Sleeper};
 pub use fault::FaultPlan;
 pub use jobs::{prepare_programs, single_point_spec, spec_point_keys};
 pub use journal::{
-    point_key, program_digest, sync_parent_dir, Journal, JournalEntry, LockGuard, ReplayReport,
+    point_key, program_digest, FramedLog, Journal, JournalEntry, LockGuard, LogKind, ReplayReport,
 };
 pub use runner::{PointError, PointFailure, PointResult, SweepOutcome, SweepRunner};
 /// The run-scale presets now live in `vex-sim` next to `SimConfig` (one

@@ -72,63 +72,13 @@ struct Line {
     last_use: u64,
 }
 
-/// Entries in the MRU filter (direct-mapped by ASID low bits and line-index
-/// low bits): the interleaved per-thread access streams of an SMT run each
-/// keep their own latches, so one thread's fetches do not evict another's —
-/// and folding in the line index gives each thread several latches, so a
-/// loop body straddling two I-lines (or a thread alternating between two
-/// data structures) does not ping-pong a single latch into full set walks.
-const MRU_WAYS: usize = 32;
-
-/// Filter slot for `(asid, line_idx)`. Eight latches per ASID class,
-/// selected by the line index's low bits; adjacent lines land in different
-/// slots, which is what makes the multi-line-loop pattern stick.
-#[inline]
-fn mru_slot(asid: u16, line_idx: u32) -> usize {
-    ((asid as usize) << 3 | (line_idx as usize & 7)) & (MRU_WAYS - 1)
-}
-
-/// Fetch-memo slots (one per ASID class, selected by ASID low bits).
-const FETCH_MEMOS: usize = 16;
-
-/// One thread's instruction-fetch memo: the line its fetch stream is
-/// currently parked on. While the memo holds, repeat fetches of the line
-/// return hit without touching the set arrays at all; the skipped
-/// recency updates are *deferred* (`touched`) and replayed by
-/// [`Cache::retire_memo`] the moment anything else accesses the same set,
-/// which is what keeps the LRU state exactly equal to the memo-less cache
-/// (see `access_line` for the argument).
-#[derive(Clone, Copy, Debug)]
-struct FetchMemo {
-    /// Memoized line's tag (`asid << 32 | line`), [`INVALID_TAG`] if empty.
-    tag: u64,
-    /// The line's set index (for the `memo_sets` collision bitmap).
-    set: u32,
-    /// Whether any touch was absorbed and still needs replaying.
-    touched: bool,
-}
-
-const EMPTY_MEMO: FetchMemo = FetchMemo {
-    tag: INVALID_TAG,
-    set: 0,
-    touched: false,
-};
-
 /// A set-associative, allocate-on-miss, true-LRU cache.
 ///
 /// The cache carries no data — it only answers "would this access hit?" —
 /// because the simulator keeps architectural bytes in [`crate::Memory`].
 /// Stores allocate like loads (write-allocate); write-back traffic is not
 /// modelled separately, matching the paper's single "miss penalty" cost.
-///
-/// An MRU *filter* — a tiny direct-mapped (by ASID and line low bits) cache
-/// of `(tag, way index)` pairs — sits in front of the set arrays:
-/// re-accessing one of a thread's recent lines (the dominant pattern of the
-/// sequential I-fetch stream) skips the set walk and goes straight to the
-/// resident way. The filter is invisible to the timing model: a filter
-/// hit performs the *identical* `last_use`/`tick`/counter updates the
-/// full-path hit would, it merely skips locating the way, so LRU state
-/// and stats are equal to the unfiltered cache by construction.
+/// Every access walks its set's ways once.
 #[derive(Clone, Debug)]
 pub struct Cache {
     params: CacheParams,
@@ -137,19 +87,6 @@ pub struct Cache {
     set_mask: u32,
     tick: u64,
     stats: CacheStats,
-    /// MRU filter: `(tag, index into lines)` per [`mru_slot`]. Invariant:
-    /// an entry with a real tag always points at the way currently holding
-    /// that tag (fills sweep the filter for the evicted tag, and hits
-    /// never move lines). [`Cache::flush`] resets it.
-    mru: [(u64, u32); MRU_WAYS],
-    /// Accesses absorbed by the MRU filter (a subset of `stats.hits`).
-    filter_hits: u64,
-    /// Per-ASID-class instruction-fetch memos (see [`FetchMemo`]).
-    fetch_memos: [FetchMemo; FETCH_MEMOS],
-    /// Per-set bitmask of `fetch_memos` slots currently parked on that
-    /// set. Non-zero means an access to the set must first retire those
-    /// memos (replay their deferred touches) to keep LRU order exact.
-    memo_sets: Vec<u16>,
     /// Tag evicted by the most recent allocating miss ([`INVALID_TAG`]
     /// before the first eviction). Diagnostic: lets the model-based tests
     /// pin the *eviction order*, not just the counts.
@@ -175,10 +112,6 @@ impl Cache {
             set_mask: n_sets - 1,
             tick: 0,
             stats: CacheStats::default(),
-            mru: [(INVALID_TAG, 0); MRU_WAYS],
-            filter_hits: 0,
-            fetch_memos: [EMPTY_MEMO; FETCH_MEMOS],
-            memo_sets: vec![0; n_sets as usize],
             last_victim: INVALID_TAG,
         }
     }
@@ -196,18 +129,11 @@ impl Cache {
     /// Resets counters (not contents).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-        self.filter_hits = 0;
-    }
-
-    /// Accesses absorbed by the MRU filter so far (a subset of
-    /// `stats().hits` — the filter is timing-transparent).
-    pub fn filter_hits(&self) -> u64 {
-        self.filter_hits
     }
 
     /// Tag evicted by the most recent allocating miss, or `None` if no
-    /// eviction has happened since construction/flush. Tags combine the
-    /// ASID (high 32 bits) with the line index, as stored in the ways.
+    /// eviction has happened since construction. Tags combine the ASID
+    /// (high 32 bits) with the line index, as stored in the ways.
     pub fn last_victim(&self) -> Option<u64> {
         match self.last_victim {
             INVALID_TAG => None,
@@ -217,9 +143,7 @@ impl Cache {
 
     /// Recency order of a set's resident tags, most recently used first
     /// (diagnostic: the model-based tests compare this against a reference
-    /// LRU to pin future eviction order). Filter hits perform the same
-    /// `last_use` update as full-path hits, so this order matches an
-    /// unfiltered cache exactly.
+    /// LRU to pin future eviction order).
     pub fn set_recency(&self, set: u32) -> Vec<u64> {
         let ways = self.params.assoc as usize;
         let base = (set & self.set_mask) as usize * ways;
@@ -231,21 +155,6 @@ impl Cache {
         resident.iter().map(|l| l.tag).collect()
     }
 
-    /// Invalidates all lines and clears statistics. Also drops the MRU
-    /// filter: its tags are no longer resident, so letting them survive
-    /// would turn post-flush accesses into phantom hits.
-    pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            l.tag = INVALID_TAG;
-        }
-        self.stats = CacheStats::default();
-        self.mru = [(INVALID_TAG, 0); MRU_WAYS];
-        self.filter_hits = 0;
-        self.fetch_memos = [EMPTY_MEMO; FETCH_MEMOS];
-        self.memo_sets.fill(0);
-        self.last_victim = INVALID_TAG;
-    }
-
     /// Accesses `addr` in address space `asid`; allocates on miss.
     /// Returns `true` on hit.
     #[inline]
@@ -254,51 +163,26 @@ impl Cache {
     }
 
     /// Accesses cache line `line_idx` (`addr >> log2(line_bytes)`) in
-    /// address space `asid`. This is the hot entry point: callers that walk
-    /// several consecutive lines of one fetch (see `MemSystem::fetch_access`)
-    /// step the line index directly instead of recomputing set and tag from
-    /// a byte address each time.
-    ///
-    /// The MRU-filter fast path goes straight to the resident way: it
-    /// performs exactly the updates the full hit path would (`tick`,
-    /// `last_use`, hit counter) and skips only the set/way *search*, so
-    /// the timing model cannot observe the filter at all.
+    /// address space `asid`. Callers that walk several consecutive lines
+    /// of one fetch (see `MemSystem::fetch_access`) step the line index
+    /// directly instead of recomputing set and tag from a byte address
+    /// each time.
     #[inline]
     pub fn access_line(&mut self, asid: u16, line_idx: u32) -> bool {
-        // Any access retires the fetch memos parked on its set *first*:
-        // their deferred touches happened strictly earlier in the access
-        // stream, so replaying them now, before this access's own recency
-        // update, reproduces the memo-less cache's `last_use` order
-        // exactly — and no eviction can ever consult a stale order,
-        // because the miss path below runs after this replay.
-        let memo_set = (line_idx & self.set_mask) as usize;
-        if self.memo_sets[memo_set] != 0 {
-            self.retire_set(memo_set);
-        }
         // ASID folded into the tag once; validity is folded in too
         // (INVALID_TAG), so the hit loop is one compare per way.
         let tag = ((asid as u64) << 32) | line_idx as u64;
-        let slot = mru_slot(asid, line_idx);
-        let (mru_tag, mru_idx) = self.mru[slot];
-        if tag == mru_tag {
-            self.filter_hits += 1;
-            self.tick += 1;
-            self.lines[mru_idx as usize].last_use = self.tick;
-            self.stats.hits += 1;
-            return true;
-        }
         self.tick += 1;
         let set = (line_idx & self.set_mask) as usize;
         let ways = self.params.assoc as usize;
         let base = set * ways;
         let set_lines = &mut self.lines[base..base + ways];
 
-        // Hit path: touch, latch and return.
-        for (w, line) in set_lines.iter_mut().enumerate() {
+        // Hit path: touch and return.
+        for line in set_lines.iter_mut() {
             if line.tag == tag {
                 line.last_use = self.tick;
                 self.stats.hits += 1;
-                self.mru[slot] = (tag, (base + w) as u32);
                 return true;
             }
         }
@@ -321,114 +205,13 @@ impl Cache {
         }
         if set_lines[victim].tag != INVALID_TAG {
             self.stats.evictions += 1;
-            let victim_tag = set_lines[victim].tag;
-            self.last_victim = victim_tag;
-            // Preserve the filter invariant: any slot latching the evicted
-            // tag no longer points at a way holding it. Runs on the (rare)
-            // eviction path only.
-            for e in &mut self.mru {
-                if e.0 == victim_tag {
-                    e.0 = INVALID_TAG;
-                }
-            }
+            self.last_victim = set_lines[victim].tag;
         }
         set_lines[victim] = Line {
             tag,
             last_use: self.tick,
         };
-        // The freshly filled line is this ASID's most recent access.
-        self.mru[slot] = (tag, (base + victim) as u32);
         false
-    }
-
-    /// Instruction-fetch entry point: like [`Cache::access_line`] but
-    /// memoized per ASID class. The sequential fetch stream of a thread
-    /// re-accesses its current line for many instructions in a row; while
-    /// nothing else touches that line's set, each repeat is a guaranteed
-    /// hit whose only model effect is moving an already-most-recent line
-    /// to most-recent — a no-op on the LRU *order*. The memo therefore
-    /// answers those repeats with two loads and a compare, counts them
-    /// normally, and defers the `tick`/`last_use` bookkeeping to
-    /// [`Cache::retire_memo`], which replays it before any other access
-    /// to the set can observe (or evict on) a stale order. Hit/miss
-    /// sequences, stats and eviction order are equal to calling
-    /// [`Cache::access_line`] directly — the property tests pin this
-    /// against the unfiltered reference model.
-    #[inline]
-    pub fn fetch_line(&mut self, asid: u16, line_idx: u32) -> bool {
-        let slot = (asid as usize) & (FETCH_MEMOS - 1);
-        let tag = ((asid as u64) << 32) | line_idx as u64;
-        if self.fetch_memos[slot].tag == tag {
-            self.fetch_memos[slot].touched = true;
-            self.stats.hits += 1;
-            self.filter_hits += 1;
-            return true;
-        }
-        // The stream moved to another line (or another ASID shares the
-        // slot): replay the old memo's deferred touch, take the full
-        // path, and re-park on the new line if it is resident.
-        self.retire_memo(slot);
-        let hit = self.access_line(asid, line_idx);
-        if hit {
-            let set = line_idx & self.set_mask;
-            self.fetch_memos[slot] = FetchMemo {
-                tag,
-                set,
-                touched: false,
-            };
-            self.memo_sets[set as usize] |= 1 << slot;
-        }
-        hit
-    }
-
-    /// Retires one fetch memo: replays its deferred recency touch (the
-    /// memoized line becomes the set's most recent, exactly as the
-    /// skipped [`Cache::access_line`] calls would have left it) and
-    /// empties the slot.
-    fn retire_memo(&mut self, slot: usize) {
-        let m = self.fetch_memos[slot];
-        if m.tag == INVALID_TAG {
-            return;
-        }
-        self.memo_sets[m.set as usize] &= !(1 << slot);
-        self.fetch_memos[slot] = EMPTY_MEMO;
-        if m.touched {
-            self.tick += 1;
-            let ways = self.params.assoc as usize;
-            let base = m.set as usize * ways;
-            // The line is still resident: no eviction can have happened
-            // in this set while the memo held (every access retires the
-            // set's memos before its own hit/miss processing).
-            for line in &mut self.lines[base..base + ways] {
-                if line.tag == m.tag {
-                    line.last_use = self.tick;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Retires every fetch memo parked on `set` (slow path of
-    /// [`Cache::access_line`], taken only when the bitmap says a memo is
-    /// in the way).
-    #[cold]
-    fn retire_set(&mut self, set: usize) {
-        let mut bits = self.memo_sets[set];
-        while bits != 0 {
-            let slot = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.retire_memo(slot);
-        }
-    }
-
-    /// Retires all fetch memos, folding every deferred recency touch into
-    /// the set arrays. Diagnostic entry for tests and end-of-run
-    /// inspection ([`Cache::set_recency`] reflects deferred touches only
-    /// after this).
-    pub fn retire_fetch_memos(&mut self) {
-        for slot in 0..FETCH_MEMOS {
-            self.retire_memo(slot);
-        }
     }
 }
 
@@ -488,49 +271,15 @@ mod tests {
     }
 
     #[test]
-    fn flush_invalidates() {
-        let mut c = tiny();
-        c.access(0, 0x00);
-        c.flush();
-        assert!(!c.access(0, 0x00));
-    }
-
-    #[test]
-    fn mru_filter_absorbs_repeat_accesses() {
-        let mut c = tiny();
-        assert!(!c.access(0, 0x00)); // miss fills and latches
-        assert_eq!(c.filter_hits(), 0);
-        assert!(c.access(0, 0x00)); // same line: filter hit
-        assert!(c.access(0, 0x0f)); // still the same line
-        assert_eq!(c.filter_hits(), 2);
-        assert_eq!(c.stats().hits, 2, "filter hits count as plain hits");
-        assert!(!c.access(1, 0x00), "different ASID must not filter-hit");
-    }
-
-    #[test]
-    fn flush_drops_the_mru_filter() {
-        // The respawn path: a flush after a latched access must not leave
-        // a phantom resident line behind.
-        let mut c = tiny();
-        c.access(0, 0x00);
-        c.access(0, 0x00); // latched
-        c.flush();
-        assert_eq!(c.filter_hits(), 0);
-        assert!(!c.access(0, 0x00), "post-flush access must cold-miss");
-        assert_eq!(c.stats().misses, 1);
-        assert_eq!(c.last_victim(), None, "flush clears the victim record");
-    }
-
-    #[test]
     fn filter_never_changes_eviction_order() {
-        // Fill set 0's two ways, latch-hit the MRU one repeatedly, then
-        // allocate a third line: the LRU victim must be the *other* way,
-        // exactly as in an unfiltered cache.
+        // Fill set 0's two ways, hit the MRU one repeatedly (the repeat-line
+        // pattern of an instruction stream), then allocate a third line:
+        // the LRU victim must be the *other* way.
         let mut c = tiny();
         c.access(0, 0x00); // way A
         c.access(0, 0x20); // way B (now MRU)
         for _ in 0..5 {
-            assert!(c.access(0, 0x20)); // filter hits, no LRU churn
+            assert!(c.access(0, 0x20)); // repeat hits keep B most recent
         }
         c.access(0, 0x40); // evicts A (0x00), the true LRU
         assert_eq!(c.last_victim(), Some(0x00 >> 4));
@@ -543,13 +292,12 @@ mod tests {
         let mut c = tiny();
         c.access(0, 0x00);
         c.access(0, 0x20);
-        // Re-touching 0x00 (whether through its filter slot or the full
-        // hit path) bumps its recency back to MRU.
+        // Re-touching 0x00 bumps its recency back to MRU.
         c.access(0, 0x00);
         assert_eq!(c.set_recency(0), vec![0x00 >> 4, 0x20 >> 4]);
         let mut d = tiny();
         d.access(0, 0x00);
-        d.access(0, 0x00); // latched: recency order must not change
+        d.access(0, 0x00); // a repeat hit must not reorder the set
         d.access(0, 0x20);
         assert_eq!(d.set_recency(0), vec![0x20 >> 4, 0x00 >> 4]);
     }

@@ -16,13 +16,14 @@
 //! A [`MemSystem`] bundles the two caches, the miss penalty, and a
 //! perfect-memory switch (the paper's *IPCp* runs disable misses).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod memory;
 
 pub use cache::{Cache, CacheParams, CacheStats};
-pub use memory::{Memory, PageLookupStats};
+pub use memory::Memory;
 
 #[cfg(test)]
 mod memconfig_tests {
@@ -160,16 +161,6 @@ impl MemSystem {
         }
         let first = addr >> self.fetch_shift;
         let last = (addr + len.max(1) - 1) >> self.fetch_shift;
-        if first == last {
-            // Single-line fetch — the dominant case — goes through the
-            // memoized entry point (`Cache::fetch_line`): consecutive
-            // fetches of one line skip the set arrays entirely.
-            return if self.icache.fetch_line(asid, first) {
-                0
-            } else {
-                self.miss_penalty
-            };
-        }
         let mut penalty = 0;
         for l in first..=last {
             if !self.icache.access_line(asid, l) {

@@ -1,73 +1,65 @@
 //! Functional backing store: a flat, sparsely-allocated byte-addressable
 //! memory private to one program run.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 
 /// Log2 of the allocation granule (64KB pages).
 const PAGE_SHIFT: u32 = 16;
 /// Allocation granule in bytes.
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+/// Most pages a thread keeps for reuse after its memories are dropped
+/// (16 MB).
+const FREE_PAGES_MAX: usize = 256;
 
-/// TLB sentinel: no page latched. Real page indices are `addr >> 16` with
-/// 32-bit addresses, so they never reach the sentinel.
-const TLB_NONE: u32 = u32::MAX;
+thread_local! {
+    /// Pages of this thread's dropped memories, waiting to be reused by
+    /// the next memory built on the thread. A process that builds and
+    /// drops engines in a loop (`vex fuzz` builds 24 per seed) then gets
+    /// its pages back already mapped, instead of from the allocator, which
+    /// may have returned them to the kernel in between.
+    static FREE_PAGES: RefCell<Vec<Box<[u8]>>> = const { RefCell::new(Vec::new()) };
+}
 
-/// Page-lookup counters: how often the one-entry software TLB short-cut
-/// the page-directory walk. Hot-region locality shows up as a hit rate
-/// near 1; `walks` counts full directory lookups (TLB misses).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct PageLookupStats {
-    /// Lookups absorbed by the one-entry TLB.
-    pub tlb_hits: u64,
-    /// Full page-directory walks (every lookup that was not a TLB hit).
-    pub walks: u64,
+/// A zero-filled page: one from the thread's free list, zeroed, or else a
+/// new allocation.
+fn zeroed_page() -> Box<[u8]> {
+    match FREE_PAGES.try_with(|free| free.borrow_mut().pop()) {
+        Ok(Some(mut page)) => {
+            page.fill(0);
+            page
+        }
+        _ => vec![0u8; PAGE_SIZE].into_boxed_slice(),
+    }
 }
 
 /// Sparse little-endian memory. Pages materialise zero-filled on first
 /// touch, so untouched reads return zero like a fresh process image.
 ///
 /// Addresses are 32-bit; the page directory is a flat vector indexed by the
-/// high address bits, so lookups are one shift and one bounds-checked index
-/// (no hashing on the simulator's hot path). A one-entry software TLB
-/// latches the most recently resolved page, so hot-region accesses (the
-/// common case: a benchmark hammering one working-set page) skip the
-/// directory walk entirely.
-#[derive(Clone, Debug)]
+/// high address bits, so a lookup is one shift and one bounds-checked index
+/// (no hashing on the simulator's hot path).
+#[derive(Clone, Debug, Default)]
 pub struct Memory {
     pages: Vec<Option<Box<[u8]>>>,
-    /// One-entry software TLB: index of the most recently resolved
-    /// *materialised* page, or [`TLB_NONE`].
-    ///
-    /// Invariant (relied on by the `unsafe` fast paths): when not
-    /// [`TLB_NONE`], `tlb_page < pages.len()` and `pages[tlb_page]` is
-    /// `Some`. The invariant is monotone — the directory never shrinks and
-    /// a materialised page is never freed ([`Memory::clear`] zeroes in
-    /// place) — and cloning preserves it; `clear` still drops the latch so
-    /// a respawned run re-walks on first touch.
-    ///
-    /// `Cell` because reads latch too and the read API takes `&self`.
-    tlb_page: Cell<u32>,
-    /// Lookups absorbed by the TLB.
-    tlb_hits: Cell<u64>,
-    /// Full directory walks.
-    walks: Cell<u64>,
 }
 
-impl Default for Memory {
-    fn default() -> Self {
-        Self::new()
+impl Drop for Memory {
+    /// Hands the pages to this thread's free list, up to its cap.
+    fn drop(&mut self) {
+        // `try_with`: during thread teardown the list may be gone already,
+        // and the pages are then simply freed.
+        let _ = FREE_PAGES.try_with(|free| {
+            let mut free = free.borrow_mut();
+            let room = FREE_PAGES_MAX.saturating_sub(free.len());
+            free.extend(self.pages.drain(..).flatten().take(room));
+        });
     }
 }
 
 impl Memory {
     /// An empty memory.
     pub fn new() -> Self {
-        Memory {
-            pages: Vec::new(),
-            tlb_page: Cell::new(TLB_NONE),
-            tlb_hits: Cell::new(0),
-            walks: Cell::new(0),
-        }
+        Memory { pages: Vec::new() }
     }
 
     /// Bytes currently materialised (for footprint reporting).
@@ -75,72 +67,28 @@ impl Memory {
         self.pages.iter().filter(|p| p.is_some()).count() * PAGE_SIZE
     }
 
-    /// Page-lookup counters so far (TLB hits versus directory walks).
-    pub fn lookup_stats(&self) -> PageLookupStats {
-        PageLookupStats {
-            tlb_hits: self.tlb_hits.get(),
-            walks: self.walks.get(),
-        }
-    }
-
     /// Clears all contents (returns to the all-zero image). Materialised
     /// pages are zeroed in place rather than freed: a respawning benchmark
     /// touches the same working set again immediately, so recycling the
-    /// allocations keeps the run-restart path off the allocator. The TLB
-    /// latch is dropped with the image; the lookup *counters* persist so a
-    /// profile over a many-respawn run covers the whole run, like every
-    /// other fast-path counter.
+    /// allocations keeps the run-restart path off the allocator.
     pub fn clear(&mut self) {
         for page in self.pages.iter_mut().flatten() {
             page.fill(0);
         }
-        self.tlb_page.set(TLB_NONE);
     }
 
     #[inline]
     fn page(&self, addr: u32) -> Option<&[u8]> {
-        let idx = addr >> PAGE_SHIFT;
-        if idx == self.tlb_page.get() {
-            self.tlb_hits.set(self.tlb_hits.get() + 1);
-            // SAFETY: the TLB invariant (see `tlb_page`) guarantees the
-            // index is in bounds and the page is materialised.
-            return Some(unsafe {
-                self.pages
-                    .get_unchecked(idx as usize)
-                    .as_deref()
-                    .unwrap_unchecked()
-            });
-        }
-        self.walks.set(self.walks.get() + 1);
-        let p = self.pages.get(idx as usize).and_then(|p| p.as_deref());
-        if p.is_some() {
-            self.tlb_page.set(idx);
-        }
-        p
+        self.pages.get((addr >> PAGE_SHIFT) as usize)?.as_deref()
     }
 
     #[inline]
     fn page_mut(&mut self, addr: u32) -> &mut [u8] {
-        let idx = addr >> PAGE_SHIFT;
-        if idx == self.tlb_page.get() {
-            self.tlb_hits.set(self.tlb_hits.get() + 1);
-            // SAFETY: the TLB invariant (see `tlb_page`) guarantees the
-            // index is in bounds and the page is materialised.
-            return unsafe {
-                self.pages
-                    .get_unchecked_mut(idx as usize)
-                    .as_deref_mut()
-                    .unwrap_unchecked()
-            };
+        let idx = (addr >> PAGE_SHIFT) as usize;
+        if idx >= self.pages.len() {
+            self.pages.resize_with(idx + 1, || None);
         }
-        self.walks.set(self.walks.get() + 1);
-        let idx_us = idx as usize;
-        if idx_us >= self.pages.len() {
-            self.pages.resize_with(idx_us + 1, || None);
-        }
-        let p = self.pages[idx_us].get_or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice());
-        self.tlb_page.set(idx);
-        p
+        self.pages[idx].get_or_insert_with(zeroed_page)
     }
 
     /// Reads one byte.
@@ -223,34 +171,6 @@ impl Memory {
         }
     }
 
-    /// Reads a little-endian 64-bit value (any alignment; accesses within
-    /// one page take a single-lookup fast path, like the narrower widths).
-    #[inline]
-    pub fn read_u64(&self, addr: u32) -> u64 {
-        let off = (addr as usize) & (PAGE_SIZE - 1);
-        if off + 8 <= PAGE_SIZE {
-            if let Some(p) = self.page(addr) {
-                let word: [u8; 8] = p[off..off + 8].try_into().unwrap();
-                return u64::from_le_bytes(word);
-            }
-            return 0;
-        }
-        (self.read_u32(addr) as u64) | ((self.read_u32(addr.wrapping_add(4)) as u64) << 32)
-    }
-
-    /// Writes a little-endian 64-bit value.
-    #[inline]
-    pub fn write_u64(&mut self, addr: u32, v: u64) {
-        let off = (addr as usize) & (PAGE_SIZE - 1);
-        if off + 8 <= PAGE_SIZE {
-            let p = self.page_mut(addr);
-            p[off..off + 8].copy_from_slice(&v.to_le_bytes());
-            return;
-        }
-        self.write_u32(addr, v as u32);
-        self.write_u32(addr.wrapping_add(4), (v >> 32) as u32);
-    }
-
     /// Copies a byte slice into memory at `base`, one page-sized
     /// `copy_from_slice` at a time (the respawn path reloads whole data
     /// segments through here).
@@ -264,13 +184,6 @@ impl Memory {
             rest = &rest[n..];
             addr = addr.wrapping_add(n as u32);
         }
-    }
-
-    /// Reads `len` bytes starting at `base`.
-    pub fn read_bytes(&self, base: u32, len: usize) -> Vec<u8> {
-        (0..len)
-            .map(|i| self.read_u8(base.wrapping_add(i as u32)))
-            .collect()
     }
 
     /// A 64-bit digest of the architectural image: FNV-1a over (page
@@ -310,11 +223,9 @@ impl Memory {
     /// compared whole, as slices.
     pub fn first_difference(&self, other: &Memory) -> Option<u32> {
         static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
-        fn resident(m: &Memory, idx: usize) -> Option<&[u8]> {
-            m.pages.get(idx)?.as_deref()
-        }
         for idx in 0..self.pages.len().max(other.pages.len()) {
-            let (a, b) = match (resident(self, idx), resident(other, idx)) {
+            let base = (idx << PAGE_SHIFT) as u32;
+            let (a, b) = match (self.page(base), other.page(base)) {
                 (None, None) => continue,
                 (a, b) => (a.unwrap_or(&ZERO_PAGE), b.unwrap_or(&ZERO_PAGE)),
             };
@@ -324,7 +235,7 @@ impl Memory {
                     .zip(b)
                     .position(|(x, y)| x != y)
                     .expect("unequal pages of one size differ at some offset");
-                return Some(((idx << PAGE_SHIFT) | off) as u32);
+                return Some(base | off as u32);
             }
         }
         None
@@ -364,7 +275,8 @@ mod tests {
         let mut m = Memory::new();
         let data: Vec<u8> = (0..=255).collect();
         m.write_bytes(0x8000, &data);
-        assert_eq!(m.read_bytes(0x8000, 256), data);
+        let back: Vec<u8> = (0..256).map(|i| m.read_u8(0x8000 + i)).collect();
+        assert_eq!(back, data);
     }
 
     #[test]
@@ -439,7 +351,7 @@ mod tests {
     fn first_difference_of_a_cleared_memory_against_a_new_one_is_none() {
         let mut m = Memory::new();
         m.write_u32(0x100, 1);
-        m.write_u64(0x4_0000, u64::MAX);
+        m.write_u32(0x4_0000, u32::MAX);
         m.clear();
         assert_eq!(m.first_difference(&Memory::new()), None);
         assert_eq!(Memory::new().first_difference(&m), None);
@@ -459,59 +371,32 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_u64() {
+    fn recycled_pages_come_back_zeroed() {
+        FREE_PAGES.with(|free| free.borrow_mut().clear());
+        let mut old = Memory::new();
+        old.write_u32(0x3_0100, 0xdead_beef);
+        old.write_u8(0x3_ffff, 0x80);
+        drop(old);
+        assert_eq!(FREE_PAGES.with(|free| free.borrow().len()), 1);
+        // The same page again, on the same thread: it is the one just
+        // freed, and it must read as if freshly allocated.
         let mut m = Memory::new();
-        m.write_u64(0x200, 0x0123_4567_89ab_cdef);
-        assert_eq!(m.read_u64(0x200), 0x0123_4567_89ab_cdef);
-        assert_eq!(m.read_u32(0x200), 0x89ab_cdef); // little-endian halves
-        assert_eq!(m.read_u32(0x204), 0x0123_4567);
-        // Straddling the page boundary still round-trips.
-        let addr = (1 << PAGE_SHIFT) - 3;
-        m.write_u64(addr, 0xfeed_face_cafe_f00d);
-        assert_eq!(m.read_u64(addr), 0xfeed_face_cafe_f00d);
+        m.write_u8(0x3_0000, 0);
+        assert_eq!(FREE_PAGES.with(|free| free.borrow().len()), 0);
+        assert_eq!(m.read_u32(0x3_0100), 0);
+        assert_eq!(m.read_u8(0x3_ffff), 0);
+        assert_eq!(m.first_difference(&Memory::new()), None);
     }
 
     #[test]
-    fn tlb_latches_hot_page_and_counts() {
+    fn the_free_list_keeps_at_most_its_cap() {
+        FREE_PAGES.with(|free| free.borrow_mut().clear());
         let mut m = Memory::new();
-        m.write_u32(0x100, 7); // materialises page 0, walks and latches
-        let after_write = m.lookup_stats();
-        assert_eq!(after_write.walks, 1);
-        m.read_u32(0x100);
-        m.read_u32(0x7f00); // same page
-        let s = m.lookup_stats();
-        assert_eq!(s.tlb_hits, after_write.tlb_hits + 2);
-        assert_eq!(s.walks, 1, "hot-page reads must not re-walk");
-        // A different page walks again.
-        m.write_u8(0x9_0000, 1);
-        assert_eq!(m.lookup_stats().walks, 2);
-    }
-
-    #[test]
-    fn tlb_does_not_latch_unmaterialised_pages() {
-        let m = Memory::new();
-        assert_eq!(m.read_u32(0x5_0000), 0);
-        assert_eq!(m.read_u32(0x5_0000), 0);
-        let s = m.lookup_stats();
-        assert_eq!(s.tlb_hits, 0, "absent pages must not enter the TLB");
-        assert_eq!(s.walks, 2);
-    }
-
-    #[test]
-    fn clear_invalidates_the_tlb() {
-        // The respawn path: after `clear`, the first access must walk the
-        // directory again, while the counters keep covering the whole run.
-        let mut m = Memory::new();
-        m.write_u32(0x100, 1); // walk 1 (materialise + latch)
-        m.read_u32(0x104); // latched: TLB hit
-        let before = m.lookup_stats();
-        assert_eq!(before.tlb_hits, 1);
-        assert_eq!(before.walks, 1);
-        m.clear();
-        assert_eq!(m.lookup_stats(), before, "counters persist across clear");
-        m.read_u32(0x100);
-        let s = m.lookup_stats();
-        assert_eq!(s.walks, 2, "post-clear access must walk, not phantom-hit");
-        assert_eq!(s.tlb_hits, 1);
+        for page in 0..FREE_PAGES_MAX as u32 + 3 {
+            m.write_u8(page << PAGE_SHIFT, 1);
+        }
+        drop(m);
+        assert_eq!(FREE_PAGES.with(|free| free.borrow().len()), FREE_PAGES_MAX);
+        FREE_PAGES.with(|free| free.borrow_mut().clear());
     }
 }

@@ -51,18 +51,16 @@
 
 use crate::proto::{parse_key, read_frame, split_message, write_frame};
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::fs;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use vex_experiments::journal::crc32;
 use vex_experiments::runner::ProgramLoader;
 use vex_experiments::{
-    single_point_spec, spec_point_keys, sync_parent_dir, BackoffPolicy, Journal, JournalEntry,
+    single_point_spec, spec_point_keys, BackoffPolicy, FramedLog, Journal, JournalEntry, LogKind,
 };
 use vex_spec::{ServeSpec, SweepSpec};
 
@@ -147,102 +145,26 @@ fn kill_process(_pid: u32) {}
 
 // ---- submission log -----------------------------------------------
 
-const SUBS_MAGIC: &str = "VEXS 1\n";
+/// The submission log's header and name.
+const SUBS: LogKind = LogKind {
+    magic: "VEXS 1\n",
+    name: "vex serve submission log",
+};
 
-/// Append-only log of submitted spec texts, in the journal's framed
-/// format (`+<len:hex> <crc32>\n<payload>\n` after a magic header), so a
-/// server killed mid-sweep can re-enqueue what it had accepted. Torn
-/// tails are truncated on open, exactly like the result journal.
-#[derive(Debug)]
-struct SubsLog {
-    path: PathBuf,
-    file: File,
-}
-
-impl SubsLog {
-    /// Opens (resuming) or creates the log; returns prior submissions.
-    fn open(path: &Path, resume: bool) -> Result<(SubsLog, Vec<String>), String> {
-        if !resume || !path.exists() {
-            let mut file = File::create(path)
-                .map_err(|e| format!("cannot create submission log `{}`: {e}", path.display()))?;
-            file.write_all(SUBS_MAGIC.as_bytes())
-                .and_then(|_| file.sync_data())
-                .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-            sync_parent_dir(path)?;
-            return Ok((
-                SubsLog {
-                    path: path.to_path_buf(),
-                    file,
-                },
-                Vec::new(),
-            ));
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(|e| format!("cannot open submission log `{}`: {e}", path.display()))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-        if !bytes.starts_with(SUBS_MAGIC.as_bytes()) {
-            // A torn first write is ours; anything else is not our file.
-            if !SUBS_MAGIC.as_bytes().starts_with(&bytes) {
-                return Err(format!(
-                    "`{}` is not a vex serve submission log (missing `VEXS 1` header)",
-                    path.display()
-                ));
-            }
-            drop(file);
-            return SubsLog::open(path, false);
-        }
-        let mut texts = Vec::new();
-        let mut pos = SUBS_MAGIC.len();
-        while let Some((payload, advance)) = parse_subs_frame(&bytes[pos..]) {
-            texts.push(payload.to_string());
-            pos += advance;
-        }
-        file.set_len(pos as u64)
-            .and_then(|_| file.seek(SeekFrom::End(0)))
-            .and_then(|_| file.sync_data())
-            .map_err(|e| format!("cannot truncate `{}`: {e}", path.display()))?;
-        Ok((
-            SubsLog {
-                path: path.to_path_buf(),
-                file,
-            },
-            texts,
-        ))
+/// Opens (resuming) or creates the append-only log of submitted spec
+/// texts, so a server killed mid-sweep can re-enqueue what it had
+/// accepted; returns the log and the prior submissions. It is framed like
+/// the result journal, and torn tails are truncated on open the same way.
+fn open_subs_log(path: &Path, resume: bool) -> Result<(FramedLog, Vec<String>), String> {
+    if !resume {
+        return Ok((FramedLog::create(path, SUBS)?, Vec::new()));
     }
-
-    /// Appends one submission and syncs before returning.
-    fn append(&mut self, text: &str) -> Result<(), String> {
-        let record = format!("+{:x} {:08x}\n{text}\n", text.len(), crc32(text.as_bytes()));
-        self.file
-            .write_all(record.as_bytes())
-            .and_then(|_| self.file.sync_data())
-            .map_err(|e| format!("cannot append to `{}`: {e}", self.path.display()))
-    }
-}
-
-/// One `+<len> <crc>\n<payload>\n` frame off the front of `rest`, or
-/// `None` for an incomplete/garbled tail.
-fn parse_subs_frame(rest: &[u8]) -> Option<(&str, usize)> {
-    let nl = rest.iter().position(|&b| b == b'\n')?;
-    let header = std::str::from_utf8(&rest[..nl]).ok()?;
-    let (len_hex, crc_hex) = header.strip_prefix('+')?.split_once(' ')?;
-    let len = usize::from_str_radix(len_hex, 16).ok()?;
-    let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-    let body_start = nl + 1;
-    let body_end = body_start.checked_add(len)?;
-    if body_end >= rest.len() || rest[body_end] != b'\n' {
-        return None;
-    }
-    let payload = &rest[body_start..body_end];
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some((std::str::from_utf8(payload).ok()?, body_end + 1))
+    let mut texts = Vec::new();
+    let (log, _) = FramedLog::open(path, SUBS, |text| {
+        texts.push(text.to_string());
+        true
+    })?;
+    Ok((log, texts))
 }
 
 // ---- task state ---------------------------------------------------
@@ -303,7 +225,7 @@ struct Shared<'a> {
     /// parked `GET` (a task became assignable or terminal, drain, close).
     ready: Condvar,
     journal: Mutex<Option<Journal>>,
-    subs: Mutex<Option<SubsLog>>,
+    subs: Mutex<Option<FramedLog>>,
     /// Clones of every accepted connection, so drain can unblock their
     /// reader threads.
     conns: Mutex<Vec<TcpStream>>,
@@ -343,7 +265,7 @@ impl<'a> Shared<'a> {
         };
         let (subs, prior) = match &cfg.journal {
             Some(p) => {
-                let (s, texts) = SubsLog::open(Path::new(&format!("{p}.subs")), cfg.resume)?;
+                let (s, texts) = open_subs_log(Path::new(&format!("{p}.subs")), cfg.resume)?;
                 (Some(s), texts)
             }
             None => (None, Vec::new()),
@@ -1063,6 +985,7 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::mpsc;
 
     /// The longest any dispatch test waits for a reply that must come.
@@ -1223,24 +1146,79 @@ mod tests {
     fn subs_log_round_trips_and_truncates_torn_tails() {
         let path = tmp("subs");
         {
-            let (mut log, prior) = SubsLog::open(&path, false).unwrap();
+            let (mut log, prior) = open_subs_log(&path, false).unwrap();
             assert!(prior.is_empty());
             log.append("name = \"a\"\nmixes = [\"llll\"]\n").unwrap();
             log.append("name = \"b\"\nmixes = [\"hhhh\"]\n").unwrap();
         }
-        let (_, prior) = SubsLog::open(&path, true).unwrap();
+        let (_, prior) = open_subs_log(&path, true).unwrap();
         assert_eq!(prior.len(), 2);
         assert!(prior[0].contains("\"a\""));
 
         // Tear the tail mid-record: the valid prefix survives.
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        let (mut log, prior) = SubsLog::open(&path, true).unwrap();
+        let (mut log, prior) = open_subs_log(&path, true).unwrap();
         assert_eq!(prior.len(), 1);
         log.append("name = \"c\"\nmixes = [\"llll\"]\n").unwrap();
         drop(log);
-        let (_, prior) = SubsLog::open(&path, true).unwrap();
+        let (_, prior) = open_subs_log(&path, true).unwrap();
         assert_eq!(prior.len(), 2);
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn flipped_subs_log_yields_a_prefix_or_the_foreign_file_error() {
+        let path = tmp("subs_flipped");
+        let texts = [
+            "name = \"a\"\nmixes = [\"llll\"]\n",
+            "name = \"b\"\nmixes = [\"hhhh\"]\n",
+            "name = \"c\"\nseed = 3\nmixes = [\"llhh\"]\n",
+        ];
+        {
+            let (mut log, _) = open_subs_log(&path, false).unwrap();
+            for t in texts {
+                log.append(t).unwrap();
+            }
+        }
+        let clean = fs::read(&path).unwrap();
+        // splitmix64, so every run flips the same bytes.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for case in 0..256 {
+            // One to four flipped bytes, a quarter of them in the first 16.
+            let mut bytes = clean.clone();
+            for _ in 0..1 + below(4) {
+                let at = if below(4) == 0 {
+                    below(16)
+                } else {
+                    below(bytes.len())
+                };
+                bytes[at] ^= 1 + below(255) as u8;
+            }
+            let n = SUBS.magic.len();
+            let hit_magic = bytes[..n] != clean[..n];
+            fs::write(&path, &bytes).unwrap();
+            match open_subs_log(&path, true) {
+                Ok((_, prior)) => {
+                    assert!(!hit_magic, "case {case}: a flipped header was accepted");
+                    assert!(
+                        prior.len() <= texts.len() && prior.iter().zip(texts).all(|(p, t)| p == t),
+                        "case {case}: {prior:?} is not a prefix of the submissions"
+                    );
+                }
+                Err(e) => {
+                    assert!(hit_magic, "case {case}: refused without a header flip: {e}");
+                    assert!(e.contains("not a vex serve submission log"), "{e}");
+                }
+            }
+        }
         fs::remove_file(&path).ok();
     }
 
@@ -1248,7 +1226,7 @@ mod tests {
     fn foreign_subs_file_is_refused() {
         let path = tmp("subs_foreign");
         fs::write(&path, "definitely not a log\n").unwrap();
-        let err = SubsLog::open(&path, true).unwrap_err();
+        let err = open_subs_log(&path, true).unwrap_err();
         assert!(err.contains("not a vex serve submission log"), "{err}");
         fs::remove_file(&path).ok();
     }

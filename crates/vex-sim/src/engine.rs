@@ -797,16 +797,16 @@ impl Engine {
         }
     }
 
-    /// Aggregates the fast-path counters (cache MRU filters, per-context
-    /// software TLBs, issue-stage scan work) into one [`Profile`] block.
-    /// Cheap enough to call at any point of a run.
+    /// Aggregates the run's work counters (cache accesses and hits,
+    /// issue-stage scan work, evaluated operations) into one [`Profile`]
+    /// block. Cheap enough to call at any point of a run.
     pub fn profile(&self) -> Profile {
         let cache_profile = |c: &vex_mem::Cache| {
             let s = c.stats();
             CacheProfile {
                 accesses: s.accesses(),
                 hits: s.hits,
-                filter_hits: c.filter_hits(),
+                ..Default::default()
             }
         };
         let mut p = Profile {
@@ -816,9 +816,6 @@ impl Engine {
             ..Default::default()
         };
         for t in &self.contexts {
-            let ls = t.mem.lookup_stats();
-            p.tlb_hits += ls.tlb_hits;
-            p.page_walks += ls.walks;
             p.issue_calls += t.issue_calls;
             p.issue_scans += t.issue_scans;
             p.eval_activations += t.eval_activations;

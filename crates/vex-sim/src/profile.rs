@@ -1,32 +1,28 @@
 //! Always-on, feature-light performance counters for the simulator's own
 //! fast paths (not the simulated machine — see [`crate::stats`] for that).
 //!
-//! The memory-system and issue-stage optimisations (docs/PERF.md) each
-//! carry a cheap counter: the cache MRU filter counts absorbed accesses,
-//! the per-context software TLB counts hits versus page-directory walks,
-//! and the issue stage counts how many record/demand-table entries it
-//! examined. [`crate::Engine::profile`] aggregates them into a [`Profile`]
-//! after (or during) a run; `vex run --profile` prints the block.
+//! Each cache counts its accesses and hits, the issue stage counts how many
+//! record/demand-table entries it examined, and the evaluation phase
+//! counts activations and the operations they ran.
+//! [`crate::Engine::profile`] aggregates them into a [`Profile`] after (or
+//! during) a run; `vex run --profile` prints the block.
 
 use crate::table::{Align, Table};
 
-/// One cache's access counters, filter hits included.
+/// One cache's access counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheProfile {
     /// Total accesses (hits + misses).
     pub accesses: u64,
-    /// Hits (filter hits included).
+    /// Hits.
     pub hits: u64,
-    /// Accesses absorbed by the MRU filter (subset of `hits`).
+    /// Always 0: the cache has no hit filter. Kept only because
+    /// `perfbench/replay` reads it, and goes with the next change to the
+    /// benchmark.
     pub filter_hits: u64,
 }
 
 impl CacheProfile {
-    /// Fraction of accesses absorbed by the MRU filter, in [0, 1].
-    pub fn filter_rate(&self) -> f64 {
-        ratio(self.filter_hits, self.accesses)
-    }
-
     /// Miss ratio in [0, 1] (0.0 for a never-accessed cache).
     pub fn miss_ratio(&self) -> f64 {
         ratio(self.accesses.saturating_sub(self.hits), self.accesses)
@@ -42,9 +38,11 @@ pub struct Profile {
     pub icache: CacheProfile,
     /// Data-cache counters.
     pub dcache: CacheProfile,
-    /// Page lookups absorbed by the per-context software TLBs.
+    /// Always 0: memory has no page TLB. Kept only because
+    /// `perfbench/replay` reads it, and goes with the next change to the
+    /// benchmark.
     pub tlb_hits: u64,
-    /// Full page-directory walks (TLB misses), summed over contexts.
+    /// Always 0, for the same reason as `tlb_hits`.
     pub page_walks: u64,
     /// Issue-stage attempts (one per runnable thread per cycle).
     pub issue_calls: u64,
@@ -58,11 +56,6 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Fraction of page lookups served by the TLBs, in [0, 1].
-    pub fn tlb_hit_rate(&self) -> f64 {
-        ratio(self.tlb_hits, self.tlb_hits + self.page_walks)
-    }
-
     /// Average table entries examined per issue attempt.
     pub fn scans_per_call(&self) -> f64 {
         ratio(self.issue_scans, self.issue_calls)
@@ -89,35 +82,18 @@ impl Profile {
             ("", Align::Right),
             ("", Align::Left),
             ("", Align::Right),
-            ("", Align::Right),
             ("", Align::Left),
         ]);
         let cache = |t: &mut Table, name: &str, c: &CacheProfile| {
             t.row([
                 format!("{name} accesses"),
                 c.accesses.to_string(),
-                "filter hits".to_string(),
-                c.filter_hits.to_string(),
-                format!("({})", pct_or_na(c.filter_hits, c.accesses, 1)),
-                format!(
-                    "miss ratio {}",
-                    pct_or_na(c.accesses.saturating_sub(c.hits), c.accesses, 3)
-                ),
+                "miss ratio".to_string(),
+                pct_or_na(c.accesses.saturating_sub(c.hits), c.accesses),
             ]);
         };
         cache(&mut t, "I$", &self.icache);
         cache(&mut t, "D$", &self.dcache);
-        t.row([
-            "TLB lookups".to_string(),
-            (self.tlb_hits + self.page_walks).to_string(),
-            "hits".to_string(),
-            self.tlb_hits.to_string(),
-            format!(
-                "({})",
-                pct_or_na(self.tlb_hits, self.tlb_hits + self.page_walks, 1)
-            ),
-            format!("directory walks {}", self.page_walks),
-        ]);
         let per = |num: u64, den: u64, unit: &str| -> String {
             if den == 0 {
                 format!("n/a {unit}")
@@ -130,7 +106,6 @@ impl Profile {
             self.issue_calls.to_string(),
             "scans".to_string(),
             self.issue_scans.to_string(),
-            String::new(),
             format!(
                 "({}, {})",
                 per(self.issue_scans, self.issue_calls, "scans/call"),
@@ -142,7 +117,6 @@ impl Profile {
             self.eval_activations.to_string(),
             "ops evaluated".to_string(),
             self.eval_ops.to_string(),
-            String::new(),
             format!(
                 "({})",
                 per(self.eval_ops, self.eval_activations, "ops/activation")
@@ -154,15 +128,11 @@ impl Profile {
 
 /// A percentage for display: `n/a` when the denominator is zero (the rate
 /// is undefined — rendering the raw division would print `NaN`).
-fn pct_or_na(num: u64, den: u64, decimals: usize) -> String {
+fn pct_or_na(num: u64, den: u64) -> String {
     if den == 0 {
         "n/a".to_string()
     } else {
-        format!(
-            "{:>5.decimals$}%",
-            num as f64 / den as f64 * 100.0,
-            decimals = decimals
-        )
+        format!("{:.3}%", num as f64 / den as f64 * 100.0)
     }
 }
 
@@ -191,8 +161,7 @@ mod tests {
     #[test]
     fn rates_are_well_defined_on_empty_profiles() {
         let p = Profile::default();
-        assert_eq!(p.tlb_hit_rate(), 0.0);
-        assert_eq!(p.icache.filter_rate(), 0.0);
+        assert_eq!(p.icache.miss_ratio(), 0.0);
         assert_eq!(p.scans_per_cycle(), 0.0);
         assert!(p.render().contains("simulator fast-path profile"));
     }
@@ -205,9 +174,8 @@ mod tests {
         let text = Profile::default().render();
         assert!(!text.contains("NaN"), "{text}");
         assert!(!text.contains("inf"), "{text}");
-        assert!(text.contains("filter hits"), "{text}");
-        assert!(text.contains("(n/a)"), "{text}");
-        assert!(text.contains("miss ratio n/a"), "{text}");
+        assert_eq!(row(&text, "I$"), "I$ accesses 0 miss ratio n/a", "{text}");
+        assert_eq!(row(&text, "D$"), "D$ accesses 0 miss ratio n/a", "{text}");
         assert!(text.contains("(n/a scans/call, n/a scans/cycle)"), "{text}");
         assert_eq!(
             row(&text, "activations"),
@@ -225,21 +193,19 @@ mod tests {
             dcache: CacheProfile {
                 accesses: 100,
                 hits: 90,
-                filter_hits: 25,
+                ..Default::default()
             },
             issue_calls: 0,
             issue_scans: 0,
             ..Default::default()
         };
         let text = p.render();
-        let icache_line = text
-            .lines()
-            .find(|l| l.starts_with("I$ accesses"))
-            .expect("I$ row");
-        assert!(icache_line.contains("miss ratio n/a"), "{text}");
-        assert!(icache_line.contains("(n/a)"), "{text}");
-        assert!(text.contains("( 25.0%)"), "{text}");
-        assert!(text.contains("miss ratio 10.000%"), "{text}");
+        assert_eq!(row(&text, "I$"), "I$ accesses 0 miss ratio n/a", "{text}");
+        assert_eq!(
+            row(&text, "D$"),
+            "D$ accesses 100 miss ratio 10.000%",
+            "{text}"
+        );
         assert!(text.contains("n/a scans/call"), "{text}");
         assert!(text.contains("0.00 scans/cycle"), "{text}");
     }
@@ -251,10 +217,8 @@ mod tests {
             icache: CacheProfile {
                 accesses: 200,
                 hits: 199,
-                filter_hits: 100,
+                ..Default::default()
             },
-            tlb_hits: 75,
-            page_walks: 25,
             issue_calls: 400,
             issue_scans: 800,
             eval_activations: 40,
@@ -262,8 +226,12 @@ mod tests {
             ..Default::default()
         };
         let text = p.render();
-        assert!(text.contains("( 50.0%)"), "filter rate:\n{text}");
-        assert!(text.contains("( 75.0%)"), "tlb rate:\n{text}");
+        assert_eq!(text.lines().count(), 5, "{text}");
+        assert_eq!(
+            row(&text, "I$"),
+            "I$ accesses 200 miss ratio 0.500%",
+            "{text}"
+        );
         assert!(text.contains("2.00 scans/call"), "{text}");
         assert!(text.contains("8.00 scans/cycle"), "{text}");
         assert_eq!(

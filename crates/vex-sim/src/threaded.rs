@@ -37,8 +37,7 @@ pub struct EvalCtx<'a> {
     pub(crate) regs: &'a GprFile,
     /// Flat branch-register file.
     pub(crate) bregs: &'a BregFile,
-    /// Functional memory (reads go through the PR 4 TLB fast path; the
-    /// read-side API takes `&self`).
+    /// Functional memory (the read-side API takes `&self`).
     pub(crate) mem: &'a Memory,
     /// Send values captured before record building, indexed by pair id.
     pub(crate) xfer: &'a [u32; 16],
@@ -354,8 +353,7 @@ fn slct(t: &ThreadedOp, cx: &EvalCtx, a: u32, b: u32) -> OpRecord {
 
 /// A load: the value lands in the record and the D$ probe at `mem_addr`
 /// stays a pure timing event at issue. A load whose destination folded
-/// away (register zero) skips the functional read, so the memory's TLB
-/// counters see exactly the reads whose values are used.
+/// away (register zero) skips the functional read.
 #[inline(always)]
 fn load(t: &ThreadedOp, cx: &EvalCtx, read: impl Fn(&Memory, u32) -> u32) -> OpRecord {
     let mem_addr = reg(cx, t.a).wrapping_add(t.imm);
