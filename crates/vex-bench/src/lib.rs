@@ -1,5 +1,7 @@
-//! Criterion benchmark harness for the reproduction; see `benches/figures.rs`.
-//! Run with `cargo bench`. Full-scale tables come from the `repro` binary.
+//! Throughput benchmark support for the reproduction: the
+//! `sim_throughput` bench (`cargo bench --bench sim_throughput`) and the
+//! `bench-gate` regression check. The paper's tables come from the
+//! `repro` binary and `vex sweep examples/paper.toml`.
 //!
 //! The library part holds the helpers the `sim_throughput` bench shares
 //! with its unit tests — most importantly the history-carrying logic for

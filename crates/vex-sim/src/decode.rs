@@ -241,15 +241,9 @@ impl DecodedProgram {
         &self.sends[di.send_range.0 as usize..di.send_range.1 as usize]
     }
 
-    /// Per-bundle resource demands of an instruction, in cluster order.
-    #[inline]
-    pub fn demands_of(&self, di: &DecodedInst) -> &[ClusterDemand] {
-        self.demands_in(di.demand_range)
-    }
-
-    /// Demand-table slice for a raw range (the in-flight state caches its
-    /// instruction's range so the issue stage skips the `DecodedInst`
-    /// load).
+    /// Per-bundle resource demands of an instruction, in cluster order, by
+    /// its demand range (the in-flight state caches the range so the issue
+    /// stage skips the `DecodedInst` load).
     #[inline]
     pub fn demands_in(&self, range: (u32, u32)) -> &[ClusterDemand] {
         &self.demands[range.0 as usize..range.1 as usize]

@@ -461,15 +461,12 @@ impl Engine {
         }
 
         if self.global_stall > 0 {
-            // Whole-pipeline stall from memory-port contention. Consume the
-            // whole stall window in one call (bounded by the next timeslice
-            // switch and the cycle cap); the per-cycle bookkeeping is linear
-            // so the batched update is bit-identical to stepping.
-            let k = self.global_stall.min(self.cycles_until_next_event()).max(1);
-            self.global_stall -= k;
-            self.stats.memport_stall_cycles += k;
-            self.stats.empty_cycles += k;
-            self.advance_cycles(k);
+            // Whole-pipeline stall from memory-port contention: nobody
+            // issues this cycle.
+            self.global_stall -= 1;
+            self.stats.memport_stall_cycles += 1;
+            self.stats.empty_cycles += 1;
+            self.advance_cycles(1);
             return;
         }
 
@@ -785,7 +782,7 @@ impl Engine {
                 return r;
             }
             self.step_inner::<MERGE_OP, SPLIT>();
-            // Liveness hook: `step_inner` can consume whole stall windows
+            // Liveness hook: `step_inner` can consume a whole dead window
             // at once, so compare against the target cycle rather than
             // counting iterations.
             if let Some(hb) = self.heartbeat.as_mut() {
@@ -870,13 +867,12 @@ struct IssueOutcome {
 /// `SPLIT_CLUSTER` / `SPLIT_OP`. Placement happens at bundle granularity
 /// wherever bundles cannot split, using the pre-decoded
 /// [`ClusterDemand`] tables ([`Packet::place_bundle`]); only the
-/// operation-level split path still walks individual operations — off the
-/// static threaded-op table plus the [`InFlight::pending_ops`] bitmask for
-/// direct (record-less) instructions, or the in-flight records (from the
-/// [`InFlight::first_pending`] cursor) otherwise. Data-cache probes step
-/// through records in table order in every path, so the cache's access
-/// sequence — and therefore its stats and LRU state — is identical to the
-/// record-at-a-time implementation this replaces.
+/// operation-level split path still walks individual operations, over the
+/// in-flight records (activation always materializes them under that
+/// technique). Data-cache probes step through records in table order in
+/// every path, so the cache's access sequence — and therefore its stats
+/// and LRU state — is identical to the record-at-a-time implementation
+/// this replaces.
 fn issue_thread<const MERGE_OP: bool, const SPLIT: u8>(
     t: &mut ThreadCtx,
     packet: &mut Packet,
@@ -937,7 +933,7 @@ fn issue_thread<const MERGE_OP: bool, const SPLIT: u8>(
         } else if MERGE_OP {
             let demands = decoded.demands_in(fl.demand_range);
             *issue_scans += demands.len() as u64;
-            demand_fits(packet, demands, &cfg.machine, rename, u16::MAX)
+            demand_fits(packet, demands, &cfg.machine, rename)
         } else {
             // Cluster-level merge: the whole physical footprint collides
             // iff the rotated bundle mask intersects the busy mask — the
@@ -1025,49 +1021,16 @@ fn issue_thread<const MERGE_OP: bool, const SPLIT: u8>(
                 fl.pending_bundles &= !(1 << c);
             }
         }
-    } else if fl.records.is_empty() {
-        // Operation-level split of a *direct* instruction: no records were
-        // materialized, so the walk runs off the static threaded-op table
-        // and the pending-op bitmask. Table order, placement checks and
-        // packet updates are identical to the record walk below; direct
-        // instructions carry no memory operations, so there are no cache
-        // probes or buffered stores to account for.
-        let di = &decoded.insts[fl.inst_idx];
-        let tops = decoded.tops_of(di);
-        let mut bits = fl.pending_ops;
-        *issue_scans += u64::from(bits.count_ones());
-        let packet_empty = packet.busy_mask() == 0;
-        let mut mask = 0u16;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            let bit = 1u64 << i;
-            bits &= !bit;
-            let top = &tops[i];
-            let p = phys(top.log_cluster());
-            if packet_empty || packet.op_fits(p, top.fu(), &cfg.machine) {
-                packet.place_op(p, top.fu());
-                placed |= 1 << p;
-                fl.pending_ops &= !bit;
-                issued_now += 1;
-                fl.n_pending -= 1;
-            } else {
-                mask |= 1 << top.log_cluster();
-            }
-        }
-        fl.pending_bundles = mask;
     } else {
-        // Operation-level split: single pass from the pending cursor; place
-        // what fits, rebuild the pending-bundle mask from what stays, and
-        // advance the cursor past the issued prefix. FU limits are hoisted
-        // out of the per-record loop.
+        // Operation-level split: one pass over the records, skipping those
+        // already issued; place what fits and rebuild the pending-bundle
+        // mask from what stays.
         let mut mask = 0u16;
-        let start = fl.first_pending as usize;
-        let mut first_left = usize::MAX;
-        *issue_scans += (fl.records.len() - start) as u64;
+        *issue_scans += fl.records.len() as u64;
         // First thread into an empty packet: all pending records fit
         // (they are a subset of one validated instruction's demands).
         let packet_empty = packet.busy_mask() == 0;
-        for (i, rec) in fl.records[start..].iter_mut().enumerate() {
+        for rec in &mut fl.records {
             if !rec.is_pending() {
                 continue;
             }
@@ -1087,17 +1050,9 @@ fn issue_thread<const MERGE_OP: bool, const SPLIT: u8>(
                 }
             } else {
                 mask |= 1 << rec.log_cluster();
-                if first_left == usize::MAX {
-                    first_left = start + i;
-                }
             }
         }
         fl.pending_bundles = mask;
-        fl.first_pending = if first_left == usize::MAX {
-            fl.records.len() as u32
-        } else {
-            first_left as u32
-        };
     }
 
     if issued_now > 0 {
@@ -1137,23 +1092,19 @@ fn rotl_mask(mask: u16, r: u8, n: u8) -> u16 {
     (((m << r) | (m >> (n - r))) & ((1u32 << n) - 1)) as u16
 }
 
-/// Operation-level fit check for the bundles whose logical cluster is in
-/// `mask`, treated as indivisible units. The demand side comes from the
-/// pre-decoded [`ClusterDemand`] table — bundles never split, so their
-/// resource footprint is static and each bundle's check is one packed add
-/// against the packet's per-cluster lane word.
+/// Operation-level fit check for a whole instruction, its bundles treated
+/// as indivisible units. The demand side comes from the pre-decoded
+/// [`ClusterDemand`] table — bundles never split, so their resource
+/// footprint is static and each bundle's check is one packed add against
+/// the packet's per-cluster lane word.
 #[inline]
 fn demand_fits(
     packet: &Packet,
     demands: &[ClusterDemand],
     m: &vex_isa::MachineConfig,
     rename: u8,
-    mask: u16,
 ) -> bool {
     for d in demands {
-        if mask & (1 << d.log_cluster) == 0 {
-            continue;
-        }
         let p = phys_cluster(d.log_cluster, rename, m.n_clusters);
         if !packet.demand_fits_packed(p, d.packed) {
             return false;

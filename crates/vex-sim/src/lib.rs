@@ -62,7 +62,7 @@ pub use config::{
 pub use decode::{DecodedInst, DecodedProgram};
 pub use engine::{Engine, PreparedProgram, StopReason};
 pub use oracle::{interpret, OracleState};
-pub use packet::{can_merge_pair, merge_hierarchy_holds, Packet, MAX_CLUSTERS};
+pub use packet::{Packet, MAX_CLUSTERS};
 pub use profile::{CacheProfile, Profile};
 pub use report::{attribution_json, render_attribution};
 pub use stats::{speedup_pct, SimStats, ThreadStats};

@@ -9,13 +9,13 @@
 //! * Under **cluster-level merging** a cluster accepts the bundle of at
 //!   most one thread per cycle ([`Packet::cluster_free`]).
 //! * Under **operation-level merging** threads share clusters subject to
-//!   issue slots and per-FU counts ([`Packet::bundle_fits`] /
-//!   [`Packet::op_fits`]).
+//!   issue slots and per-FU counts ([`Packet::op_fits`], or one packed
+//!   check per pre-decoded bundle).
 //!
 //! The packet works in *physical* cluster indices: cluster renaming (§IV)
 //! is applied by the caller before any query.
 
-use vex_isa::{Bundle, FuKind, Instruction, MachineConfig};
+use vex_isa::{FuKind, MachineConfig};
 
 /// Upper bound on physical clusters the packet tracks. Fixed so the whole
 /// per-cycle issue state lives in a few flat arrays (~150 bytes) that reset
@@ -152,21 +152,6 @@ impl Packet {
         self.demand_fits_packed(p, op_word(fu))
     }
 
-    /// Operation-level collision check for a whole bundle on cluster `p`
-    /// (`m` must be this packet's machine, as in [`Packet::op_fits`]).
-    pub fn bundle_fits(&self, p: u8, bundle: &Bundle, m: &MachineConfig) -> bool {
-        debug_assert_eq!(
-            self.fit_bias,
-            bias_for(m),
-            "packet built for another machine"
-        );
-        let mut fu = [0u8; N_FU];
-        for kind in FuKind::ALL {
-            fu[kind.index()] = bundle.fu_count(kind);
-        }
-        self.demand_fits_packed(p, pack_demand(&fu, bundle.ops.len() as u8))
-    }
-
     /// Claims resources for one op.
     #[inline]
     pub fn place_op(&mut self, p: u8, fu: FuKind) {
@@ -263,59 +248,9 @@ fn bias_for(machine: &MachineConfig) -> u64 {
     bias | ((63 - machine.cluster.slots) as u64) << SLOTS_SHIFT
 }
 
-/// Pure combinational model of the paper's merge question, used by the
-/// figure-replication tests and by anyone who wants to reason about a pair
-/// of instructions without running the engine:
-/// can `b` merge with `a` in a single cycle?
-pub fn can_merge_pair(
-    a: &Instruction,
-    b: &Instruction,
-    m: &MachineConfig,
-    cluster_level: bool,
-) -> bool {
-    let mut p = Packet::new(m);
-    place_whole(&mut p, a);
-    if cluster_level {
-        (0..m.n_clusters).all(|c| b.bundles[c as usize].is_empty() || p.cluster_free(c))
-    } else {
-        (0..m.n_clusters).all(|c| p.bundle_fits(c, &b.bundles[c as usize], m))
-    }
-}
-
-fn place_whole(p: &mut Packet, inst: &Instruction) {
-    for (c, bundle) in inst.bundles.iter().enumerate() {
-        for op in &bundle.ops {
-            p.place_op(c as u8, op.fu_kind());
-        }
-    }
-}
-
-/// If cluster-level merging can merge a pair, operation-level merging can
-/// too, and the resulting packet is the same set of operations (paper §I).
-/// Exposed for the property tests.
-pub fn merge_hierarchy_holds(a: &Instruction, b: &Instruction, m: &MachineConfig) -> bool {
-    !can_merge_pair(a, b, m, true) || can_merge_pair(a, b, m, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vex_isa::{Opcode, Operand, Operation, Reg};
-
-    fn op(kind: Opcode, c: u8) -> Operation {
-        match kind {
-            Opcode::Ldw => Operation::load(Opcode::Ldw, Reg::new(c, 1), Reg::new(c, 2), 0),
-            Opcode::Stw => {
-                Operation::store(Opcode::Stw, Reg::new(c, 2), 0, Operand::Gpr(Reg::new(c, 1)))
-            }
-            k => Operation::bin(
-                k,
-                Reg::new(c, 1),
-                Operand::Gpr(Reg::new(c, 2)),
-                Operand::Gpr(Reg::new(c, 3)),
-            ),
-        }
-    }
 
     #[test]
     fn slots_limit_bundle() {
@@ -347,102 +282,5 @@ mod tests {
         p.place_op(2, FuKind::Alu);
         assert!(!p.cluster_free(2));
         let _ = m;
-    }
-
-    /// Paper Figure 1, Pair I: conflicts at clusters 0, 1, 3 at both
-    /// levels — nobody can merge.
-    #[test]
-    fn figure1_pair_i() {
-        let m = MachineConfig::small(4, 2);
-        // Thread 0: add - | ld sub | add - | add sub
-        let t0 = Instruction::from_ops(
-            4,
-            [
-                (0, op(Opcode::Add, 0)),
-                (1, op(Opcode::Ldw, 1)),
-                (1, op(Opcode::Sub, 1)),
-                (2, op(Opcode::Add, 2)),
-                (3, op(Opcode::Add, 3)),
-                (3, op(Opcode::Sub, 3)),
-            ],
-        );
-        // Thread 1: shl add | - mov | - - | - add
-        let t1 = Instruction::from_ops(
-            4,
-            [
-                (0, op(Opcode::Shl, 0)),
-                (0, op(Opcode::Add, 0)),
-                (1, op(Opcode::Mov, 1)),
-                (3, op(Opcode::Add, 3)),
-            ],
-        );
-        assert!(!can_merge_pair(&t0, &t1, &m, true), "CSMT cannot merge");
-        assert!(!can_merge_pair(&t0, &t1, &m, false), "SMT cannot merge");
-    }
-
-    /// Paper Figure 1, Pair II: SMT merges (operation-level slots suffice)
-    /// but CSMT cannot (clusters 0, 2, 3 used by both).
-    #[test]
-    fn figure1_pair_ii() {
-        let m = MachineConfig::small(4, 2);
-        // Thread 0: add - | ld - | add - | sub -   (one op per cluster)
-        let t0 = Instruction::from_ops(
-            4,
-            [
-                (0, op(Opcode::Add, 0)),
-                (1, op(Opcode::Ldw, 1)),
-                (2, op(Opcode::Add, 2)),
-                (3, op(Opcode::Sub, 3)),
-            ],
-        );
-        // Thread 1: mov - | mpy - | st - | add -   (same clusters, no
-        // FU conflicts: merged = the paper's "add mov ld mpy add st sub add").
-        let t1 = Instruction::from_ops(
-            4,
-            [
-                (0, op(Opcode::Mov, 0)),
-                (1, op(Opcode::Mull, 1)),
-                (2, op(Opcode::Stw, 2)),
-                (3, op(Opcode::Add, 3)),
-            ],
-        );
-        assert!(!can_merge_pair(&t0, &t1, &m, true), "CSMT conflicts");
-        assert!(can_merge_pair(&t0, &t1, &m, false), "SMT merges");
-    }
-
-    /// Paper Figure 1, Pair III: disjoint clusters — both merge, and the
-    /// merged instruction is identical for SMT and CSMT.
-    #[test]
-    fn figure1_pair_iii() {
-        let m = MachineConfig::small(4, 2);
-        // Thread 0 uses clusters 1 and 2 only.
-        let t0 = Instruction::from_ops(4, [(1, op(Opcode::Ldw, 1)), (2, op(Opcode::Stw, 2))]);
-        // Thread 1 uses clusters 0 and 3.
-        let t1 = Instruction::from_ops(
-            4,
-            [
-                (0, op(Opcode::Shl, 0)),
-                (0, op(Opcode::Mov, 0)),
-                (3, op(Opcode::Add, 3)),
-                (3, op(Opcode::Mull, 3)),
-            ],
-        );
-        assert!(can_merge_pair(&t0, &t1, &m, true));
-        assert!(can_merge_pair(&t0, &t1, &m, false));
-    }
-
-    #[test]
-    fn hierarchy_property_on_figure1_pairs() {
-        let m = MachineConfig::small(4, 2);
-        let insts = [
-            Instruction::from_ops(4, [(0, op(Opcode::Add, 0)), (1, op(Opcode::Sub, 1))]),
-            Instruction::from_ops(4, [(2, op(Opcode::Add, 2))]),
-            Instruction::nop(4),
-        ];
-        for a in &insts {
-            for b in &insts {
-                assert!(merge_hierarchy_holds(a, b, &m));
-            }
-        }
     }
 }

@@ -63,8 +63,8 @@ pub enum CtrlEffect {
 /// packed into 20 bytes: the record buffer is rewritten on every activation
 /// and re-scanned on every issue attempt, so its width is hot-loop traffic.
 /// (The issue timestamp that used to live here is gone: pending state is a
-/// flag bit plus the [`InFlight::first_pending`] cursor, and the
-/// buffered-store port accounting moved to [`InFlight::early_stores`].)
+/// flag bit, and the buffered-store port accounting moved to
+/// [`InFlight::early_stores`].)
 ///
 /// Only the *values* here are computed at activation; the static facts
 /// (`log_cluster`, `fu`) are copied straight from the shared
@@ -192,23 +192,10 @@ pub struct InFlight {
     pub has_comm: bool,
     /// Bitmask of logical clusters with pending (unissued) bundles.
     pub pending_bundles: u16,
-    /// Number of not-yet-issued records.
+    /// Number of not-yet-issued operations.
     pub n_pending: u32,
-    /// Cursor into `records`: everything below this index has issued, so
-    /// the operation-level split-issue scan starts here instead of at the
-    /// array head (records can still issue out of order past the cursor;
-    /// those are skipped via [`OpRecord::is_pending`]).
-    pub first_pending: u32,
     /// Distinct cycles in which parts issued.
     pub parts: u32,
-    /// Pending-operation bitmask for **direct** instructions under the
-    /// operation-level split technique: bit `i` set means op `i` of the
-    /// instruction's threaded-op table has not issued yet. Direct
-    /// instructions materialize no records, so the split-issue walk runs
-    /// off the static [`crate::threaded::ThreadedOp`] table and this mask
-    /// instead (see [`crate::engine`]). Only meaningful while `records`
-    /// is empty and `n_pending > 0`.
-    pub pending_ops: u64,
     /// The instruction's demand-table range, copied from its
     /// [`crate::decode::DecodedInst`] at activation so issue attempts go
     /// straight to the demand slice.
@@ -357,12 +344,8 @@ impl ThreadCtx {
     /// so the early application is unobservable, and both the record
     /// writeback and the commit-time replay drop out of the hot path.
     /// Under the operation-level split technique (`split_op = true`) the
-    /// issue stage walks pending operations individually; for a direct
-    /// instruction that walk runs off the static threaded-op table and
-    /// the [`InFlight::pending_ops`] bitmask set here, so direct
-    /// application stays legal as long as the instruction fits the
-    /// 64-bit mask (wider instructions — only reachable on synthetic
-    /// `CxW` geometries past 64 slots — fall back to records).
+    /// issue stage walks pending records individually, so every
+    /// instruction materializes its records there.
     pub fn activate(&mut self, split_op: bool) {
         debug_assert!(!self.inflight.active);
         let ThreadCtx {
@@ -389,8 +372,7 @@ impl ThreadCtx {
         inflight.records.clear();
         *eval_activations += 1;
         *eval_ops += n as u64;
-        if di.direct && (!split_op || n <= 64) {
-            inflight.pending_ops = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
+        if di.direct && !split_op {
             // Direct application: evaluate in table order and write each
             // effect straight through. `EvalCtx` is rebuilt per op so the
             // shared borrows it holds end before the register-file write —
@@ -427,7 +409,6 @@ impl ThreadCtx {
         inflight.pending_bundles = di.bundle_mask;
         inflight.demand_range = di.demand_range;
         inflight.has_comm = di.has_comm;
-        inflight.first_pending = 0;
         inflight.parts = 0;
         inflight.early_stores = [0; MAX_CLUSTERS];
         // Advance pc to the fall-through successor; a taken branch

@@ -5,10 +5,56 @@
 //! * merging is conservative: merged packets never exceed per-cluster
 //!   resources;
 //! * NOPs merge with everything; merging with a NOP is the identity.
+//!
+//! It also replays the paper's Figure 1 instruction pairs. The merge
+//! question is modelled here over the public [`Packet`] API, the same
+//! resource checks the engine's issue stage makes.
 
 use proptest::prelude::*;
 use vex_isa::{FuKind, Instruction, MachineConfig, Opcode, Operand, Operation, Reg};
-use vex_sim::{can_merge_pair, merge_hierarchy_holds, Packet};
+use vex_sim::Packet;
+
+/// Places every operation of `inst` in the packet, bundle `c` on cluster
+/// `c`.
+fn place_whole(p: &mut Packet, inst: &Instruction) {
+    for (c, bundle) in inst.bundles.iter().enumerate() {
+        for op in &bundle.ops {
+            p.place_op(c as u8, op.fu_kind());
+        }
+    }
+}
+
+/// The paper's merge question as a pure combinational model: can `b`
+/// merge with `a` in a single cycle? At cluster level no cluster may hold
+/// both; at operation level every bundle of `b` must fit beside `a`'s.
+fn can_merge_pair(
+    a: &Instruction,
+    b: &Instruction,
+    m: &MachineConfig,
+    cluster_level: bool,
+) -> bool {
+    let mut p = Packet::new(m);
+    place_whole(&mut p, a);
+    (0..m.n_clusters).all(|c| {
+        let ops = &b.bundles[c as usize].ops;
+        if cluster_level {
+            return ops.is_empty() || p.cluster_free(c);
+        }
+        // Usage only grows, so the bundle fits iff each of its operations
+        // fits as it is placed.
+        ops.iter().all(|op| {
+            let fits = p.op_fits(c, op.fu_kind(), m);
+            p.place_op(c, op.fu_kind());
+            fits
+        })
+    })
+}
+
+/// If cluster-level merging can merge a pair, operation-level merging can
+/// too (paper §I).
+fn merge_hierarchy_holds(a: &Instruction, b: &Instruction, m: &MachineConfig) -> bool {
+    !can_merge_pair(a, b, m, true) || can_merge_pair(a, b, m, false)
+}
 
 fn op_of(kind: u8, c: u8) -> Operation {
     match kind % 6 {
@@ -135,5 +181,124 @@ proptest! {
             can_merge_pair(&a, &b, &m, true),
             can_merge_pair(&b, &a, &m, true)
         );
+    }
+}
+
+/// One operation of class `kind` on cluster `c`, for the Figure 1 pairs.
+fn fig_op(kind: Opcode, c: u8) -> Operation {
+    match kind {
+        Opcode::Ldw => Operation::load(Opcode::Ldw, Reg::new(c, 1), Reg::new(c, 2), 0),
+        Opcode::Stw => {
+            Operation::store(Opcode::Stw, Reg::new(c, 2), 0, Operand::Gpr(Reg::new(c, 1)))
+        }
+        k => Operation::bin(
+            k,
+            Reg::new(c, 1),
+            Operand::Gpr(Reg::new(c, 2)),
+            Operand::Gpr(Reg::new(c, 3)),
+        ),
+    }
+}
+
+/// Paper Figure 1, Pair I: conflicts at clusters 0, 1, 3 at both levels —
+/// nobody can merge.
+#[test]
+fn figure1_pair_i() {
+    let m = MachineConfig::small(4, 2);
+    // Thread 0: add - | ld sub | add - | add sub
+    let t0 = Instruction::from_ops(
+        4,
+        [
+            (0, fig_op(Opcode::Add, 0)),
+            (1, fig_op(Opcode::Ldw, 1)),
+            (1, fig_op(Opcode::Sub, 1)),
+            (2, fig_op(Opcode::Add, 2)),
+            (3, fig_op(Opcode::Add, 3)),
+            (3, fig_op(Opcode::Sub, 3)),
+        ],
+    );
+    // Thread 1: shl add | - mov | - - | - add
+    let t1 = Instruction::from_ops(
+        4,
+        [
+            (0, fig_op(Opcode::Shl, 0)),
+            (0, fig_op(Opcode::Add, 0)),
+            (1, fig_op(Opcode::Mov, 1)),
+            (3, fig_op(Opcode::Add, 3)),
+        ],
+    );
+    assert!(!can_merge_pair(&t0, &t1, &m, true), "CSMT cannot merge");
+    assert!(!can_merge_pair(&t0, &t1, &m, false), "SMT cannot merge");
+}
+
+/// Paper Figure 1, Pair II: SMT merges (operation-level slots suffice) but
+/// CSMT cannot (clusters 0, 2, 3 used by both).
+#[test]
+fn figure1_pair_ii() {
+    let m = MachineConfig::small(4, 2);
+    // Thread 0: add - | ld - | add - | sub -   (one op per cluster)
+    let t0 = Instruction::from_ops(
+        4,
+        [
+            (0, fig_op(Opcode::Add, 0)),
+            (1, fig_op(Opcode::Ldw, 1)),
+            (2, fig_op(Opcode::Add, 2)),
+            (3, fig_op(Opcode::Sub, 3)),
+        ],
+    );
+    // Thread 1: mov - | mpy - | st - | add -   (same clusters, no FU
+    // conflicts: merged = the paper's "add mov ld mpy add st sub add").
+    let t1 = Instruction::from_ops(
+        4,
+        [
+            (0, fig_op(Opcode::Mov, 0)),
+            (1, fig_op(Opcode::Mull, 1)),
+            (2, fig_op(Opcode::Stw, 2)),
+            (3, fig_op(Opcode::Add, 3)),
+        ],
+    );
+    assert!(!can_merge_pair(&t0, &t1, &m, true), "CSMT conflicts");
+    assert!(can_merge_pair(&t0, &t1, &m, false), "SMT merges");
+}
+
+/// Paper Figure 1, Pair III: disjoint clusters — both merge, and the merged
+/// instruction is identical for SMT and CSMT.
+#[test]
+fn figure1_pair_iii() {
+    let m = MachineConfig::small(4, 2);
+    // Thread 0 uses clusters 1 and 2 only.
+    let t0 = Instruction::from_ops(
+        4,
+        [(1, fig_op(Opcode::Ldw, 1)), (2, fig_op(Opcode::Stw, 2))],
+    );
+    // Thread 1 uses clusters 0 and 3.
+    let t1 = Instruction::from_ops(
+        4,
+        [
+            (0, fig_op(Opcode::Shl, 0)),
+            (0, fig_op(Opcode::Mov, 0)),
+            (3, fig_op(Opcode::Add, 3)),
+            (3, fig_op(Opcode::Mull, 3)),
+        ],
+    );
+    assert!(can_merge_pair(&t0, &t1, &m, true));
+    assert!(can_merge_pair(&t0, &t1, &m, false));
+}
+
+#[test]
+fn hierarchy_property_on_figure1_pairs() {
+    let m = MachineConfig::small(4, 2);
+    let insts = [
+        Instruction::from_ops(
+            4,
+            [(0, fig_op(Opcode::Add, 0)), (1, fig_op(Opcode::Sub, 1))],
+        ),
+        Instruction::from_ops(4, [(2, fig_op(Opcode::Add, 2))]),
+        Instruction::nop(4),
+    ];
+    for a in &insts {
+        for b in &insts {
+            assert!(merge_hierarchy_holds(a, b, &m));
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Golden *determinism* test: the full `SimStats` counter set — cycles,
 //! ops, stalls, splits, per-thread breakdowns — must stay bit-identical
-//! across all 8 technique points of the paper's grid, for both the
+//! across all 8 technique points of the paper's grid, for the
 //! hand-written `tests/fixtures/golden.vex` program and a compiled
-//! benchmark, at a fixed seed.
+//! benchmark on the paper machine, and for a generated program on a
+//! 16-cluster machine, at a fixed seed.
 //!
 //! The snapshot in `tests/fixtures/golden_stats.txt` was captured from the
 //! engine *before* the pre-decode/packet refactor, so this test pins the
@@ -15,13 +16,17 @@
 //! ```
 
 use clustered_vliw_smt::asm::parse_program;
-use clustered_vliw_smt::isa::{MachineConfig, Program};
+use clustered_vliw_smt::gen::{generate, GenConfig};
+use clustered_vliw_smt::isa::{Instruction, MachineConfig, Program};
 use clustered_vliw_smt::sim::{run_workload, CommPolicy, MemoryMode, MtMode, SimConfig, Technique};
 use clustered_vliw_smt::workloads::compile_benchmark;
 use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("fixtures/golden.vex");
 const SNAPSHOT: &str = include_str!("fixtures/golden_stats.txt");
+
+/// Generator seed of the 16-cluster section's program.
+const WIDE_SEED: u64 = 1;
 
 /// The eight technique points of Figure 16, in display order.
 fn grid() -> Vec<(&'static str, Technique)> {
@@ -31,9 +36,9 @@ fn grid() -> Vec<(&'static str, Technique)> {
 /// A configuration that exercises every moving part the refactor touches:
 /// more contexts than hardware threads (so the random timeslice scheduler
 /// runs), real caches, renaming, respawn, and a small instruction budget.
-fn snapshot_config(tech: Technique) -> SimConfig {
+fn snapshot_config(machine: MachineConfig, tech: Technique) -> SimConfig {
     SimConfig {
-        machine: MachineConfig::paper_4c4w(),
+        machine,
         caches: vex_mem::MemConfig::paper(),
         technique: tech,
         mt_mode: MtMode::Simultaneous,
@@ -48,10 +53,10 @@ fn snapshot_config(tech: Technique) -> SimConfig {
     }
 }
 
-fn render(programs: &[Arc<Program>], label: &str) -> String {
+fn render(machine: &MachineConfig, programs: &[Arc<Program>], label: &str) -> String {
     let mut out = String::new();
     for (name, tech) in grid() {
-        let stats = run_workload(&snapshot_config(tech), programs);
+        let stats = run_workload(&snapshot_config(machine.clone(), tech), programs);
         out.push_str(&format!("[{label} / {name}]\n{}", stats.snapshot()));
     }
     out
@@ -64,10 +69,31 @@ fn full_snapshot() -> String {
     let idct = compile_benchmark("idct");
     let idct_workload: Vec<Arc<Program>> = (0..3).map(|_| Arc::clone(&idct)).collect();
 
+    // A 16-cluster machine reaches what the paper machine cannot:
+    // instructions wider than 64 operations, and registers in cluster 15,
+    // the top of the flat register-file index space.
+    let wide_machine = MachineConfig::small(16, 8);
+    let wide = Arc::new(
+        generate(&GenConfig::new(wide_machine.clone(), WIDE_SEED)).expect("generator config"),
+    );
+    let widest = wide.instructions.iter().map(Instruction::op_count).max();
+    assert!(
+        widest > Some(64),
+        "seed {WIDE_SEED} no longer yields an instruction wider than 64 operations \
+         (widest: {widest:?})"
+    );
+    assert!(
+        wide.instructions.iter().any(|i| !i.bundles[15].is_empty()),
+        "seed {WIDE_SEED} no longer puts operations on cluster 15"
+    );
+    let wide_workload: Vec<Arc<Program>> = (0..3).map(|_| Arc::clone(&wide)).collect();
+
+    let paper = MachineConfig::paper_4c4w();
     format!(
-        "{}{}",
-        render(&golden_workload, "golden.vex"),
-        render(&idct_workload, "idct"),
+        "{}{}{}",
+        render(&paper, &golden_workload, "golden.vex"),
+        render(&paper, &idct_workload, "idct"),
+        render(&wide_machine, &wide_workload, "gen 16x8"),
     )
 }
 
@@ -94,7 +120,10 @@ fn repeated_runs_are_deterministic() {
     // Same config, same seed, fresh engine: byte-identical counters.
     let p = compile_benchmark("colorspace");
     let programs: Vec<Arc<Program>> = (0..4).map(|_| Arc::clone(&p)).collect();
-    let cfg = snapshot_config(Technique::ccsi(CommPolicy::AlwaysSplit));
+    let cfg = snapshot_config(
+        MachineConfig::paper_4c4w(),
+        Technique::ccsi(CommPolicy::AlwaysSplit),
+    );
     let a = run_workload(&cfg, &programs);
     let b = run_workload(&cfg, &programs);
     assert_eq!(a, b);
