@@ -19,12 +19,15 @@
 //! `docs/SPECS.md`; examples under `examples/*.toml`).
 
 use std::io::{Read, Write};
+use std::ops::RangeBounds;
 use std::process::ExitCode;
 use std::sync::Arc;
-use vex_experiments::SweepRunner;
+use vex_experiments::{SweepOutcome, SweepRunner};
 use vex_isa::{MachineConfig, Program};
-use vex_sim::{CommPolicy, MemoryMode, MtMode, SimConfig, StopReason, Technique};
-use vex_spec::SweepSpec;
+use vex_serve::ServeConfig;
+use vex_sim::config::name_list;
+use vex_sim::{CommPolicy, MemoryMode, MtMode, SimConfig, Technique};
+use vex_spec::{ServeSpec, SweepSpec};
 
 const USAGE: &str = "\
 vex — textual VEX assembly tools for the SMT clustered VLIW simulator
@@ -125,13 +128,6 @@ RUN OPTIONS:
                                           evaluated operations)
     --trace FILE                          stream the run's event trace to FILE
                                           in the binary .vext format
-
-TRACE OPTIONS:
-    --attribute FILE                      replay FILE (`-` = stdin) and bin
-                                          every simulated cycle by cause
-    --json                                emit the attribution as JSON
-    --out FILE                            write the report to FILE (stdout
-                                          default)
     --technique csmt|smt|ccsi|cosi|oosi   issue technique        [default: ccsi]
     --comm ns|as                          split communication instructions
                                           (ns = never, as = always) [default: ns]
@@ -146,6 +142,13 @@ TRACE OPTIONS:
     --max-cycles N                        safety bound            [default: 200000000]
     --seed N                              scheduler seed          [default: 12648430]
     --no-validate                         skip program validation before the run
+
+TRACE OPTIONS:
+    --attribute FILE                      replay FILE (`-` = stdin) and bin
+                                          every simulated cycle by cause
+    --json                                emit the attribution as JSON
+    --out FILE                            write the report to FILE (stdout
+                                          default)
 
 EXIT CODES:
     0  success
@@ -244,6 +247,84 @@ fn main() -> ExitCode {
     }
 }
 
+// ---- argument reading ---------------------------------------------
+
+/// One subcommand's arguments, read left to right. Every error it
+/// reports is a usage error (exit 2).
+struct Args<'a> {
+    cmd: &'static str,
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Args<'a> {
+    fn new(cmd: &'static str, args: &'a [String]) -> Self {
+        Args {
+            cmd,
+            rest: args.iter(),
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.rest.next().map(String::as_str)
+    }
+
+    /// The token after `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, Fail> {
+        self.next()
+            .ok_or_else(|| Fail::usage(format!("`{flag}` needs a value")))
+    }
+
+    /// The token after `flag`, parsed as the flag's own type and checked
+    /// against `range`.
+    fn num<T: std::str::FromStr + PartialOrd>(
+        &mut self,
+        flag: &str,
+        range: impl RangeBounds<T>,
+    ) -> Result<T, Fail> {
+        let v = self.value(flag)?;
+        v.parse()
+            .ok()
+            .filter(|n| range.contains(n))
+            .ok_or_else(|| Fail::usage(format!("bad value `{v}` for `{flag}`")))
+    }
+
+    /// The token after `flag`, looked up in a `(value, name)` table.
+    fn named<T: Copy>(&mut self, flag: &str, table: &[(T, &str)]) -> Result<T, Fail> {
+        let v = self.value(flag)?;
+        let found = table.iter().find(|&&(_, n)| n == v).map(|&(t, _)| t);
+        found.ok_or_else(|| {
+            let names = name_list(table);
+            Fail::usage(format!("bad value `{v}` for `{flag}` ({names})"))
+        })
+    }
+
+    /// Whether `arg` is a file operand rather than an option. `-` (stdin)
+    /// is one only for the subcommands that read their input from stdin.
+    fn is_operand(&self, arg: &str) -> bool {
+        !arg.starts_with('-')
+            || arg == "-" && matches!(self.cmd, "asm" | "check" | "disasm" | "run" | "trace")
+    }
+
+    /// Takes `arg` as the subcommand's one file operand; any other
+    /// dash-led token is an unknown option.
+    fn operand(&self, slot: &mut Option<&'a str>, arg: &'a str) -> Result<(), Fail> {
+        if !self.is_operand(arg) {
+            return Err(self.unknown(arg));
+        }
+        if slot.replace(arg).is_some() {
+            return Err(Fail::usage(format!(
+                "`vex {}` takes at most one file operand",
+                self.cmd
+            )));
+        }
+        Ok(())
+    }
+
+    fn unknown(&self, flag: &str) -> Fail {
+        Fail::usage(format!("unknown option `{flag}` for `vex {}`", self.cmd))
+    }
+}
+
 // ---- input/output helpers -----------------------------------------
 
 fn read_input(path: &str) -> Result<Vec<u8>, String> {
@@ -281,53 +362,11 @@ fn outln(text: &str) -> Result<(), String> {
     out(b"\n")
 }
 
-/// Loads a program from text or binary, autodetected.
+/// Loads a program from text or binary, autodetected. Also the program
+/// resolver the sweep runner, service and worker use for `.vex`/`.vexb`
+/// mix members.
 fn load_program(path: &str) -> Result<Program, String> {
-    let bytes = read_input(path)?;
-    if vex_asm::is_binary(&bytes) {
-        vex_asm::decode(&bytes).map_err(|e| format!("{path}: {e}"))
-    } else {
-        let text =
-            String::from_utf8(bytes).map_err(|e| format!("{path}: input is not UTF-8: {e}"))?;
-        vex_asm::parse_program(&text).map_err(|e| format!("{path}:\n{e}"))
-    }
-}
-
-/// The machine a program runs on: the paper machine, widened or narrowed
-/// to the program's cluster count if it differs.
-fn machine_for(p: &Program) -> MachineConfig {
-    let mut m = MachineConfig::paper_4c4w();
-    m.n_clusters = vex_asm::program_clusters(p);
-    m
-}
-
-// ---- subcommands --------------------------------------------------
-
-fn cmd_asm(args: &[String]) -> Result<(), Fail> {
-    let check = args.iter().any(|a| a == "--check");
-    let rest: Vec<String> = args.iter().filter(|a| *a != "--check").cloned().collect();
-    let (input, output) = parse_io_args(&rest, "asm").map_err(Fail::usage)?;
-    let (program, spans, source) = load_program_spanned(&input).map_err(Fail::input)?;
-    program
-        .validate(&machine_for(&program))
-        .map_err(|e| Fail::input(format!("invalid program: {e}")))?;
-    if check {
-        let report = vex_analyze::analyze(&program, &machine_for(&program));
-        if !report.diags.is_empty() {
-            eprint!(
-                "{}",
-                render_report(&report, spans.as_ref(), source.as_deref())
-            );
-        }
-        if !report.is_clean() {
-            return Err(Fail::analysis(format!(
-                "static analysis found {} error(s) (see diagnostics above)",
-                report.errors()
-            )));
-        }
-    }
-    write_output(output.as_deref(), &vex_asm::encode(&program))?;
-    Ok(())
+    load_program_spanned(path).map(|(program, _, _)| program)
 }
 
 /// Loads a program like [`load_program`], additionally returning the
@@ -347,6 +386,50 @@ fn load_program_spanned(
             vex_asm::parse_program_spanned(&text).map_err(|e| format!("{path}:\n{e}"))?;
         Ok((program, Some(spans), Some(text)))
     }
+}
+
+/// The machine a program runs on: the paper machine, widened or narrowed
+/// to the program's cluster count if it differs.
+fn machine_for(p: &Program) -> MachineConfig {
+    let mut m = MachineConfig::paper_4c4w();
+    m.n_clusters = vex_asm::program_clusters(p);
+    m
+}
+
+// ---- subcommands --------------------------------------------------
+
+fn cmd_asm(args: &[String]) -> Result<(), Fail> {
+    let (mut input, mut output, mut check) = (None, None, false);
+    let mut a = Args::new("asm", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "-o" | "--output" => output = Some(a.value(arg)?),
+            "--check" => check = true,
+            _ => a.operand(&mut input, arg)?,
+        }
+    }
+    let input = input.unwrap_or("-");
+    let (program, spans, source) = load_program_spanned(input).map_err(Fail::input)?;
+    program
+        .validate(&machine_for(&program))
+        .map_err(|e| Fail::input(format!("invalid program: {e}")))?;
+    if check {
+        let report = vex_analyze::analyze(&program, &machine_for(&program));
+        if !report.diags.is_empty() {
+            eprint!(
+                "{}",
+                render_report(&report, spans.as_ref(), source.as_deref())
+            );
+        }
+        if !report.is_clean() {
+            return Err(Fail::analysis(format!(
+                "static analysis found {} error(s) (see diagnostics above)",
+                report.errors()
+            )));
+        }
+    }
+    write_output(output, &vex_asm::encode(&program))?;
+    Ok(())
 }
 
 /// Renders an analyzer report. With a span table and source text (text
@@ -403,35 +486,17 @@ fn render_report(
 }
 
 fn cmd_check(args: &[String]) -> Result<(), Fail> {
-    let mut input: Option<String> = None;
-    let mut machine: Option<MachineConfig> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--machine" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| Fail::usage("`--machine` needs a value"))?;
-                machine = Some(parse_machine(v).map_err(Fail::usage)?);
-            }
+    let (mut input, mut machine, mut json) = (None, None, false);
+    let mut a = Args::new("check", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--machine" => machine = Some(parse_machine(a.value(arg)?).map_err(Fail::usage)?),
             "--json" => json = true,
-            "-" => input = Some("-".to_string()),
-            f if !f.starts_with('-') => {
-                if input.is_some() {
-                    return Err(Fail::usage("`vex check` takes at most one input file"));
-                }
-                input = Some(f.to_string());
-            }
-            other => {
-                return Err(Fail::usage(format!(
-                    "unknown option `{other}` for `vex check`"
-                )))
-            }
+            _ => a.operand(&mut input, arg)?,
         }
     }
-    let input = input.unwrap_or_else(|| "-".to_string());
-    let (program, spans, source) = load_program_spanned(&input).map_err(Fail::input)?;
+    let input = input.unwrap_or("-");
+    let (program, spans, source) = load_program_spanned(input).map_err(Fail::input)?;
     let machine = machine.unwrap_or_else(|| machine_for(&program));
     let report = vex_analyze::analyze(&program, &machine);
     if json {
@@ -444,7 +509,7 @@ fn cmd_check(args: &[String]) -> Result<(), Fail> {
             "static analysis found {} error(s) in `{}`",
             report.errors(),
             if program.name.is_empty() {
-                &input
+                input
             } else {
                 &program.name
             }
@@ -454,47 +519,26 @@ fn cmd_check(args: &[String]) -> Result<(), Fail> {
 }
 
 fn cmd_disasm(args: &[String]) -> Result<(), Fail> {
-    let (input, output) = parse_io_args(args, "disasm").map_err(Fail::usage)?;
-    let program = load_program(&input).map_err(Fail::input)?;
-    write_output(
-        output.as_deref(),
-        vex_asm::print_program(&program).as_bytes(),
-    )?;
+    let (mut input, mut output) = (None, None);
+    let mut a = Args::new("disasm", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "-o" | "--output" => output = Some(a.value(arg)?),
+            _ => a.operand(&mut input, arg)?,
+        }
+    }
+    let program = load_program(input.unwrap_or("-")).map_err(Fail::input)?;
+    write_output(output, vex_asm::print_program(&program).as_bytes())?;
     Ok(())
 }
 
-/// Shared `[FILE] [-o OUT]` argument shape of `asm`/`disasm`.
-fn parse_io_args(args: &[String], cmd: &str) -> Result<(String, Option<String>), String> {
-    let mut input: Option<String> = None;
-    let mut output: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-o" | "--output" => {
-                output = Some(
-                    it.next()
-                        .ok_or_else(|| format!("`{a}` needs a path"))?
-                        .clone(),
-                )
-            }
-            "-" => input = Some("-".to_string()),
-            f if !f.starts_with('-') => {
-                if input.is_some() {
-                    return Err(format!("`vex {cmd}` takes at most one input file"));
-                }
-                input = Some(f.to_string());
-            }
-            other => return Err(format!("unknown option `{other}` for `vex {cmd}`")),
-        }
-    }
-    Ok((input.unwrap_or_else(|| "-".to_string()), output))
-}
-
 fn cmd_export(args: &[String]) -> Result<(), Fail> {
-    if args.len() > 1 || args.iter().any(|a| a.starts_with('-')) {
-        return Err(Fail::usage("usage: vex export-workloads [DIR]"));
+    let mut dir = None;
+    let mut a = Args::new("export-workloads", args);
+    while let Some(arg) = a.next() {
+        a.operand(&mut dir, arg)?;
     }
-    let dir = args.first().map(String::as_str).unwrap_or("workloads");
+    let dir = dir.unwrap_or("workloads");
     std::fs::create_dir_all(dir).map_err(|e| format!("creating `{dir}`: {e}"))?;
     for (name, program) in vex_workloads::compile_all() {
         let path = format!("{dir}/{name}.vex");
@@ -536,75 +580,34 @@ fn parse_machine(spec: &str) -> Result<MachineConfig, String> {
     ))
 }
 
-/// Parsed `vex fuzz` options.
-struct FuzzOpts {
-    seed_count: u64,
-    seed_base: u64,
-    machine: MachineConfig,
-    machine_name: String,
-    size: u32,
-    out_path: String,
-}
-
-fn parse_fuzz_args(args: &[String]) -> Result<FuzzOpts, String> {
-    let mut seed_count: u64 = 100;
-    let mut seed_base: u64 = 0;
-    let mut machine = MachineConfig::paper_4c4w();
-    let mut machine_name = "paper".to_string();
-    let mut size: u32 = vex_gen::GenConfig::DEFAULT_SIZE;
-    let mut out_path = "fuzz_failure.vex".to_string();
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .map(std::string::ToString::to_string)
-            .ok_or_else(|| format!("`{flag}` needs a value"))
+fn cmd_fuzz(args: &[String]) -> Result<(), Fail> {
+    let mut gen = vex_gen::GenConfig {
+        machine: MachineConfig::paper_4c4w(),
+        seed: 0,
+        size: vex_gen::GenConfig::DEFAULT_SIZE,
     };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed-count" => {
-                let v = value(&mut it, a)?;
-                seed_count = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad seed count `{v}`"))?;
-            }
-            "--seed-base" => seed_base = parse_u64(&value(&mut it, a)?, a)?,
+    let (mut seed_count, mut seed_base) = (100u64, 0u64);
+    let (mut machine_name, mut out_path) = ("paper", "fuzz_failure.vex");
+    let mut a = Args::new("fuzz", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--seed-count" => seed_count = a.num(arg, 1..)?,
+            "--seed-base" => seed_base = a.num(arg, ..)?,
             "--machine" => {
-                machine_name = value(&mut it, a)?;
-                machine = parse_machine(&machine_name)?;
+                machine_name = a.value(arg)?;
+                gen.machine = parse_machine(machine_name).map_err(Fail::usage)?;
             }
-            "--size" => {
-                let v = value(&mut it, a)?;
-                size = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad size `{v}`"))?;
-            }
-            "--out" => out_path = value(&mut it, a)?,
-            other => return Err(format!("unknown option `{other}` for `vex fuzz`")),
+            "--size" => gen.size = a.num(arg, 1..)?,
+            "--out" => out_path = a.value(arg)?,
+            _ => return Err(a.unknown(arg)),
         }
     }
-    Ok(FuzzOpts {
-        seed_count,
-        seed_base,
-        machine,
-        machine_name,
-        size,
-        out_path,
-    })
-}
-
-fn cmd_fuzz(args: &[String]) -> Result<(), Fail> {
-    let o = parse_fuzz_args(args).map_err(Fail::usage)?;
     let t0 = std::time::Instant::now();
-    for i in 0..o.seed_count {
-        let seed = o.seed_base.wrapping_add(i);
+    for i in 0..seed_count {
+        let seed = seed_base.wrapping_add(i);
         let cfg = vex_gen::GenConfig {
-            machine: o.machine.clone(),
             seed,
-            size: o.size,
+            ..gen.clone()
         };
         // Generated programs must be analysis-clean (no static-analysis
         // errors): the generator promises well-formed resource usage,
@@ -614,21 +617,18 @@ fn cmd_fuzz(args: &[String]) -> Result<(), Fail> {
         let report = vex_analyze::analyze(&program, &cfg.machine);
         if !report.is_clean() {
             let text = vex_asm::print_program(&program);
-            if let Err(e) = std::fs::write(&o.out_path, &text) {
-                eprintln!("[vex fuzz] warning: could not write `{}`: {e}", o.out_path);
+            if let Err(e) = std::fs::write(out_path, &text) {
+                eprintln!("[vex fuzz] warning: could not write `{out_path}`: {e}");
             } else {
-                eprintln!(
-                    "[vex fuzz] analysis-rejected program written to `{}`",
-                    o.out_path
-                );
+                eprintln!("[vex fuzz] analysis-rejected program written to `{out_path}`");
             }
             eprint!("{}", report.render());
             return Err(Fail::analysis(format!(
                 "seed {seed}: generated program fails static analysis with {} error(s)\n  \
-                 reproduce: vex fuzz --machine {} --seed-base {seed} --seed-count 1 --size {}",
+                 reproduce: vex fuzz --machine {machine_name} --seed-base {seed} --seed-count 1 \
+                 --size {}",
                 report.errors(),
-                o.machine_name,
-                o.size
+                cfg.size
             )));
         }
         // The analyzed program is the one checked: generate once per seed.
@@ -638,23 +638,20 @@ fn cmd_fuzz(args: &[String]) -> Result<(), Fail> {
                 program: Arc::try_unwrap(program).unwrap_or_else(|a| (*a).clone()),
                 mismatch,
             };
-            report_fuzz_failure(&cfg, failure, &o.machine_name, &o.out_path)?;
+            report_fuzz_failure(&cfg, failure, machine_name, out_path)?;
             return Ok(());
         }
         if (i + 1) % 100 == 0 {
             eprintln!(
-                "[vex fuzz] {}/{} seeds clean ({:.1}s)",
+                "[vex fuzz] {}/{seed_count} seeds clean ({:.1}s)",
                 i + 1,
-                o.seed_count,
                 t0.elapsed().as_secs_f32()
             );
         }
     }
     outln(&format!(
-        "vex fuzz: {} seed(s) x 8 techniques x {{1,2,4}} threads on `{}`: \
+        "vex fuzz: {seed_count} seed(s) x 8 techniques x {{1,2,4}} threads on `{machine_name}`: \
          all runs byte-identical to the reference interpreter ({:.1}s)",
-        o.seed_count,
-        o.machine_name,
         t0.elapsed().as_secs_f32()
     ))?;
     Ok(())
@@ -717,89 +714,58 @@ fn load_spec(path: &str) -> Result<SweepSpec, String> {
     SweepSpec::parse(&text).map_err(|e| format!("{path}:\n{e}"))
 }
 
-/// The program resolver handed to the sweep runner: `.vex`/`.vexb` mix
-/// members load through the same autodetecting frontend as `vex run`.
-fn resolve_program(path: &str) -> Result<Program, String> {
-    load_program(path)
-}
-
-/// Parsed `vex sweep` options.
-struct SweepOpts {
-    spec_path: String,
-    out_path: Option<String>,
-    workers: Option<usize>,
-    journal: Option<String>,
-    resume: bool,
-    keep_going: bool,
-    retries: Option<u32>,
-    zero_wall: bool,
-}
-
-fn parse_sweep_args(args: &[String]) -> Result<SweepOpts, String> {
-    let mut spec_path: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut journal: Option<String> = None;
-    let mut resume = false;
-    let mut keep_going = false;
-    let mut retries: Option<u32> = None;
-    let mut zero_wall = false;
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .map(std::string::ToString::to_string)
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out_path = Some(value(&mut it, a)?),
-            "--journal" => journal = Some(value(&mut it, a)?),
-            "--resume" => resume = true,
-            "--keep-going" => keep_going = true,
-            "--zero-wall" => zero_wall = true,
-            "--retries" => {
-                let v = value(&mut it, a)?;
-                retries = Some(v.parse().map_err(|_| format!("bad retry count `{v}`"))?);
-            }
-            "--workers" => {
-                let v = value(&mut it, a)?;
-                workers = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("bad worker count `{v}`"))?,
-                );
-            }
-            f if !f.starts_with('-') => {
-                if spec_path.is_some() {
-                    return Err("`vex sweep` takes exactly one spec file".to_string());
-                }
-                spec_path = Some(f.to_string());
-            }
-            other => return Err(format!("unknown option `{other}` for `vex sweep`")),
-        }
+/// Writes a finished sweep's JSON results to `out_path` (stdout without
+/// one). If points failed, the JSON's `errors` table is repeated on
+/// stderr and the command fails with exit code 4, so scripts notice
+/// without parsing.
+fn emit_outcome(
+    cmd: &str,
+    outcome: &SweepOutcome,
+    out_path: Option<&str>,
+    total: usize,
+) -> Result<(), Fail> {
+    write_output(out_path, outcome.to_json().as_bytes())?;
+    if let Some(p) = out_path {
+        outln(&format!("wrote {p}"))?;
     }
-    let spec_path = spec_path.ok_or_else(|| {
-        "usage: vex sweep SPEC.toml [--out FILE] [--journal FILE [--resume]] \
-         [--keep-going] [--retries N] [--zero-wall]"
-            .to_string()
-    })?;
-    Ok(SweepOpts {
-        spec_path,
-        out_path,
-        workers,
-        journal,
-        resume,
-        keep_going,
-        retries,
-        zero_wall,
-    })
+    if outcome.errors.is_empty() {
+        return Ok(());
+    }
+    eprintln!("[vex {cmd}] {} point(s) failed:", outcome.errors.len());
+    for e in &outcome.errors {
+        eprintln!("  [{:<7}] {}: {}", e.cause.tag(), e.label, e.cause);
+    }
+    Err(Fail::points(format!(
+        "{} of {total} point(s) failed",
+        outcome.errors.len()
+    )))
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), Fail> {
-    let o = parse_sweep_args(args).map_err(Fail::usage)?;
-    let spec = load_spec(&o.spec_path).map_err(Fail::input)?;
-    if o.resume && o.journal.is_none() && spec.journal.is_none() {
+    let (mut spec_path, mut out_path, mut journal, mut retries) = (None, None, None, None);
+    let mut workers = vex_experiments::default_workers();
+    let (mut resume, mut keep_going, mut zero_wall) = (false, false, false);
+    let mut a = Args::new("sweep", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--out" => out_path = Some(a.value(arg)?),
+            "--workers" => workers = a.num(arg, 1..)?,
+            "--journal" => journal = Some(a.value(arg)?),
+            "--resume" => resume = true,
+            "--keep-going" => keep_going = true,
+            "--retries" => retries = Some(a.num(arg, ..)?),
+            "--zero-wall" => zero_wall = true,
+            _ => a.operand(&mut spec_path, arg)?,
+        }
+    }
+    let spec_path = spec_path.ok_or_else(|| {
+        Fail::usage(
+            "usage: vex sweep SPEC.toml [--out FILE] [--journal FILE [--resume]] \
+             [--keep-going] [--retries N] [--zero-wall]",
+        )
+    })?;
+    let spec = load_spec(spec_path).map_err(Fail::input)?;
+    if resume && journal.is_none() && spec.journal.is_none() {
         return Err(Fail::usage(
             "`--resume` needs a journal path: pass `--journal FILE` or set \
              `journal = \"...\"` in the spec",
@@ -807,17 +773,15 @@ fn cmd_sweep(args: &[String]) -> Result<(), Fail> {
     }
 
     let mut runner = SweepRunner::new(&spec)
-        .loader(&resolve_program)
-        .resume(o.resume)
-        .keep_going(o.keep_going)
-        .deterministic_wall(o.zero_wall);
-    if let Some(n) = o.workers {
-        runner = runner.workers(n);
-    }
-    if let Some(j) = &o.journal {
+        .loader(&load_program)
+        .workers(workers)
+        .resume(resume)
+        .keep_going(keep_going)
+        .deterministic_wall(zero_wall);
+    if let Some(j) = journal {
         runner = runner.journal(j);
     }
-    if let Some(r) = o.retries {
+    if let Some(r) = retries {
         runner = runner.retries(r);
     }
     let t0 = std::time::Instant::now();
@@ -830,114 +794,23 @@ fn cmd_sweep(args: &[String]) -> Result<(), Fail> {
         resumed,
         t0.elapsed().as_secs_f32()
     );
-    let json = outcome.to_json();
-    match &o.out_path {
-        Some(p) => {
-            std::fs::write(p, &json).map_err(|e| format!("writing `{p}`: {e}"))?;
-            outln(&format!("wrote {p}"))?;
-        }
-        None => out(json.as_bytes())?,
-    }
-    if !outcome.errors.is_empty() {
-        // The JSON (with its `errors` table) is already on disk/stdout;
-        // repeat the table on stderr and exit with the distinct code so
-        // scripts notice without parsing.
-        eprintln!("[vex sweep] {} point(s) failed:", outcome.errors.len());
-        for e in &outcome.errors {
-            eprintln!("  [{:<7}] {}: {}", e.cause.tag(), e.label, e.cause);
-        }
-        return Err(Fail::points(format!(
-            "{} of {} point(s) failed",
-            outcome.errors.len(),
-            outcome.errors.len() + outcome.points.len()
-        )));
-    }
-    Ok(())
+    let total = outcome.errors.len() + outcome.points.len();
+    emit_outcome("sweep", &outcome, out_path, total)
 }
 
 // ---- the sweep service --------------------------------------------
 
 fn cmd_serve(args: &[String]) -> Result<(), Fail> {
-    let mut cfg = vex_serve::ServeConfig::default();
-    let mut spec_path: Option<String> = None;
-    let mut workers: Option<u32> = None;
-    let mut heartbeat_ms: Option<u64> = None;
-    let mut point_timeout_ms: Option<u64> = None;
-    let mut retries: Option<u32> = None;
-    let mut quarantine: Option<u32> = None;
-    let mut backoff_base_ms: Option<u64> = None;
-    let mut backoff_max_ms: Option<u64> = None;
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .map(std::string::ToString::to_string)
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    let num = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<u64, String> {
-        let v = value(it, flag)?;
-        v.parse()
-            .map_err(|_| format!("bad value `{v}` for `{flag}`"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => cfg.listen = value(&mut it, a)?,
-            "--journal" => cfg.journal = Some(value(&mut it, a)?),
-            "--port-file" => cfg.port_file = Some(value(&mut it, a)?),
-            "--resume" => cfg.resume = true,
-            "--zero-wall" => cfg.zero_wall = true,
-            "--workers" => workers = Some(num(&mut it, a)? as u32),
-            "--heartbeat-ms" => heartbeat_ms = Some(num(&mut it, a)?),
-            "--point-timeout-ms" => point_timeout_ms = Some(num(&mut it, a)?),
-            "--retries" => retries = Some(num(&mut it, a)? as u32),
-            "--quarantine" => quarantine = Some(num(&mut it, a)? as u32),
-            "--backoff-base-ms" => backoff_base_ms = Some(num(&mut it, a)?),
-            "--backoff-max-ms" => backoff_max_ms = Some(num(&mut it, a)?),
-            f if !f.starts_with('-') => {
-                if spec_path.is_some() {
-                    return Err(Fail::usage("`vex serve` takes at most one spec file"));
-                }
-                spec_path = Some(f.to_string());
-            }
-            other => {
-                return Err(Fail::usage(format!(
-                    "unknown option `{other}` for `vex serve`"
-                )))
-            }
+    let mut cfg = ServeConfig::default();
+    // A spec file's `[serve]` table seeds the policy and flags override
+    // it, wherever the spec operand sits: read the flags once to find the
+    // spec, then once more over its policy.
+    if let Some(path) = read_serve_args(args, &mut cfg)? {
+        if let Some(policy) = load_spec(path).map_err(Fail::input)?.serve {
+            cfg.policy = policy;
+            read_serve_args(args, &mut cfg)?;
         }
     }
-
-    // A spec file's `[serve]` table seeds the policy; flags override it.
-    if let Some(p) = &spec_path {
-        let spec = load_spec(p).map_err(Fail::input)?;
-        if let Some(s) = spec.serve {
-            cfg.policy = s;
-        }
-    }
-    if let Some(v) = heartbeat_ms {
-        if v == 0 {
-            return Err(Fail::usage("`--heartbeat-ms` must be at least 1"));
-        }
-        cfg.policy.heartbeat_ms = v;
-    }
-    if let Some(v) = point_timeout_ms {
-        cfg.policy.point_timeout_ms = v;
-    }
-    if let Some(v) = retries {
-        cfg.policy.retries = v;
-    }
-    if let Some(v) = quarantine {
-        if v == 0 {
-            return Err(Fail::usage("`--quarantine` must be at least 1"));
-        }
-        cfg.policy.quarantine = v;
-    }
-    if let Some(v) = backoff_base_ms {
-        cfg.policy.backoff_base_ms = v;
-    }
-    if let Some(v) = backoff_max_ms {
-        cfg.policy.backoff_max_ms = v;
-    }
-    cfg.workers = workers.unwrap_or(cfg.policy.workers);
     if cfg.resume && cfg.journal.is_none() {
         return Err(Fail::usage("`--resume` needs `--journal FILE`"));
     }
@@ -947,77 +820,67 @@ fn cmd_serve(args: &[String]) -> Result<(), Fail> {
         .map_err(|e| format!("cannot locate the vex binary for worker spawning: {e}"))?;
     cfg.worker_cmd = Some(vec![exe.display().to_string(), "worker".to_string()]);
 
-    vex_serve::serve(&cfg, Some(&resolve_program)).map_err(Fail::from)
+    vex_serve::serve(&cfg, Some(&load_program)).map_err(Fail::from)
+}
+
+/// Reads `vex serve`'s flags into `cfg`, returning the spec operand.
+fn read_serve_args<'a>(args: &'a [String], cfg: &mut ServeConfig) -> Result<Option<&'a str>, Fail> {
+    let mut spec_path = None;
+    let mut a = Args::new("serve", args);
+    while let Some(arg) = a.next() {
+        let p = &mut cfg.policy;
+        match arg {
+            "--listen" => cfg.listen = a.value(arg)?.to_string(),
+            "--journal" => cfg.journal = Some(a.value(arg)?.to_string()),
+            "--port-file" => cfg.port_file = Some(a.value(arg)?.to_string()),
+            "--resume" => cfg.resume = true,
+            "--zero-wall" => cfg.zero_wall = true,
+            "--workers" => p.workers = a.num(arg, 0..=ServeSpec::MAX_WORKERS)?,
+            "--heartbeat-ms" => p.heartbeat_ms = a.num(arg, 1..)?,
+            "--point-timeout-ms" => p.point_timeout_ms = a.num(arg, ..)?,
+            "--retries" => p.retries = a.num(arg, ..)?,
+            "--quarantine" => p.quarantine = a.num(arg, 1..)?,
+            "--backoff-base-ms" => p.backoff_base_ms = a.num(arg, ..)?,
+            "--backoff-max-ms" => p.backoff_max_ms = a.num(arg, ..)?,
+            _ => a.operand(&mut spec_path, arg)?,
+        }
+    }
+    Ok(spec_path)
 }
 
 fn cmd_worker(args: &[String]) -> Result<(), Fail> {
-    let mut connect: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => {
-                connect = Some(
-                    it.next()
-                        .map(std::string::ToString::to_string)
-                        .ok_or_else(|| Fail::usage("`--connect` needs an address"))?,
-                )
-            }
-            other => {
-                return Err(Fail::usage(format!(
-                    "unknown option `{other}` for `vex worker`"
-                )))
-            }
+    let mut connect = None;
+    let mut a = Args::new("worker", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--connect" => connect = Some(a.value(arg)?),
+            _ => return Err(a.unknown(arg)),
         }
     }
     let addr = connect.ok_or_else(|| Fail::usage("usage: vex worker --connect ADDR"))?;
-    vex_serve::worker_main(&addr, Some(&resolve_program)).map_err(Fail::from)
+    vex_serve::worker_main(addr, Some(&load_program)).map_err(Fail::from)
 }
 
 fn cmd_submit(args: &[String]) -> Result<(), Fail> {
-    let mut spec_path: Option<String> = None;
-    let mut connect: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut poll_ms: u64 = 100;
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .map(std::string::ToString::to_string)
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => connect = Some(value(&mut it, a).map_err(Fail::usage)?),
-            "--out" => out_path = Some(value(&mut it, a).map_err(Fail::usage)?),
-            "--poll-ms" => {
-                let v = value(&mut it, a).map_err(Fail::usage)?;
-                poll_ms = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| Fail::usage(format!("bad poll interval `{v}`")))?;
-            }
-            f if !f.starts_with('-') => {
-                if spec_path.is_some() {
-                    return Err(Fail::usage("`vex submit` takes exactly one spec file"));
-                }
-                spec_path = Some(f.to_string());
-            }
-            other => {
-                return Err(Fail::usage(format!(
-                    "unknown option `{other}` for `vex submit`"
-                )))
-            }
+    let (mut spec_path, mut connect, mut out_path, mut poll_ms) = (None, None, None, 100);
+    let mut a = Args::new("submit", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--connect" => connect = Some(a.value(arg)?),
+            "--out" => out_path = Some(a.value(arg)?),
+            "--poll-ms" => poll_ms = a.num(arg, 1..)?,
+            _ => a.operand(&mut spec_path, arg)?,
         }
     }
     let spec_path = spec_path.ok_or_else(|| {
         Fail::usage("usage: vex submit SPEC.toml --connect ADDR [--out FILE] [--poll-ms N]")
     })?;
     let addr = connect.ok_or_else(|| Fail::usage("`vex submit` needs `--connect ADDR`"))?;
-    let text = std::fs::read_to_string(&spec_path)
+    let text = std::fs::read_to_string(spec_path)
         .map_err(|e| Fail::input(format!("reading `{spec_path}`: {e}")))?;
 
     let t0 = std::time::Instant::now();
-    let sub = vex_serve::submit(&addr, &text, Some(&resolve_program), poll_ms)?;
+    let sub = vex_serve::submit(addr, &text, Some(&load_program), poll_ms)?;
     eprintln!(
         "[vex submit] {}: {} points — {} cached, {} newly scheduled, {} failed in {:.1}s",
         sub.outcome.spec.name,
@@ -1027,56 +890,128 @@ fn cmd_submit(args: &[String]) -> Result<(), Fail> {
         sub.outcome.errors.len(),
         t0.elapsed().as_secs_f32()
     );
-    let json = sub.outcome.to_json();
-    match &out_path {
-        Some(p) => {
-            std::fs::write(p, &json).map_err(|e| format!("writing `{p}`: {e}"))?;
-            outln(&format!("wrote {p}"))?;
-        }
-        None => out(json.as_bytes())?,
-    }
-    if !sub.outcome.errors.is_empty() {
-        eprintln!("[vex submit] {} point(s) failed:", sub.outcome.errors.len());
-        for e in &sub.outcome.errors {
-            eprintln!("  [{:<7}] {}: {}", e.cause.tag(), e.label, e.cause);
-        }
-        return Err(Fail::points(format!(
-            "{} of {} point(s) failed",
-            sub.outcome.errors.len(),
-            sub.total
-        )));
-    }
-    Ok(())
+    emit_outcome("submit", &sub.outcome, out_path, sub.total)
 }
 
-/// Runs a workload like [`vex_sim::run_programs`], optionally streaming
-/// the event trace to `trace` in the binary `.vext` format. The sink is
-/// finished (flushed, deferred I/O errors surfaced) before the report
-/// prints, so a reported run always has a complete trace on disk.
-fn run_traced(
-    cfg: &SimConfig,
-    workload: &[Arc<Program>],
-    trace: Option<&str>,
-) -> Result<(vex_sim::Engine, StopReason), String> {
-    let mut engine = vex_sim::Engine::new(cfg.clone(), workload);
-    if let Some(path) = trace {
-        engine.set_tracer(Box::new(vex_sim::FileSink::create(path)?));
+// ---- simulation ---------------------------------------------------
+
+/// A technique family: it builds its technique for a `--comm` policy.
+type Family = fn(CommPolicy) -> Technique;
+
+/// `vex run --technique` names (CSMT and SMT never split, so they ignore
+/// the `--comm` policy).
+const TECHNIQUES: [(Family, &str); 5] = [
+    (|_| Technique::csmt(), "csmt"),
+    (|_| Technique::smt(), "smt"),
+    (Technique::ccsi, "ccsi"),
+    (Technique::cosi, "cosi"),
+    (Technique::oosi, "oosi"),
+];
+
+fn cmd_run(args: &[String]) -> Result<(), Fail> {
+    if args.iter().any(|a| a == "--spec") {
+        return cmd_run_spec(args);
     }
-    let reason = engine.run();
-    if let Some(mut sink) = engine.take_tracer() {
-        sink.finish()?;
-        if let Some(path) = trace {
-            eprintln!("[vex run] trace written to `{path}`");
+    let mut cfg = SimConfig {
+        timeslice: u64::MAX,
+        inst_limit: u64::MAX,
+        max_cycles: 200_000_000,
+        respawn: false,
+        ..SimConfig::paper(Technique::ccsi(CommPolicy::NoSplit), 1)
+    };
+    let mut technique: Family = Technique::ccsi;
+    let (mut comm, mut threads) = (CommPolicy::NoSplit, None);
+    let (mut inputs, mut trace, mut profile, mut validate) = (Vec::new(), None, false, true);
+    let mut a = Args::new("run", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--technique" => technique = a.named(arg, &TECHNIQUES)?,
+            "--comm" => comm = a.named(arg, &CommPolicy::NAMED)?,
+            "--threads" => threads = Some(a.num(arg, 1..)?),
+            "--memory" => cfg.memory = a.named(arg, &MemoryMode::NAMED)?,
+            "--mt" => cfg.mt_mode = a.named(arg, &MtMode::NAMED)?,
+            "--no-renaming" => cfg.renaming = false,
+            "--respawn" => cfg.respawn = true,
+            "--timeslice" => cfg.timeslice = a.num(arg, ..)?,
+            "--inst-limit" => cfg.inst_limit = a.num(arg, ..)?,
+            "--max-cycles" => cfg.max_cycles = a.num(arg, ..)?,
+            "--seed" => cfg.seed = a.num(arg, ..)?,
+            "--profile" => profile = true,
+            "--trace" => trace = Some(a.value(arg)?),
+            "--no-validate" => validate = false,
+            _ if a.is_operand(arg) => inputs.push(arg),
+            _ => return Err(a.unknown(arg)),
         }
     }
-    Ok((engine, reason))
+    if inputs.is_empty() {
+        inputs.push("-");
+    }
+    let programs: Vec<Arc<Program>> = inputs
+        .iter()
+        .map(|p| load_program(p).map(Arc::new))
+        .collect::<Result<_, String>>()
+        .map_err(Fail::input)?;
+
+    cfg.technique = technique(comm);
+    cfg.n_threads = threads.unwrap_or(programs.len().min(255) as u8).max(1);
+    if (cfg.n_threads as usize) < programs.len() {
+        return Err(Fail::usage(format!(
+            "{} input programs but only {} hardware threads — every input \
+             must get a context (raise --threads or drop inputs)",
+            programs.len(),
+            cfg.n_threads
+        )));
+    }
+
+    // All programs share the machine; they must agree on cluster count.
+    cfg.machine = machine_for(&programs[0]);
+    for p in programs.iter() {
+        if vex_asm::program_clusters(p) != cfg.machine.n_clusters {
+            return Err(Fail::input(format!(
+                "program `{}` targets {} clusters but `{}` targets {}",
+                p.name,
+                vex_asm::program_clusters(p),
+                programs[0].name,
+                cfg.machine.n_clusters
+            )));
+        }
+        if validate {
+            p.validate(&cfg.machine).map_err(|e| {
+                Fail::input(format!("invalid program (use --no-validate to force): {e}"))
+            })?;
+        }
+    }
+
+    // Cycle the inputs to fill all hardware contexts.
+    let workload: Vec<Arc<Program>> = (0..cfg.n_threads as usize)
+        .map(|i| Arc::clone(&programs[i % programs.len()]))
+        .collect();
+    run_and_report(&cfg, &workload, trace, profile)
 }
 
 /// `vex run --spec FILE`: the whole configuration — machine, caches,
 /// technique, workload — comes from a spec that must expand to exactly
-/// one grid point. `cli_trace` (the `--trace` flag) overrides the spec's
-/// own `trace` knob.
-fn cmd_run_spec(path: &str, profile: bool, cli_trace: Option<String>) -> Result<(), Fail> {
+/// one grid point. `--trace` overrides the spec's own `trace` knob.
+fn cmd_run_spec(args: &[String]) -> Result<(), Fail> {
+    let (mut path, mut trace, mut profile) = (None, None, false);
+    let bad = || {
+        Fail::usage(
+            "`--spec` replaces every other `vex run` option (except --profile/--trace): \
+             vex run --spec FILE [--profile] [--trace FILE]",
+        )
+    };
+    let mut a = Args::new("run", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            // The spec path may follow the flag as a bare token.
+            "--spec" => {}
+            "--profile" => profile = true,
+            "--trace" => trace = Some(a.value(arg)?),
+            _ if !arg.starts_with('-') && path.is_none() => path = Some(arg),
+            _ => return Err(bad()),
+        }
+    }
+    let path = path.ok_or_else(bad)?;
     let spec = load_spec(path).map_err(Fail::input)?;
     let points = spec.expand();
     let [run] = points.as_slice() else {
@@ -1105,328 +1040,41 @@ fn cmd_run_spec(path: &str, profile: bool, cli_trace: Option<String>) -> Result<
         })
         .collect::<Result<_, String>>()
         .map_err(Fail::input)?;
-    let cfg = run.to_sim_config();
-    let trace = cli_trace.or_else(|| run.trace.clone());
-    let (engine, reason) = run_traced(&cfg, &workload, trace.as_deref())?;
-    print_report(&cfg, &workload, &engine, reason)?;
-    if profile {
-        outln("")?;
-        out(engine.profile().render().as_bytes())?;
-    }
-    Ok(())
+    let trace = trace.or(run.trace.as_deref());
+    run_and_report(&run.to_sim_config(), &workload, trace, profile)
 }
 
-struct RunOpts {
-    inputs: Vec<String>,
-    profile: bool,
-    trace: Option<String>,
-    technique: String,
-    comm: CommPolicy,
-    threads: Option<u8>,
-    memory: MemoryMode,
-    mt: MtMode,
-    renaming: bool,
-    respawn: bool,
-    timeslice: u64,
-    inst_limit: u64,
-    max_cycles: u64,
-    seed: u64,
-    validate: bool,
-}
-
-fn parse_run_args(args: &[String]) -> Result<RunOpts, String> {
-    let mut o = RunOpts {
-        inputs: Vec::new(),
-        profile: false,
-        trace: None,
-        technique: "ccsi".to_string(),
-        comm: CommPolicy::NoSplit,
-        threads: None,
-        memory: MemoryMode::Real,
-        mt: MtMode::Simultaneous,
-        renaming: true,
-        respawn: false,
-        timeslice: u64::MAX,
-        inst_limit: u64::MAX,
-        max_cycles: 200_000_000,
-        seed: 0xC0FFEE,
-        validate: true,
-    };
-    let mut it = args.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .map(std::string::ToString::to_string)
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--technique" => {
-                let v = value(&mut it, a)?;
-                if !["csmt", "smt", "ccsi", "cosi", "oosi"].contains(&v.as_str()) {
-                    return Err(format!(
-                        "unknown technique `{v}` (csmt, smt, ccsi, cosi, oosi)"
-                    ));
-                }
-                o.technique = v;
-            }
-            "--comm" => {
-                o.comm = match value(&mut it, a)?.as_str() {
-                    "ns" | "no-split" => CommPolicy::NoSplit,
-                    "as" | "always-split" => CommPolicy::AlwaysSplit,
-                    other => return Err(format!("unknown comm policy `{other}` (ns, as)")),
-                }
-            }
-            "--threads" => {
-                let v = value(&mut it, a)?;
-                let n: u8 = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad thread count `{v}`"))?;
-                o.threads = Some(n);
-            }
-            "--memory" => {
-                o.memory = match value(&mut it, a)?.as_str() {
-                    "real" => MemoryMode::Real,
-                    "perfect" => MemoryMode::Perfect,
-                    other => return Err(format!("unknown memory mode `{other}` (real, perfect)")),
-                }
-            }
-            "--mt" => {
-                o.mt = match value(&mut it, a)?.as_str() {
-                    "smt" | "simultaneous" => MtMode::Simultaneous,
-                    "imt" | "interleaved" => MtMode::Interleaved,
-                    "bmt" | "blocked" => MtMode::Blocked,
-                    other => return Err(format!("unknown mt mode `{other}` (smt, imt, bmt)")),
-                }
-            }
-            "--no-renaming" => o.renaming = false,
-            "--profile" => o.profile = true,
-            "--trace" => o.trace = Some(value(&mut it, a)?),
-            "--respawn" => o.respawn = true,
-            "--no-validate" => o.validate = false,
-            "--timeslice" => o.timeslice = parse_u64(&value(&mut it, a)?, a)?,
-            "--inst-limit" => o.inst_limit = parse_u64(&value(&mut it, a)?, a)?,
-            "--max-cycles" => o.max_cycles = parse_u64(&value(&mut it, a)?, a)?,
-            "--seed" => o.seed = parse_u64(&value(&mut it, a)?, a)?,
-            "-" => o.inputs.push("-".to_string()),
-            f if !f.starts_with('-') => o.inputs.push(f.to_string()),
-            other => return Err(format!("unknown option `{other}` for `vex run`")),
-        }
-    }
-    if o.inputs.is_empty() {
-        o.inputs.push("-".to_string());
-    }
-    Ok(o)
-}
-
-fn parse_u64(v: &str, flag: &str) -> Result<u64, String> {
-    v.parse()
-        .map_err(|_| format!("bad value `{v}` for `{flag}`"))
-}
-
-fn cmd_run(args: &[String]) -> Result<(), Fail> {
-    if args.iter().any(|a| a == "--spec") {
-        let mut profile = false;
-        let mut trace: Option<String> = None;
-        let mut path: Option<String> = None;
-        let mut it = args.iter();
-        let bad = || {
-            Fail::usage(
-                "`--spec` replaces every other `vex run` option (except --profile/--trace): \
-                 vex run --spec FILE [--profile] [--trace FILE]",
-            )
-        };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                // The spec path may follow the flag as a bare token.
-                "--spec" => {}
-                "--profile" => profile = true,
-                "--trace" => {
-                    trace = Some(
-                        it.next()
-                            .ok_or_else(|| Fail::usage("`--trace` needs a path"))?
-                            .clone(),
-                    )
-                }
-                f if !f.starts_with('-') => {
-                    if path.is_some() {
-                        return Err(bad());
-                    }
-                    path = Some(f.to_string());
-                }
-                _ => return Err(bad()),
-            }
-        }
-        let path = path.ok_or_else(bad)?;
-        return cmd_run_spec(&path, profile, trace);
-    }
-    let opts = parse_run_args(args).map_err(Fail::usage)?;
-    let programs: Vec<Arc<Program>> = opts
-        .inputs
-        .iter()
-        .map(|p| load_program(p).map(Arc::new))
-        .collect::<Result<_, String>>()
-        .map_err(Fail::input)?;
-
-    let technique = match opts.technique.as_str() {
-        "csmt" => Technique::csmt(),
-        "smt" => Technique::smt(),
-        "ccsi" => Technique::ccsi(opts.comm),
-        "cosi" => Technique::cosi(opts.comm),
-        _ => Technique::oosi(opts.comm),
-    };
-    let n_threads = opts.threads.unwrap_or(programs.len().min(255) as u8).max(1);
-    if (n_threads as usize) < programs.len() {
-        return Err(Fail::usage(format!(
-            "{} input programs but only {n_threads} hardware threads — every input \
-             must get a context (raise --threads or drop inputs)",
-            programs.len()
-        )));
-    }
-
-    // All programs share the machine; they must agree on cluster count.
-    let machine = machine_for(&programs[0]);
-    for p in programs.iter() {
-        if vex_asm::program_clusters(p) != machine.n_clusters {
-            return Err(Fail::input(format!(
-                "program `{}` targets {} clusters but `{}` targets {}",
-                p.name,
-                vex_asm::program_clusters(p),
-                programs[0].name,
-                machine.n_clusters
-            )));
-        }
-        if opts.validate {
-            p.validate(&machine).map_err(|e| {
-                Fail::input(format!("invalid program (use --no-validate to force): {e}"))
-            })?;
-        }
-    }
-
-    // Cycle the inputs to fill all hardware contexts.
-    let workload: Vec<Arc<Program>> = (0..n_threads as usize)
-        .map(|i| Arc::clone(&programs[i % programs.len()]))
-        .collect();
-
-    let cfg = SimConfig {
-        machine,
-        caches: vex_sim::MemConfig::paper(),
-        technique,
-        n_threads,
-        renaming: opts.renaming,
-        memory: opts.memory,
-        timeslice: opts.timeslice,
-        inst_limit: opts.inst_limit,
-        max_cycles: opts.max_cycles,
-        seed: opts.seed,
-        mt_mode: opts.mt,
-        respawn: opts.respawn,
-    };
-    let (engine, reason) = run_traced(&cfg, &workload, opts.trace.as_deref())?;
-    print_report(&cfg, &workload, &engine, reason)?;
-    if opts.profile {
-        outln("")?;
-        out(engine.profile().render().as_bytes())?;
-    }
-    Ok(())
-}
-
-/// `vex trace --attribute FILE`: streams a recorded `.vext` trace (from
-/// FILE, or stdin for `-`) into the per-thread, per-cycle attribution and
-/// renders it as tables (or JSON). The replay validates every record,
-/// hard-checks the defining identity — every thread's bins sum exactly to
-/// the run's total cycles — and fails loudly on a torn, truncated or
-/// inconsistent stream rather than reporting partial numbers.
-fn cmd_trace(args: &[String]) -> Result<(), Fail> {
-    let mut input: Option<String> = None;
-    let mut attribute = false;
-    let mut json = false;
-    let mut out_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--attribute" => {
-                attribute = true;
-                // The trace path may ride on the flag or stand alone.
-                let rides_flag = it
-                    .clone()
-                    .next()
-                    .is_some_and(|next| !next.starts_with('-') || next == "-");
-                if rides_flag {
-                    input = it.next().cloned();
-                }
-            }
-            "--json" => json = true,
-            "--out" => {
-                out_path = Some(
-                    it.next()
-                        .ok_or_else(|| Fail::usage("`--out` needs a path"))?
-                        .clone(),
-                )
-            }
-            "-" => input = Some("-".to_string()),
-            f if !f.starts_with('-') => {
-                if input.is_some() {
-                    return Err(Fail::usage("`vex trace` takes exactly one trace file"));
-                }
-                input = Some(f.to_string());
-            }
-            other => {
-                return Err(Fail::usage(format!(
-                    "unknown option `{other}` for `vex trace`"
-                )))
-            }
-        }
-    }
-    if !attribute {
-        return Err(Fail::usage(
-            "usage: vex trace --attribute FILE [--json] [--out FILE]",
-        ));
-    }
-    let input = input.unwrap_or_else(|| "-".to_string());
-    let source: Box<dyn Read> = if input == "-" {
-        Box::new(std::io::stdin().lock())
-    } else {
-        Box::new(
-            std::fs::File::open(&input)
-                .map_err(|e| Fail::input(format!("reading `{input}`: {e}")))?,
-        )
-    };
-    let (meta, attr) =
-        vex_trace::attribute_stream(source).map_err(|e| Fail::input(format!("{input}: {e}")))?;
-    let report = if json {
-        vex_sim::attribution_json(&meta, &attr)
-    } else {
-        vex_sim::render_attribution(&meta, &attr)
-    };
-    write_output(out_path.as_deref(), report.as_bytes())?;
-    Ok(())
-}
-
-fn print_report(
+/// Runs `workload` under `cfg` and prints the run report, followed with
+/// `profile` by the simulator fast-path profile. With `trace`, the event
+/// trace streams to that file in the binary `.vext` format; the sink is
+/// finished (flushed, deferred I/O errors surfaced) before the report
+/// prints, so a reported run always has a complete trace on disk.
+fn run_and_report(
     cfg: &SimConfig,
     workload: &[Arc<Program>],
-    engine: &vex_sim::Engine,
-    reason: StopReason,
-) -> Result<(), String> {
+    trace: Option<&str>,
+    profile: bool,
+) -> Result<(), Fail> {
     use std::fmt::Write as _;
+    let mut engine = vex_sim::Engine::new(cfg.clone(), workload);
+    if let Some(path) = trace {
+        engine.set_tracer(Box::new(vex_sim::FileSink::create(path)?));
+    }
+    let reason = engine.run();
+    if let (Some(path), Some(mut sink)) = (trace, engine.take_tracer()) {
+        sink.finish()?;
+        eprintln!("[vex run] trace written to `{path}`");
+    }
+
     let s = &engine.stats;
-    let mt = match cfg.mt_mode {
-        MtMode::Simultaneous => "smt",
-        MtMode::Interleaved => "imt",
-        MtMode::Blocked => "bmt",
-    };
-    let memory = match cfg.memory {
-        MemoryMode::Real => "real",
-        MemoryMode::Perfect => "perfect",
-    };
     let mut r = String::new();
     let _ = writeln!(
         r,
-        "## vex run: technique={} threads={} mt={mt} memory={memory}",
+        "## vex run: technique={} threads={} mt={} memory={}",
         cfg.technique.label(),
-        cfg.n_threads
+        cfg.n_threads,
+        cfg.mt_mode.name(),
+        cfg.memory.name()
     );
     let _ = writeln!(r, "stop reason      {reason:?}");
     let _ = writeln!(r, "cycles           {}", s.cycles);
@@ -1461,5 +1109,53 @@ fn print_report(
             engine.contexts[i].mem.digest()
         );
     }
-    out(r.as_bytes())
+    out(r.as_bytes())?;
+    if profile {
+        outln("")?;
+        out(engine.profile().render().as_bytes())?;
+    }
+    Ok(())
+}
+
+/// `vex trace --attribute FILE`: streams a recorded `.vext` trace (from
+/// FILE, or stdin for `-`) into the per-thread, per-cycle attribution and
+/// renders it as tables (or JSON). The replay validates every record,
+/// hard-checks the defining identity — every thread's bins sum exactly to
+/// the run's total cycles — and fails loudly on a torn, truncated or
+/// inconsistent stream rather than reporting partial numbers.
+fn cmd_trace(args: &[String]) -> Result<(), Fail> {
+    let (mut input, mut attribute, mut json, mut out_path) = (None, false, false, None);
+    let mut a = Args::new("trace", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            // The trace path may ride on the flag or stand alone.
+            "--attribute" => attribute = true,
+            "--json" => json = true,
+            "--out" => out_path = Some(a.value(arg)?),
+            _ => a.operand(&mut input, arg)?,
+        }
+    }
+    if !attribute {
+        return Err(Fail::usage(
+            "usage: vex trace --attribute FILE [--json] [--out FILE]",
+        ));
+    }
+    let input = input.unwrap_or("-");
+    let source: Box<dyn Read> = if input == "-" {
+        Box::new(std::io::stdin().lock())
+    } else {
+        Box::new(
+            std::fs::File::open(input)
+                .map_err(|e| Fail::input(format!("reading `{input}`: {e}")))?,
+        )
+    };
+    let (meta, attr) =
+        vex_trace::attribute_stream(source).map_err(|e| Fail::input(format!("{input}: {e}")))?;
+    let report = if json {
+        vex_sim::attribution_json(&meta, &attr)
+    } else {
+        vex_sim::render_attribution(&meta, &attr)
+    };
+    write_output(out_path, report.as_bytes())?;
+    Ok(())
 }

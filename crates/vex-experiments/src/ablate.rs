@@ -6,8 +6,7 @@
 //! and tabulates the results.
 
 use crate::runner::{SweepOutcome, SweepRunner};
-use crate::table::{f2, pct, Table};
-use crate::Scale;
+use crate::{f2, pct, table, Scale};
 use vex_sim::{speedup_pct, CommPolicy, MtMode, Technique};
 use vex_spec::{MixSpec, SweepSpec, DEFAULT_SEED};
 
@@ -43,7 +42,7 @@ pub fn renaming(scale: Scale) -> Result<String, String> {
     let on = run(&on_spec)?;
     let off = run(&off_spec)?;
 
-    let mut t = Table::new(&["Mix", "Technique", "IPC off", "IPC on", "gain"]);
+    let mut t = table(&["Mix", "Technique"], &["IPC off", "IPC on", "gain"]);
     for mix in ["llll", "hhhh"] {
         for (label, _) in techs {
             let ipc_on = on.ipc(mix, label, 4)?;
@@ -79,7 +78,7 @@ pub fn comm_split(scale: Scale) -> Result<String, String> {
         &[2],
     ))?;
 
-    let mut t = Table::new(&["Mix", "Technique", "IPC NS", "IPC AS", "AS gain"]);
+    let mut t = table(&["Mix", "Technique"], &["IPC NS", "IPC AS", "AS gain"]);
     for mix in ["llll", "mmhh", "hhhh"] {
         for base in ["CCSI", "OOSI"] {
             let ipc_ns = outcome.ipc(mix, &format!("{base} NS"), 2)?;
@@ -104,7 +103,7 @@ pub fn comm_split(scale: Scale) -> Result<String, String> {
 /// avoids needing FAME-style stabilisation).
 pub fn timeslice(scale: Scale) -> Result<String, String> {
     let techs = [Technique::csmt(), Technique::ccsi(CommPolicy::AlwaysSplit)];
-    let mut t = Table::new(&["Timeslice", "CSMT IPC", "CCSI AS IPC"]);
+    let mut t = table(&[], &["Timeslice", "CSMT IPC", "CCSI AS IPC"]);
     for ts in [scale.timeslice / 4, scale.timeslice, scale.timeslice * 4] {
         let mut s = spec(scale, &["mmhh"], &techs, &[2]);
         s.timeslice = ts;
@@ -140,7 +139,7 @@ pub fn thread_scaling(scale: Scale) -> Result<String, String> {
         &[1, 2, 4],
     ))?;
 
-    let mut t = Table::new(&["Threads", "CSMT", "CCSI AS", "SMT", "OOSI AS"]);
+    let mut t = table(&[], &["Threads", "CSMT", "CCSI AS", "SMT", "OOSI AS"]);
     for threads in [1u8, 2, 4] {
         let mut row = vec![threads.to_string()];
         for (label, _) in techs {
@@ -159,7 +158,7 @@ pub fn thread_scaling(scale: Scale) -> Result<String, String> {
 /// family also attacks *horizontal* waste. The table reports IPC plus the
 /// waste decomposition on the `llmm` mix (4 threads).
 pub fn mt_modes(scale: Scale) -> Result<String, String> {
-    let mut t = Table::new(&["Scheme", "IPC", "vert.waste", "horiz.waste"]);
+    let mut t = table(&["Scheme"], &["IPC", "vert.waste", "horiz.waste"]);
     let width = vex_isa::MachineConfig::paper_4c4w().total_issue_width();
     for (label, mode, tech) in [
         ("BMT", MtMode::Blocked, Technique::csmt()),

@@ -4,7 +4,8 @@
 //! repro [--quick|--full] [fig13|fig14|fig15|fig16|ablate|all]
 //! ```
 
-use vex_experiments::{ablate, fig13, fig14, fig15, fig16, sweep::Sweep, Scale};
+use vex_experiments::{ablate, fig13, fig14, fig15, fig16, Scale, SweepRunner};
+use vex_spec::SweepSpec;
 
 fn main() {
     if let Err(e) = real_main() {
@@ -42,15 +43,15 @@ fn real_main() -> Result<(), String> {
 
     if wants("fig14") || wants("fig15") || wants("fig16") {
         eprintln!("[repro] running the mix/technique sweep...");
-        let sweep = Sweep::run(scale)?;
+        let outcome = SweepRunner::new(&SweepSpec::paper_grid(scale)).run()?;
         if wants("fig14") {
-            println!("{}", fig14::render(&fig14::run(&sweep)?));
+            println!("{}", fig14::render(&fig14::run(&outcome)?));
         }
         if wants("fig15") {
-            println!("{}", fig15::render(&fig15::run(&sweep)?));
+            println!("{}", fig15::render(&fig15::run(&outcome)?));
         }
         if wants("fig16") {
-            println!("{}", fig16::render(&fig16::run(&sweep)?));
+            println!("{}", fig16::render(&fig16::run(&outcome)?));
         }
     }
 

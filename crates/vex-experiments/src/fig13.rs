@@ -3,8 +3,7 @@
 //! side by side with the paper's numbers.
 
 use crate::runner::SweepRunner;
-use crate::table::{f2, Table};
-use crate::Scale;
+use crate::{f2, table, Scale};
 use vex_sim::{MemoryMode, Technique};
 use vex_spec::{MixSpec, SweepSpec};
 use vex_workloads::BENCHMARKS;
@@ -79,14 +78,10 @@ pub fn run(scale: Scale) -> Result<Vec<Row>, String> {
 
 /// Renders the table in the paper's layout plus measured columns.
 pub fn render(rows: &[Row]) -> String {
-    let mut t = Table::new(&[
-        "Benchmark",
-        "ILP",
-        "IPCr (paper)",
-        "IPCr (ours)",
-        "IPCp (paper)",
-        "IPCp (ours)",
-    ]);
+    let mut t = table(
+        &["Benchmark", "ILP"],
+        &["IPCr (paper)", "IPCr (ours)", "IPCp (paper)", "IPCp (ours)"],
+    );
     for r in rows {
         t.row(vec![
             r.name.to_string(),

@@ -7,8 +7,8 @@
 //! AS averages +8.7% (2T) / +7.5% (4T); peaks ≈ +15% (llll, 2T NS) and
 //! ≈ +20% (mmhh, 2T AS).
 
-use crate::sweep::Sweep;
-use crate::table::{pct, Table};
+use crate::runner::SweepOutcome;
+use crate::{pct, table};
 use vex_sim::speedup_pct;
 use vex_workloads::MIXES;
 
@@ -34,17 +34,18 @@ impl Series {
     }
 }
 
-/// Computes both thread-count series from a sweep.
-pub fn run(sweep: &Sweep) -> Result<Vec<Series>, String> {
+/// Computes both thread-count series from the paper grid's outcome.
+pub fn run(outcome: &SweepOutcome) -> Result<Vec<Series>, String> {
     [2u8, 4]
         .iter()
         .map(|&threads| {
             let mut ns = Vec::new();
             let mut asplit = Vec::new();
-            for m in 0..MIXES.len() {
-                let base = sweep.ipc(m, "CSMT", threads)?;
-                ns.push(speedup_pct(base, sweep.ipc(m, "CCSI NS", threads)?));
-                asplit.push(speedup_pct(base, sweep.ipc(m, "CCSI AS", threads)?));
+            for mix in MIXES {
+                let ipc = |label| outcome.ipc(mix.name, label, threads);
+                let base = ipc("CSMT")?;
+                ns.push(speedup_pct(base, ipc("CCSI NS")?));
+                asplit.push(speedup_pct(base, ipc("CCSI AS")?));
             }
             Ok(Series {
                 threads,
@@ -57,7 +58,7 @@ pub fn run(sweep: &Sweep) -> Result<Vec<Series>, String> {
 
 /// Renders the figure as a table (mix rows, NS/AS columns per machine).
 pub fn render(series: &[Series]) -> String {
-    let mut t = Table::new(&["Mix", "2T NS", "2T AS", "4T NS", "4T AS"]);
+    let mut t = table(&["Mix"], &["2T NS", "2T AS", "4T NS", "4T AS"]);
     let s2 = &series[0];
     let s4 = &series[1];
     for (m, mix) in MIXES.iter().enumerate() {
@@ -81,4 +82,28 @@ pub fn render(series: &[Series]) -> String {
          (paper averages: 2T NS +6.1, 2T AS +8.7, 4T NS +3.5, 4T AS +7.5)\n\n{}",
         t.render()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::{PointError, PointFailure};
+    use crate::Scale;
+    use vex_spec::SweepSpec;
+
+    #[test]
+    fn a_failed_point_reports_its_recorded_cause() {
+        let outcome = SweepOutcome {
+            spec: SweepSpec::paper_grid(Scale::QUICK),
+            points: Vec::new(),
+            errors: vec![PointError {
+                key: 1,
+                label: "llll/CSMT/2t/paper".to_string(),
+                attempts: 1,
+                cause: PointFailure::Failed("boom".to_string()),
+            }],
+        };
+        let err = run(&outcome).unwrap_err();
+        assert!(err.contains("boom"), "{err}");
+    }
 }

@@ -6,8 +6,8 @@
 //! +8.2%/+7.9%, COSI AS +9.8%/+9.4%, OOSI AS +13%/+15.7% (2T/4T
 //! averages); peaks ≈ +19.5% (llll COSI AS 2T) and ≈ +22.7% (mmhh OOSI AS).
 
-use crate::sweep::Sweep;
-use crate::table::{pct, Table};
+use crate::runner::SweepOutcome;
+use crate::{pct, table};
 use vex_sim::speedup_pct;
 use vex_workloads::MIXES;
 
@@ -42,8 +42,8 @@ impl Series {
     }
 }
 
-/// Computes both thread-count series from a sweep.
-pub fn run(sweep: &Sweep) -> Result<Vec<Series>, String> {
+/// Computes both thread-count series from the paper grid's outcome.
+pub fn run(outcome: &SweepOutcome) -> Result<Vec<Series>, String> {
     [2u8, 4]
         .iter()
         .map(|&threads| {
@@ -54,16 +54,13 @@ pub fn run(sweep: &Sweep) -> Result<Vec<Series>, String> {
                 oosi_ns: Vec::new(),
                 oosi_as: Vec::new(),
             };
-            for m in 0..MIXES.len() {
-                let base = sweep.ipc(m, "SMT", threads)?;
-                s.cosi_ns
-                    .push(speedup_pct(base, sweep.ipc(m, "COSI NS", threads)?));
-                s.cosi_as
-                    .push(speedup_pct(base, sweep.ipc(m, "COSI AS", threads)?));
-                s.oosi_ns
-                    .push(speedup_pct(base, sweep.ipc(m, "OOSI NS", threads)?));
-                s.oosi_as
-                    .push(speedup_pct(base, sweep.ipc(m, "OOSI AS", threads)?));
+            for mix in MIXES {
+                let ipc = |label| outcome.ipc(mix.name, label, threads);
+                let base = ipc("SMT")?;
+                s.cosi_ns.push(speedup_pct(base, ipc("COSI NS")?));
+                s.cosi_as.push(speedup_pct(base, ipc("COSI AS")?));
+                s.oosi_ns.push(speedup_pct(base, ipc("OOSI NS")?));
+                s.oosi_as.push(speedup_pct(base, ipc("OOSI AS")?));
             }
             Ok(s)
         })
@@ -72,7 +69,7 @@ pub fn run(sweep: &Sweep) -> Result<Vec<Series>, String> {
 
 /// Renders one thread count's table.
 pub fn render_one(s: &Series) -> String {
-    let mut t = Table::new(&["Mix", "COSI NS", "COSI AS", "OOSI NS", "OOSI AS"]);
+    let mut t = table(&["Mix"], &["COSI NS", "COSI AS", "OOSI NS", "OOSI AS"]);
     for (m, mix) in MIXES.iter().enumerate() {
         t.row(vec![
             mix.name.to_string(),

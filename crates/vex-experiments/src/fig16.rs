@@ -5,9 +5,10 @@
 //! (slightly better, in fact), and split-issue shrinking the CSMT→SMT gap
 //! on the 4-thread machine from ~27% to ~13%.
 
-use crate::sweep::Sweep;
-use crate::table::{f2, Table};
+use crate::runner::{PointError, SweepOutcome};
+use crate::{f2, table};
 use vex_sim::Technique;
+use vex_workloads::MIXES;
 
 /// Average IPC for each technique at each thread count.
 #[derive(Clone, Debug)]
@@ -20,18 +21,28 @@ pub struct Results {
     pub ipc4: Vec<f64>,
 }
 
-/// Computes the averages from a sweep.
-pub fn run(sweep: &Sweep) -> Result<Results, String> {
+/// Computes the averages from the paper grid's outcome.
+pub fn run(outcome: &SweepOutcome) -> Result<Results, String> {
     let labels: Vec<&'static str> = Technique::FIGURE16_SET.iter().map(|(l, _)| *l).collect();
     let ipc2 = labels
         .iter()
-        .map(|l| sweep.avg_ipc(l, 2).map_err(String::from))
+        .map(|l| avg_ipc(outcome, l, 2))
         .collect::<Result<_, _>>()?;
     let ipc4 = labels
         .iter()
-        .map(|l| sweep.avg_ipc(l, 4).map_err(String::from))
+        .map(|l| avg_ipc(outcome, l, 4))
         .collect::<Result<_, _>>()?;
     Ok(Results { labels, ipc2, ipc4 })
+}
+
+/// Average IPC of one technique across all mixes (the paper reports
+/// arithmetic averages).
+fn avg_ipc(outcome: &SweepOutcome, label: &str, threads: u8) -> Result<f64, PointError> {
+    let mut sum = 0.0;
+    for mix in MIXES {
+        sum += outcome.ipc(mix.name, label, threads)?;
+    }
+    Ok(sum / MIXES.len() as f64)
 }
 
 impl Results {
@@ -52,7 +63,7 @@ impl Results {
 
 /// Renders the figure as a table.
 pub fn render(r: &Results) -> String {
-    let mut t = Table::new(&["Technique", "IPC 2T", "IPC 4T"]);
+    let mut t = table(&["Technique"], &["IPC 2T", "IPC 4T"]);
     for (i, l) in r.labels.iter().enumerate() {
         t.row(vec![(*l).to_string(), f2(r.ipc2[i]), f2(r.ipc4[i])]);
     }

@@ -13,8 +13,8 @@
 //! Every module is a thin builder of declarative `vex_spec::SweepSpec`
 //! values executed by the shared [`runner::SweepRunner`], which prepares
 //! each distinct (machine, program) pair once and fans the grid out over
-//! OS threads with `std::thread::scope`. The figure renderers consume a
-//! [`sweep::Sweep`] view over the paper grid so each (mix, technique,
+//! OS threads with `std::thread::scope`. Figures 14–16 all read one
+//! [`SweepOutcome`] of `SweepSpec::paper_grid`, so each (mix, technique,
 //! thread-count) point is simulated exactly once. Absolute IPC values will
 //! not match a 2010 ST200-class testbed, but the *shape* — who wins, by
 //! what factor, where NS hurts — is the reproduction target (see
@@ -33,8 +33,6 @@ pub mod fig16;
 pub mod jobs;
 pub mod journal;
 pub mod runner;
-pub mod sweep;
-pub mod table;
 
 pub use backoff::{BackoffPolicy, NoSleep, OsSleeper, Sleeper};
 pub use fault::FaultPlan;
@@ -47,6 +45,7 @@ pub use runner::{PointError, PointFailure, PointResult, SweepOutcome, SweepRunne
 /// source of truth for instruction budgets and timeslices); re-exported
 /// here for the experiment-facing API.
 pub use vex_sim::Scale;
+use vex_sim::{Align, Table};
 
 /// Outcome of one job under [`parallel_map_isolated`].
 pub enum JobStatus<T, E> {
@@ -177,6 +176,27 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)
+}
+
+/// A report table: the `labels` columns left-aligned, then the `numbers`
+/// columns right-aligned.
+fn table(labels: &[&str], numbers: &[&str]) -> Table {
+    let columns: Vec<(&str, Align)> = labels
+        .iter()
+        .map(|&h| (h, Align::Left))
+        .chain(numbers.iter().map(|&h| (h, Align::Right)))
+        .collect();
+    Table::new(&columns)
+}
+
+/// Formats a float with two decimals.
+fn f2(x: f64) -> String {
+    format!("{x:.2}")
+}
+
+/// Formats a percentage with one decimal and sign.
+fn pct(x: f64) -> String {
+    format!("{x:+.1}%")
 }
 
 #[cfg(test)]

@@ -69,10 +69,8 @@ use vex_spec::{ServeSpec, SweepSpec};
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub listen: String,
-    /// Worker pool size (0 = one per available core).
-    pub workers: u32,
-    /// Supervision policy: heartbeat interval, timeouts, retry budget,
-    /// backoff, quarantine threshold.
+    /// Pool size and supervision policy: worker count, heartbeat
+    /// interval, timeouts, retry budget, backoff, quarantine threshold.
     pub policy: ServeSpec,
     /// Result journal path; also enables the `<path>.subs` submission log.
     pub journal: Option<String>,
@@ -94,7 +92,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             listen: "127.0.0.1:0".to_string(),
-            workers: 0,
             policy: ServeSpec::default(),
             journal: None,
             resume: false,
@@ -886,10 +883,10 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
     // wait in the listen backlog until the acceptor runs.
     let pool_size = if cfg.worker_cmd.is_none() {
         0
-    } else if cfg.workers == 0 {
+    } else if cfg.policy.workers == 0 {
         vex_experiments::default_workers()
     } else {
-        cfg.workers as usize
+        cfg.policy.workers as usize
     };
     let mut children: Vec<Child> = Vec::new();
     fill_pool(cfg, &mut children, &addr, pool_size);

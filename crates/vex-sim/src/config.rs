@@ -82,6 +82,22 @@ pub enum CommPolicy {
     AlwaysSplit,
 }
 
+impl CommPolicy {
+    /// Every policy with its `vex run --comm` name, in declaration order.
+    pub const NAMED: [(CommPolicy, &'static str); 2] =
+        [(CommPolicy::NoSplit, "ns"), (CommPolicy::AlwaysSplit, "as")];
+
+    /// The policy's short name (the paper's NS / AS).
+    pub const fn name(self) -> &'static str {
+        Self::NAMED[self as usize].1
+    }
+
+    /// Looks a policy up by [`name`](Self::name).
+    pub fn from_name(name: &str) -> Option<Self> {
+        by_name(&Self::NAMED, name)
+    }
+}
+
 /// A named point in the paper's technique matrix (Figure 4).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Technique {
@@ -212,6 +228,25 @@ pub enum MtMode {
     Blocked,
 }
 
+impl MtMode {
+    /// Every discipline with its spec and CLI name, in declaration order.
+    pub const NAMED: [(MtMode, &'static str); 3] = [
+        (MtMode::Simultaneous, "smt"),
+        (MtMode::Interleaved, "imt"),
+        (MtMode::Blocked, "bmt"),
+    ];
+
+    /// The discipline's name in specs, on the command line and in reports.
+    pub const fn name(self) -> &'static str {
+        Self::NAMED[self as usize].1
+    }
+
+    /// Looks a discipline up by [`name`](Self::name).
+    pub fn from_name(name: &str) -> Option<Self> {
+        by_name(&Self::NAMED, name)
+    }
+}
+
 /// Memory-system selection for a run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MemoryMode {
@@ -219,6 +254,34 @@ pub enum MemoryMode {
     Real,
     /// Perfect memory, no misses — *IPCp* runs.
     Perfect,
+}
+
+impl MemoryMode {
+    /// Every mode with its spec and CLI name, in declaration order.
+    pub const NAMED: [(MemoryMode, &'static str); 2] =
+        [(MemoryMode::Real, "real"), (MemoryMode::Perfect, "perfect")];
+
+    /// The mode's name in specs, on the command line and in reports.
+    pub const fn name(self) -> &'static str {
+        Self::NAMED[self as usize].1
+    }
+
+    /// Looks a mode up by [`name`](Self::name).
+    pub fn from_name(name: &str) -> Option<Self> {
+        by_name(&Self::NAMED, name)
+    }
+}
+
+/// Looks `name` up in a `NAMED` table.
+fn by_name<T: Copy>(table: &[(T, &str)], name: &str) -> Option<T> {
+    table.iter().find(|(_, n)| *n == name).map(|&(v, _)| v)
+}
+
+/// The names of a `NAMED` table as a comma-separated list, for error
+/// messages: `"real, perfect"`.
+pub fn name_list<T>(table: &[(T, &str)]) -> String {
+    let names: Vec<&str> = table.iter().map(|&(_, n)| n).collect();
+    names.join(", ")
 }
 
 /// Full run configuration.
@@ -314,6 +377,24 @@ mod tests {
             );
         }
         assert_eq!(Technique::from_label("WXYZ"), None);
+    }
+
+    #[test]
+    fn mode_names_round_trip_and_index_by_discriminant() {
+        for (i, &(m, n)) in MtMode::NAMED.iter().enumerate() {
+            assert_eq!(m as usize, i);
+            assert_eq!((m.name(), MtMode::from_name(n)), (n, Some(m)));
+        }
+        for (i, &(m, n)) in MemoryMode::NAMED.iter().enumerate() {
+            assert_eq!(m as usize, i);
+            assert_eq!((m.name(), MemoryMode::from_name(n)), (n, Some(m)));
+        }
+        for (i, &(c, n)) in CommPolicy::NAMED.iter().enumerate() {
+            assert_eq!(c as usize, i);
+            assert_eq!((c.name(), CommPolicy::from_name(n)), (n, Some(c)));
+        }
+        assert_eq!(MtMode::from_name("interleaved"), None);
+        assert_eq!(name_list(&MtMode::NAMED), "smt, imt, bmt");
     }
 
     #[test]

@@ -83,30 +83,16 @@ use vex_isa::Program;
 
 /// Runs a multiprogrammed workload under `cfg` and returns the statistics.
 pub fn run_workload(cfg: &SimConfig, programs: &[Arc<Program>]) -> SimStats {
-    let (engine, _) = run_programs(cfg, programs);
+    let mut engine = Engine::new(cfg.clone(), programs);
+    engine.run();
     engine.stats
 }
 
-/// Runs a workload under `cfg` and returns the finished engine (for
-/// architectural-state inspection: register files, memory digests) along
-/// with the stop reason. This is the single entry point the `vex` CLI
-/// drives; [`run_workload`] and [`run_single`] are conveniences over it.
-pub fn run_programs(cfg: &SimConfig, programs: &[Arc<Program>]) -> (Engine, StopReason) {
-    let mut engine = Engine::new(cfg.clone(), programs);
-    let reason = engine.run();
-    (engine, reason)
-}
-
 /// Runs a workload of pre-decoded programs under `cfg` and returns the
-/// statistics. Sweep harnesses use this entry so one [`PreparedProgram`]
-/// decode serves every grid point the program appears in.
-pub fn run_prepared(cfg: &SimConfig, workload: &[PreparedProgram]) -> SimStats {
-    run_prepared_full(cfg, workload).0
-}
-
-/// [`run_prepared`] plus the [`StopReason`] — the crash-safe sweep runner
-/// needs to record whether a point terminated normally or was cut off by
-/// the `max_cycles` watchdog ([`StopReason::Exhausted`]).
+/// statistics with the [`StopReason`]. Sweep harnesses use this entry so
+/// one [`PreparedProgram`] decode serves every grid point the program
+/// appears in, and record whether a point terminated normally or was cut
+/// off by the `max_cycles` watchdog ([`StopReason::Exhausted`]).
 pub fn run_prepared_full(cfg: &SimConfig, workload: &[PreparedProgram]) -> (SimStats, StopReason) {
     let mut engine = Engine::with_prepared(cfg.clone(), workload);
     let reason = engine.run();

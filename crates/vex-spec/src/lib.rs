@@ -100,7 +100,7 @@ pub struct MixSpec {
 
 impl MixSpec {
     /// A built-in mix from `vex_workloads::MIXES`, seeded `base + index`
-    /// exactly like the historical `Sweep::run` grid. Panics on unknown
+    /// exactly like [`SweepSpec::paper_grid`]. Panics on unknown
     /// names (builders are for code, the parser diagnoses user input).
     pub fn builtin(name: &str, base_seed: u64) -> MixSpec {
         let (idx, mix) = vex_workloads::MIXES
@@ -155,7 +155,8 @@ impl MachineSpec {
 /// spec served with different pool settings hits the same cache entries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ServeSpec {
-    /// Worker processes to supervise (0 = one per available core).
+    /// Worker processes to supervise (0 = one per available core; at
+    /// most [`ServeSpec::MAX_WORKERS`]).
     pub workers: u32,
     /// Interval between a busy worker's liveness heartbeats, in
     /// milliseconds.
@@ -175,6 +176,13 @@ pub struct ServeSpec {
     /// point, the point is failed outright so it cannot keep killing the
     /// pool, regardless of remaining retries.
     pub quarantine: u32,
+}
+
+impl ServeSpec {
+    /// The largest worker pool a spec or `vex serve --workers` may ask
+    /// for: each worker is a process, so an unbounded count could exhaust
+    /// the host's process table.
+    pub const MAX_WORKERS: u32 = 1024;
 }
 
 impl Default for ServeSpec {
@@ -340,7 +348,8 @@ impl SweepSpec {
     }
 
     /// The paper's full evaluation grid: 9 mixes × 8 techniques × {2, 4}
-    /// threads on the paper machine — what `Sweep::run` simulates.
+    /// threads on the paper machine — what `repro` simulates for Figures
+    /// 14–16.
     pub fn paper_grid(scale: Scale) -> SweepSpec {
         let mut s = Self::base(scale);
         s.name = "paper-grid".to_string();

@@ -19,6 +19,7 @@ use crate::{
 };
 use vex_isa::{ClusterResources, Latencies, MachineConfig};
 use vex_mem::{CacheParams, MemConfig};
+use vex_sim::config::name_list;
 use vex_sim::{MemoryMode, MtMode, Scale, Technique, MAX_CLUSTERS};
 
 // ---- raw values -----------------------------------------------------
@@ -596,7 +597,7 @@ fn build_spec(
         Some(mut s) => {
             let mut v = ServeSpec::default();
             if let Some(e) = s.take("workers") {
-                v.workers = e.int_in(0, u32::MAX as u64)? as u32;
+                v.workers = e.int_in(0, ServeSpec::MAX_WORKERS.into())? as u32;
             }
             if let Some(e) = s.take("heartbeat_ms") {
                 v.heartbeat_ms = e.int_in(1, u64::MAX)?;
@@ -694,20 +695,23 @@ fn build_spec(
         None => true,
     };
     let memory = match top.take("memory") {
-        Some(e) => match e.str()? {
-            "real" => MemoryMode::Real,
-            "perfect" => MemoryMode::Perfect,
-            other => return Err(e.err(format!("unknown memory mode `{other}` (real, perfect)"))),
-        },
+        Some(e) => {
+            let v = e.str()?;
+            MemoryMode::from_name(v).ok_or_else(|| {
+                let names = name_list(&MemoryMode::NAMED);
+                e.err(format!("unknown memory mode `{v}` ({names})"))
+            })?
+        }
         None => MemoryMode::Real,
     };
     let mt = match top.take("mt") {
-        Some(e) => match e.str()? {
-            "smt" => MtMode::Simultaneous,
-            "imt" => MtMode::Interleaved,
-            "bmt" => MtMode::Blocked,
-            other => return Err(e.err(format!("unknown mt mode `{other}` (smt, imt, bmt)"))),
-        },
+        Some(e) => {
+            let v = e.str()?;
+            MtMode::from_name(v).ok_or_else(|| {
+                let names = name_list(&MtMode::NAMED);
+                e.err(format!("unknown mt mode `{v}` ({names})"))
+            })?
+        }
         None => MtMode::Simultaneous,
     };
     let respawn = match top.take("respawn") {

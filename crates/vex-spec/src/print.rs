@@ -26,23 +26,8 @@ pub fn print_sweep(s: &SweepSpec) -> String {
         .collect();
     let _ = writeln!(out, "techniques = [{}]", techs.join(", "));
     let _ = writeln!(out, "renaming = {}", s.renaming);
-    let _ = writeln!(
-        out,
-        "memory = \"{}\"",
-        match s.memory {
-            vex_sim::MemoryMode::Real => "real",
-            vex_sim::MemoryMode::Perfect => "perfect",
-        }
-    );
-    let _ = writeln!(
-        out,
-        "mt = \"{}\"",
-        match s.mt {
-            vex_sim::MtMode::Simultaneous => "smt",
-            vex_sim::MtMode::Interleaved => "imt",
-            vex_sim::MtMode::Blocked => "bmt",
-        }
-    );
+    let _ = writeln!(out, "memory = \"{}\"", s.memory.name());
+    let _ = writeln!(out, "mt = \"{}\"", s.mt.name());
     let _ = writeln!(out, "respawn = {}", s.respawn);
     if let Some(t) = &s.trace {
         let _ = writeln!(out, "trace = \"{t}\"");

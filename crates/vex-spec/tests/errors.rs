@@ -227,3 +227,32 @@ error at line 1:1: expected `key = value` or a `[section]` header
   | ^^^^^^^^^^^^^^^",
     );
 }
+
+#[test]
+fn unknown_mode_names() {
+    snapshot(
+        "mixes = [\"llll\"]\nmt = \"interleaved\"\n",
+        "\
+error at line 2:6: unknown mt mode `interleaved` (smt, imt, bmt)
+  | mt = \"interleaved\"
+  |      ^^^^^^^^^^^^^",
+    );
+    snapshot(
+        "mixes = [\"llll\"]\nmemory = \"ideal\"\n",
+        "\
+error at line 2:10: unknown memory mode `ideal` (real, perfect)
+  | memory = \"ideal\"
+  |          ^^^^^^^",
+    );
+}
+
+#[test]
+fn serve_pool_beyond_the_worker_bound() {
+    snapshot(
+        "mixes = [\"llll\"]\n[serve]\nworkers = 1025\n",
+        "\
+error at line 3:11: `workers` must be between 0 and 1024, got 1025
+  | workers = 1025
+  |           ^^^^",
+    );
+}

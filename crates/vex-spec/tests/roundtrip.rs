@@ -108,7 +108,12 @@ fn serve_spec() -> impl Strategy<Value = Option<ServeSpec>> {
     prop_oneof![
         Just(None),
         (
-            (any::<u32>(), (1u64..1 << 40), (0u64..1 << 40), any::<u32>()),
+            (
+                0u32..ServeSpec::MAX_WORKERS + 1,
+                (1u64..1 << 40),
+                (0u64..1 << 40),
+                any::<u32>(),
+            ),
             ((0u64..1 << 30), (0u64..1 << 30), (1u32..1 << 16)),
         )
             .prop_map(
