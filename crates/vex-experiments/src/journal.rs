@@ -52,6 +52,7 @@ use std::hash::{Hash, Hasher};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use vex_isa::Program;
+use vex_sim::rng::mix64;
 use vex_sim::{SimStats, StopReason};
 use vex_spec::RunSpec;
 
@@ -76,6 +77,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The FNV-1a 64-bit prime.
+const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit hasher. It implements [`std::hash::Hasher`], so any
 /// `Hash` value can be digested structurally, and `std::fmt::Write`, so
 /// formatted text can be streamed into it without intermediate strings.
@@ -87,11 +91,11 @@ impl Fnv64 {
         Fnv64(0xcbf2_9ce4_8422_2325)
     }
 
-    /// Folds raw bytes into the state.
+    /// Folds raw bytes into the state, one at a time.
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV64_PRIME);
         }
     }
 }
@@ -110,12 +114,29 @@ impl std::fmt::Write for Fnv64 {
 }
 
 /// Every integer is folded as fixed-width little-endian bytes (`usize`
-/// and enum discriminants as 8), so a digest depends on neither the
-/// host's endianness nor its pointer width: the default methods would
-/// hash native-endian bytes.
+/// and enum discriminants as 8), so a digest does not depend on the
+/// host's pointer width: the default methods would hash native-endian
+/// bytes. A slice of integers is the exception: std hashes it as one
+/// [`Hasher::write`] of its native-endian bytes.
 impl Hasher for Fnv64 {
+    /// Folds a byte string a little-endian 8-byte word at a time, each
+    /// word through [`mix64`] before the FNV-1a step, then its last
+    /// `len % 8` bytes one at a time; a write shorter than a word folds
+    /// exactly as [`Fnv64::update`] does. The mix matters: a multiply
+    /// carries a difference only upward and passes one in bit 63
+    /// unchanged, so raw words could cancel a change in one word with a
+    /// change in the next. It does not depend on the state, so it stays
+    /// off the serial chain. In [`program_digest`] the name, the data
+    /// segments, the instruction addresses and every `u8` field come
+    /// through here. Text keys and backoff jitter call `update` and stay
+    /// byte-serial.
     fn write(&mut self, bytes: &[u8]) {
-        self.update(bytes);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+            self.0 = (self.0 ^ mix64(word)).wrapping_mul(FNV64_PRIME);
+        }
+        self.update(words.remainder());
     }
 
     fn write_u16(&mut self, n: u16) {
@@ -142,7 +163,8 @@ impl Hasher for Fnv64 {
 
 /// Structural digest of a compiled program: its derived `Hash` — name,
 /// every operation of every bundle, the instruction addresses and the
-/// data segments, each `Vec` length-prefixed — fed through [`Fnv64`].
+/// data segments, each `Vec` length-prefixed — fed through [`Fnv64`],
+/// whose `Hasher::write` folds the data bytes a word at a time.
 /// The compiler is deterministic, so this is stable across processes
 /// for the same source and machine — exactly what cross-run resume needs.
 pub fn program_digest(program: &Program) -> u64 {
@@ -877,7 +899,50 @@ mod tests {
     /// a deliberate, visible edit.
     #[test]
     fn hand_built_program_digest_is_pinned() {
-        assert_eq!(program_digest(&hand_built()), 0x9019_831c_3ca7_c047);
+        assert_eq!(program_digest(&hand_built()), 0xdc93_3529_0b34_0d49);
+    }
+
+    #[test]
+    fn every_data_byte_reaches_the_digest() {
+        // 1 to 17 bytes: a tail alone, one word, and words plus a tail.
+        for len in 1..=17u8 {
+            let mut p = hand_built();
+            p.data[0].bytes = (1..=len).collect();
+            let d0 = program_digest(&p);
+            for i in 0..len as usize {
+                let mut q = p.clone();
+                q.data[0].bytes[i] ^= 0x80;
+                assert_ne!(program_digest(&q), d0, "byte {i} of {len}");
+            }
+        }
+    }
+
+    /// Over a 20-byte segment (two words and a tail), the data with any one
+    /// or two bits flipped all digest differently from each other and from
+    /// the original, so no change of up to four data bits cancels out:
+    /// the sign bits of two `u32`s at offsets 4 and 12, say, or of three
+    /// at 4, 8 and 12.
+    #[test]
+    fn no_edit_of_up_to_four_data_bits_cancels() {
+        let mut base = hand_built();
+        base.data[0].bytes = (0..20u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        let bits = base.data[0].bytes.len() * 8;
+        let flipped = |flips: &[usize]| {
+            let mut p = base.clone();
+            for &bit in flips {
+                p.data[0].bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            program_digest(&p)
+        };
+        let mut seen = std::collections::HashMap::new();
+        seen.insert(flipped(&[]), vec![]);
+        for i in 0..bits {
+            for flips in std::iter::once(vec![i]).chain((i + 1..bits).map(|j| vec![i, j])) {
+                if let Some(other) = seen.insert(flipped(&flips), flips.clone()) {
+                    panic!("flipping bits {flips:?} digests as flipping {other:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   contend for capacity without aliasing each other's data.
 //! * [`Memory`]: a flat, per-thread *functional* backing store with
 //!   byte/half/word access. Timing is entirely the cache's business; the
-//!   backing store always holds the architecturally current bytes.
+//!   backing store always holds the architecturally current bytes. It
+//!   starts from an immutable [`Image`] of a program's data, whose pages
+//!   it shares with every other memory started from the same image until
+//!   it first writes to them.
 //!
 //! A [`MemSystem`] bundles the two caches, the miss penalty, and a
 //! perfect-memory switch (the paper's *IPCp* runs disable misses).
@@ -23,7 +26,7 @@ pub mod cache;
 pub mod memory;
 
 pub use cache::{Cache, CacheParams, CacheStats};
-pub use memory::Memory;
+pub use memory::{Image, Memory};
 
 #[cfg(test)]
 mod memconfig_tests {

@@ -1,7 +1,9 @@
 //! Functional backing store: a flat, sparsely-allocated byte-addressable
-//! memory private to one program run.
+//! memory private to one program run, started from an immutable [`Image`]
+//! whose pages it shares until it first writes to them.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Log2 of the allocation granule (64KB pages).
 const PAGE_SHIFT: u32 = 16;
@@ -12,47 +14,159 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const FREE_PAGES_MAX: usize = 256;
 
 thread_local! {
-    /// Pages of this thread's dropped memories, waiting to be reused by
-    /// the next memory built on the thread. A process that builds and
-    /// drops engines in a loop (`vex fuzz` builds 24 per seed) then gets
-    /// its pages back already mapped, instead of from the allocator, which
-    /// may have returned them to the kernel in between.
+    /// Owned pages of this thread's dropped or reset memories, waiting to
+    /// be reused by the next page a memory on the thread makes its own. A
+    /// process that builds and drops engines in a loop (`vex fuzz` builds
+    /// 24 per seed) then gets its pages back already mapped, instead of
+    /// from the allocator, which may have returned them to the kernel in
+    /// between.
     static FREE_PAGES: RefCell<Vec<Box<[u8]>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A page from the thread's free list, with whatever bytes it held.
+fn recycled_page() -> Option<Box<[u8]>> {
+    FREE_PAGES
+        .try_with(|free| free.borrow_mut().pop())
+        .ok()
+        .flatten()
 }
 
 /// A zero-filled page: one from the thread's free list, zeroed, or else a
 /// new allocation.
 fn zeroed_page() -> Box<[u8]> {
-    match FREE_PAGES.try_with(|free| free.borrow_mut().pop()) {
-        Ok(Some(mut page)) => {
+    match recycled_page() {
+        Some(mut page) => {
             page.fill(0);
             page
         }
-        _ => vec![0u8; PAGE_SIZE].into_boxed_slice(),
+        None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
     }
 }
 
-/// Sparse little-endian memory. Pages materialise zero-filled on first
-/// touch, so untouched reads return zero like a fresh process image.
+/// A private copy of a shared page. A recycled page is not zeroed first:
+/// the copy overwrites all of it.
+fn copied_page(shared: &[u8]) -> Box<[u8]> {
+    match recycled_page() {
+        Some(mut page) => {
+            page.copy_from_slice(shared);
+            page
+        }
+        None => Box::from(shared),
+    }
+}
+
+/// `bytes` placed at `base`, split at page boundaries: each piece with
+/// its start address. Addresses wrap at 4 GB.
+fn page_chunks(base: u32, bytes: &[u8]) -> impl Iterator<Item = (u32, &[u8])> {
+    let mut addr = base;
+    let mut rest = bytes;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let room = PAGE_SIZE - (addr as usize & (PAGE_SIZE - 1));
+        let (chunk, tail) = rest.split_at(rest.len().min(room));
+        let at = addr;
+        rest = tail;
+        addr = addr.wrapping_add(chunk.len() as u32);
+        Some((at, chunk))
+    })
+}
+
+/// An immutable initial memory image: the 64KB pages that hold a
+/// program's data segments, each built once and then shared by every
+/// [`Memory`] started from the image ([`Memory::from_image`],
+/// [`Memory::reset_to`]). Cloning an image clones one pointer.
+#[derive(Clone, Debug)]
+pub struct Image {
+    pages: Arc<[Option<Arc<[u8]>>]>,
+}
+
+impl Image {
+    /// The image holding each `(base, bytes)` segment at its base address,
+    /// later segments over earlier ones, and zero everywhere else. Each
+    /// page is allocated once, zero-filled, and then has its segments
+    /// copied in place.
+    pub fn new<'a>(segments: impl IntoIterator<Item = (u32, &'a [u8])>) -> Image {
+        let mut pages: Vec<Option<Arc<[u8]>>> = Vec::new();
+        for (base, bytes) in segments {
+            for (addr, chunk) in page_chunks(base, bytes) {
+                let idx = (addr >> PAGE_SHIFT) as usize;
+                let off = (addr as usize) & (PAGE_SIZE - 1);
+                if idx >= pages.len() {
+                    pages.resize(idx + 1, None);
+                }
+                let page = pages[idx]
+                    .get_or_insert_with(|| std::iter::repeat(0).take(PAGE_SIZE).collect());
+                Arc::get_mut(page).expect("a page under construction is not shared yet")
+                    [off..off + chunk.len()]
+                    .copy_from_slice(chunk);
+            }
+        }
+        Image {
+            pages: pages.into(),
+        }
+    }
+
+    /// The memory pages of the image, shared.
+    fn shared_pages(&self) -> impl Iterator<Item = Page> + '_ {
+        self.pages.iter().map(|p| match p {
+            Some(p) => Page::Shared(Arc::clone(p)),
+            None => Page::Absent,
+        })
+    }
+}
+
+/// One page of a [`Memory`].
+#[derive(Clone, Debug, Default)]
+enum Page {
+    /// Never touched: reads zero.
+    #[default]
+    Absent,
+    /// An [`Image`]'s page, shared with the image and every memory started
+    /// from it; the first write replaces it with an owned copy.
+    Shared(Arc<[u8]>),
+    /// This memory's own page.
+    Owned(Box<[u8]>),
+}
+
+impl Page {
+    #[inline]
+    fn bytes(&self) -> Option<&[u8]> {
+        match self {
+            Page::Owned(p) => Some(p),
+            Page::Shared(p) => Some(p),
+            Page::Absent => None,
+        }
+    }
+
+    /// Replaces a shared page with an owned copy, and an absent page with
+    /// an owned zero page.
+    #[cold]
+    fn make_owned(&mut self) {
+        let owned = match self {
+            Page::Shared(shared) => copied_page(shared),
+            _ => zeroed_page(),
+        };
+        *self = Page::Owned(owned);
+    }
+}
+
+/// Sparse little-endian memory. Untouched pages read zero, like a fresh
+/// process image; pages of the [`Image`] a memory started from are shared
+/// until written (copy-on-write).
 ///
 /// Addresses are 32-bit; the page directory is a flat vector indexed by the
 /// high address bits, so a lookup is one shift and one bounds-checked index
 /// (no hashing on the simulator's hot path).
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: Vec<Option<Box<[u8]>>>,
+    pages: Vec<Page>,
 }
 
 impl Drop for Memory {
-    /// Hands the pages to this thread's free list, up to its cap.
     fn drop(&mut self) {
-        // `try_with`: during thread teardown the list may be gone already,
-        // and the pages are then simply freed.
-        let _ = FREE_PAGES.try_with(|free| {
-            let mut free = free.borrow_mut();
-            let room = FREE_PAGES_MAX.saturating_sub(free.len());
-            free.extend(self.pages.drain(..).flatten().take(room));
-        });
+        self.recycle();
     }
 }
 
@@ -62,33 +176,72 @@ impl Memory {
         Memory { pages: Vec::new() }
     }
 
-    /// Bytes currently materialised (for footprint reporting).
-    pub fn resident_bytes(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count() * PAGE_SIZE
+    /// A memory holding `image`, sharing all of its pages: no page is
+    /// copied until it is written.
+    pub fn from_image(image: &Image) -> Self {
+        Memory {
+            pages: image.shared_pages().collect(),
+        }
     }
 
-    /// Clears all contents (returns to the all-zero image). Materialised
-    /// pages are zeroed in place rather than freed: a respawning benchmark
-    /// touches the same working set again immediately, so recycling the
-    /// allocations keeps the run-restart path off the allocator.
-    pub fn clear(&mut self) {
-        for page in self.pages.iter_mut().flatten() {
-            page.fill(0);
-        }
+    /// Returns the memory to `image`, as [`Memory::from_image`] builds it.
+    /// The pages it owned go to this thread's free list.
+    pub fn reset_to(&mut self, image: &Image) {
+        self.recycle();
+        self.pages.extend(image.shared_pages());
+    }
+
+    /// Empties the page directory, handing owned pages to this thread's
+    /// free list up to its cap.
+    fn recycle(&mut self) {
+        let owned = self.pages.drain(..).filter_map(|p| match p {
+            Page::Owned(p) => Some(p),
+            _ => None,
+        });
+        // `try_with`: during thread teardown the list may be gone already,
+        // and the pages are then simply freed.
+        let _ = FREE_PAGES.try_with(|free| {
+            let mut free = free.borrow_mut();
+            let room = FREE_PAGES_MAX.saturating_sub(free.len());
+            free.extend(owned.take(room));
+        });
+    }
+
+    /// Bytes currently materialised, shared or owned (for footprint
+    /// reporting).
+    pub fn resident_bytes(&self) -> usize {
+        self.pages.iter().filter(|p| p.bytes().is_some()).count() * PAGE_SIZE
+    }
+
+    /// Pages this memory owns: those it wrote since it was built or reset,
+    /// where a shared page was copied or an absent one allocated.
+    pub fn owned_pages(&self) -> usize {
+        self.pages
+            .iter()
+            .filter(|p| matches!(p, Page::Owned(_)))
+            .count()
     }
 
     #[inline]
     fn page(&self, addr: u32) -> Option<&[u8]> {
-        self.pages.get((addr >> PAGE_SHIFT) as usize)?.as_deref()
+        self.pages.get((addr >> PAGE_SHIFT) as usize)?.bytes()
     }
 
+    /// The page holding `addr`, made owned first if it is not.
     #[inline]
     fn page_mut(&mut self, addr: u32) -> &mut [u8] {
         let idx = (addr >> PAGE_SHIFT) as usize;
         if idx >= self.pages.len() {
-            self.pages.resize_with(idx + 1, || None);
+            self.pages.resize_with(idx + 1, Page::default);
         }
-        self.pages[idx].get_or_insert_with(zeroed_page)
+        let page = &mut self.pages[idx];
+        if !matches!(page, Page::Owned(_)) {
+            page.make_owned();
+        }
+        match page {
+            Page::Owned(p) => p,
+            _ => unreachable!("the page was just made owned"),
+        }
     }
 
     /// Reads one byte.
@@ -172,17 +325,11 @@ impl Memory {
     }
 
     /// Copies a byte slice into memory at `base`, one page-sized
-    /// `copy_from_slice` at a time (the respawn path reloads whole data
-    /// segments through here).
+    /// `copy_from_slice` at a time.
     pub fn write_bytes(&mut self, base: u32, bytes: &[u8]) {
-        let mut addr = base;
-        let mut rest = bytes;
-        while !rest.is_empty() {
+        for (addr, chunk) in page_chunks(base, bytes) {
             let off = (addr as usize) & (PAGE_SIZE - 1);
-            let n = rest.len().min(PAGE_SIZE - off);
-            self.page_mut(addr)[off..off + n].copy_from_slice(&rest[..n]);
-            rest = &rest[n..];
-            addr = addr.wrapping_add(n as u32);
+            self.page_mut(addr)[off..off + chunk.len()].copy_from_slice(chunk);
         }
     }
 
@@ -199,7 +346,7 @@ impl Memory {
             h = h.wrapping_mul(0x100000001b3);
         };
         for (idx, page) in self.pages.iter().enumerate() {
-            if let Some(p) = page {
+            if let Some(p) = page.bytes() {
                 // Skip all-zero pages: they are indistinguishable from
                 // untouched ones architecturally.
                 if p.iter().all(|&b| b == 0) {
@@ -220,10 +367,18 @@ impl Memory {
     /// bytes, or `None` when the two images are architecturally equal. An
     /// absent page reads as zero, so it equals a materialised all-zero
     /// page (the equivalence [`Memory::digest`] also makes). Pages are
-    /// compared whole, as slices.
+    /// compared whole, as slices, and two that share one allocation are
+    /// equal without a look.
     pub fn first_difference(&self, other: &Memory) -> Option<u32> {
         static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
         for idx in 0..self.pages.len().max(other.pages.len()) {
+            if let (Some(Page::Shared(a)), Some(Page::Shared(b))) =
+                (self.pages.get(idx), other.pages.get(idx))
+            {
+                if Arc::ptr_eq(a, b) {
+                    continue;
+                }
+            }
             let base = (idx << PAGE_SHIFT) as u32;
             let (a, b) = match (self.page(base), other.page(base)) {
                 (None, None) => continue,
@@ -347,27 +502,98 @@ mod tests {
         assert_eq!(a.first_difference(&b), Some(last));
     }
 
-    #[test]
-    fn first_difference_of_a_cleared_memory_against_a_new_one_is_none() {
-        let mut m = Memory::new();
-        m.write_u32(0x100, 1);
-        m.write_u32(0x4_0000, u32::MAX);
-        m.clear();
-        assert_eq!(m.first_difference(&Memory::new()), None);
-        assert_eq!(Memory::new().first_difference(&m), None);
+    /// Two segments, one of them crossing from page 0 into page 1, and
+    /// one on page 3.
+    fn two_page_image() -> Image {
+        let low: Vec<u8> = (0..64).map(|i| i as u8 + 1).collect();
+        Image::new([(0xffe0, &low[..]), (0x3_0010, &[0xaa, 0xbb][..])])
     }
 
     #[test]
-    fn clear_resets() {
+    fn an_image_holds_its_segments_and_later_segments_win() {
+        let image = Image::new([(0x10, &[1, 2, 3, 4][..]), (0x12, &[9][..])]);
+        let m = Memory::from_image(&image);
+        assert_eq!(m.read_u32(0x10), 0x0409_0201);
+        assert_eq!(m.read_u8(0x14), 0);
+        let m = Memory::from_image(&two_page_image());
+        assert_eq!(m.read_u8(0xffe0), 1);
+        assert_eq!(m.read_u16(0xffff), 0x2120, "crosses into page 1");
+        assert_eq!(m.read_u8(0x1_001f), 64);
+        assert_eq!(m.read_u16(0x3_0010), 0xbbaa);
+        assert_eq!(m.resident_bytes(), 3 * PAGE_SIZE);
+        assert_eq!(m.owned_pages(), 0);
+    }
+
+    #[test]
+    fn a_write_copies_only_its_page_and_shows_nowhere_else() {
+        let image = two_page_image();
+        let mut a = Memory::from_image(&image);
+        let b = Memory::from_image(&image);
+        a.write_u8(0xfff0, 0x55);
+        assert_eq!(a.owned_pages(), 1);
+        assert_eq!(a.read_u8(0xfff0), 0x55);
+        assert_eq!(a.read_u8(0xffe0), 1, "the copy keeps the image's bytes");
+        assert_eq!(b.read_u8(0xfff0), 17);
+        assert_eq!(Memory::from_image(&image).read_u8(0xfff0), 17);
+        assert_eq!(a.first_difference(&b), Some(0xfff0));
+        assert_eq!(b.first_difference(&Memory::from_image(&image)), None);
+    }
+
+    #[test]
+    fn first_difference_compares_the_pages_of_two_images() {
+        let one = Image::new([(0x3_0010, &[0xaa, 0xbb][..])]);
+        let other = Image::new([(0x3_0010, &[0xaa, 0xbc][..])]);
+        let (a, b) = (Memory::from_image(&one), Memory::from_image(&other));
+        assert_eq!(a.first_difference(&b), Some(0x3_0011));
+        assert_eq!(b.first_difference(&a), Some(0x3_0011));
+    }
+
+    #[test]
+    fn reset_to_returns_to_the_image_and_owns_no_page() {
+        let image = two_page_image();
+        let mut m = Memory::from_image(&image);
+        m.write_u32(0x1_0000, u32::MAX);
+        m.write_u8(0x7_0000, 3);
+        assert_eq!(m.owned_pages(), 2);
+        m.reset_to(&image);
+        assert_eq!(m.owned_pages(), 0);
+        assert_eq!(m.read_u8(0x7_0000), 0);
+        assert_eq!(m.first_difference(&Memory::from_image(&image)), None);
+        assert_eq!(m.digest(), Memory::from_image(&image).digest());
+    }
+
+    #[test]
+    fn reset_to_an_empty_image_reads_as_a_new_memory() {
         let mut m = Memory::new();
         m.write_u32(0x100, 1);
-        let resident = m.resident_bytes();
-        m.clear();
-        assert_eq!(m.read_u32(0x100), 0);
-        // Pages are recycled (zeroed in place) for the respawn path, not
-        // freed; the image is still architecturally all-zero.
-        assert_eq!(m.resident_bytes(), resident);
+        m.write_u32(0x4_0000, u32::MAX);
+        m.reset_to(&Image::new([]));
+        assert_eq!(m.resident_bytes(), 0);
+        assert_eq!(m.first_difference(&Memory::new()), None);
+        assert_eq!(Memory::new().first_difference(&m), None);
         assert_eq!(m.digest(), Memory::new().digest());
+    }
+
+    #[test]
+    fn a_copied_page_from_the_free_list_holds_only_the_image_bytes() {
+        FREE_PAGES.with(|free| free.borrow_mut().clear());
+        let mut dirty = Memory::new();
+        dirty.write_bytes(0, &[0xee; PAGE_SIZE]);
+        drop(dirty);
+        assert_eq!(FREE_PAGES.with(|free| free.borrow().len()), 1);
+        let image = two_page_image();
+        let mut m = Memory::from_image(&image);
+        m.write_u8(0x3_0000, 7);
+        assert_eq!(FREE_PAGES.with(|free| free.borrow().len()), 0);
+        let mut want = Memory::from_image(&image);
+        want.write_u8(0x3_0000, 7);
+        assert_eq!(
+            m.first_difference(&Memory::from_image(&image)),
+            Some(0x3_0000)
+        );
+        assert_eq!(m.read_u16(0x3_0010), 0xbbaa);
+        assert_eq!(m.read_u8(0x3_ffff), 0);
+        assert_eq!(m.digest(), want.digest());
     }
 
     #[test]

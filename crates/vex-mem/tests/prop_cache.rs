@@ -188,11 +188,12 @@ proptest! {
 }
 
 /// Functional memory: a write-then-read sequence behaves like a HashMap of
-/// bytes (model-based).
+/// bytes, and memories started from one shared image behave like byte maps
+/// of their own (model-based).
 mod memory_model {
     use proptest::prelude::*;
     use std::collections::HashMap;
-    use vex_mem::Memory;
+    use vex_mem::{Image, Memory};
 
     proptest! {
         #[test]
@@ -227,6 +228,134 @@ mod memory_model {
                     let want = u32::from_le_bytes(want) & if size == 4 { u32::MAX } else { (1 << (8 * size)) - 1 };
                     prop_assert_eq!(got, want);
                 }
+            }
+        }
+    }
+
+    /// The copy-on-write model's address space: five 64KB pages. Images
+    /// lie in the first four, so the fifth starts absent.
+    const SPACE: usize = 5 << 16;
+
+    /// `Memory::new()` with `bytes` written from address 0: owned pages
+    /// only, shared with nothing.
+    fn flat(bytes: &[u8]) -> Memory {
+        let mut m = Memory::new();
+        m.write_bytes(0, bytes);
+        m
+    }
+
+    fn naive_first_difference(a: &[u8], b: &[u8]) -> Option<u32> {
+        if a == b {
+            return None;
+        }
+        a.iter().zip(b).position(|(x, y)| x != y).map(|i| i as u32)
+    }
+
+    /// Each memory equals its byte map, `first_difference` between the
+    /// two equals a byte scan of the maps, and the image still holds its
+    /// own bytes.
+    fn check(mems: &[Memory; 2], models: &[Vec<u8>; 2], image: &Image, image_bytes: &[u8]) {
+        for (i, (m, model)) in mems.iter().zip(models).enumerate() {
+            assert_eq!(m.first_difference(&flat(model)), None, "memory {i}");
+        }
+        let naive = naive_first_difference(&models[0], &models[1]);
+        assert_eq!(mems[0].first_difference(&mems[1]), naive);
+        assert_eq!(mems[1].first_difference(&mems[0]), naive);
+        assert_eq!(
+            Memory::from_image(image).first_difference(&flat(image_bytes)),
+            None,
+            "a write reached the image"
+        );
+    }
+
+    proptest! {
+        /// Two memories started from one random image, under interleaved
+        /// writes, reads, clones, resets and rebuilds, each hold exactly
+        /// the bytes of their own byte map. A write to one never shows in
+        /// the other or in the image.
+        #[test]
+        fn copy_on_write_memories_match_their_byte_maps(
+            segments in prop::collection::vec(
+                (0u32..(4 << 16), 1u32..0x1_8000, any::<u8>()), 1..5),
+            ops in prop::collection::vec(
+                (0u8..8, any::<bool>(), 0u32..SPACE as u32 - 512, any::<u32>(), 1u8..5,
+                 any::<bool>()),
+                1..120),
+        ) {
+            // Segments may cross page boundaries; later ones overwrite
+            // earlier ones where they overlap.
+            let segments: Vec<(u32, Vec<u8>)> = segments
+                .into_iter()
+                .map(|(base, len, seed)| {
+                    let len = len.min((4 << 16) - base);
+                    let bytes = (0..len)
+                        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8 ^ seed)
+                        .collect();
+                    (base, bytes)
+                })
+                .collect();
+            let image = Image::new(segments.iter().map(|(base, b)| (*base, &b[..])));
+            let mut image_bytes = vec![0u8; SPACE];
+            for (base, b) in &segments {
+                image_bytes[*base as usize..*base as usize + b.len()].copy_from_slice(b);
+            }
+            let mut mems = [Memory::from_image(&image), Memory::from_image(&image)];
+            let mut models = [image_bytes.clone(), image_bytes.clone()];
+            for (kind, which, addr, value, size, edge) in ops {
+                let w = which as usize;
+                let size = match size { 1 => 1usize, 2 => 2, _ => 4 };
+                // `edge` moves the access to the last bytes of its page,
+                // so half- and full-word accesses cross into the next
+                // (except on the last page, which nothing crosses out of).
+                let top = SPACE as u32 - 512;
+                let addr = if edge { (addr | 0xffff).min(top) - (value & 3) } else { addr };
+                let a = addr as usize;
+                match kind {
+                    0 | 1 => {
+                        match size {
+                            1 => mems[w].write_u8(addr, value as u8),
+                            2 => mems[w].write_u16(addr, value as u16),
+                            _ => mems[w].write_u32(addr, value),
+                        }
+                        models[w][a..a + size].copy_from_slice(&value.to_le_bytes()[..size]);
+                    }
+                    2 => {
+                        let bytes: Vec<u8> =
+                            (0..value % 300).map(|i| (value >> (i % 25)) as u8).collect();
+                        mems[w].write_bytes(addr, &bytes);
+                        models[w][a..a + bytes.len()].copy_from_slice(&bytes);
+                    }
+                    3 => {
+                        let got = match size {
+                            1 => mems[w].read_u8(addr) as u32,
+                            2 => mems[w].read_u16(addr) as u32,
+                            _ => mems[w].read_u32(addr),
+                        };
+                        let mut want = [0u8; 4];
+                        want[..size].copy_from_slice(&models[w][a..a + size]);
+                        prop_assert_eq!(got, u32::from_le_bytes(want), "read at {:#x}", addr);
+                    }
+                    4 => {
+                        mems[w] = mems[1 - w].clone();
+                        models[w] = models[1 - w].clone();
+                    }
+                    5 => {
+                        mems[w].reset_to(&image);
+                        prop_assert_eq!(mems[w].owned_pages(), 0);
+                        models[w].copy_from_slice(&image_bytes);
+                    }
+                    6 => {
+                        // The old memory's pages go to the free list, and
+                        // the next writes take them back.
+                        mems[w] = Memory::from_image(&image);
+                        models[w].copy_from_slice(&image_bytes);
+                    }
+                    _ => check(&mems, &models, &image, &image_bytes),
+                }
+            }
+            check(&mems, &models, &image, &image_bytes);
+            for (m, model) in mems.iter().zip(&models) {
+                prop_assert_eq!(m.digest(), flat(model).digest());
             }
         }
     }

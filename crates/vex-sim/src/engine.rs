@@ -27,9 +27,9 @@ use crate::profile::{CacheProfile, Profile};
 use crate::rng::SplitMix64;
 use crate::stats::SimStats;
 use crate::thread::{phys_cluster, CtrlEffect, ThreadCtx};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vex_isa::{FuKind, Program};
-use vex_mem::MemSystem;
+use vex_mem::{Image, MemSystem};
 use vex_trace::{TraceEvent, TraceMeta, TraceSink, NO_CTX};
 
 /// Why a run stopped.
@@ -163,23 +163,46 @@ impl Clone for Engine {
     }
 }
 
-/// A program paired with its shared pre-decode table, ready to drop into an
-/// engine without re-decoding. Sweep harnesses prepare each distinct
-/// (program, machine) workload member once and reuse it across every
-/// (technique, thread-count) point of a grid.
+/// A program paired with its shared pre-decode table and initial data
+/// image, ready to drop into an engine without re-decoding or re-copying.
+/// Sweep harnesses prepare each distinct (program, machine) workload member
+/// once and reuse it across every (technique, thread-count) point of a
+/// grid. Clones share all three.
 #[derive(Clone, Debug)]
 pub struct PreparedProgram {
-    /// The program.
-    pub program: Arc<Program>,
-    /// Its decode table (depends only on the program, not the run config).
-    pub decoded: Arc<DecodedProgram>,
+    program: Arc<Program>,
+    decoded: Arc<DecodedProgram>,
+    /// The data image of `program`, built by the first engine that runs a
+    /// clone: a sweep resumed entirely from its journal builds none.
+    image: Arc<OnceLock<Image>>,
 }
 
 impl PreparedProgram {
     /// Decodes `program` once, producing a reusable workload member.
     pub fn prepare(program: Arc<Program>) -> Self {
         let decoded = DecodedProgram::decode_arc(&program);
-        PreparedProgram { program, decoded }
+        PreparedProgram {
+            program,
+            decoded,
+            image: Arc::default(),
+        }
+    }
+
+    /// The program.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
+    /// Its decode table (depends only on the program, not the run config).
+    pub fn decoded(&self) -> &Arc<DecodedProgram> {
+        &self.decoded
+    }
+
+    /// The program's initial data image, which every context running it
+    /// starts from and respawns to. Built on the first call.
+    pub fn image(&self) -> &Image {
+        self.image
+            .get_or_init(|| Image::new(self.program.data.iter().map(|s| (s.base, &s.bytes[..]))))
     }
 }
 
@@ -227,7 +250,7 @@ impl Engine {
         let prepared: Vec<PreparedProgram> = programs
             .iter()
             .map(
-                |p| match decode_cache.iter().find(|q| Arc::ptr_eq(p, &q.program)) {
+                |p| match decode_cache.iter().find(|q| Arc::ptr_eq(p, q.program())) {
                     Some(q) => q.clone(),
                     None => {
                         let q = PreparedProgram::prepare(Arc::clone(p));
@@ -270,15 +293,7 @@ impl Engine {
         let contexts: Vec<ThreadCtx> = workload
             .iter()
             .enumerate()
-            .map(|(i, p)| {
-                ThreadCtx::with_decoded(
-                    Arc::clone(&p.program),
-                    Arc::clone(&p.decoded),
-                    i as u16,
-                    cfg.machine.n_clusters,
-                    0,
-                )
-            })
+            .map(|(i, p)| ThreadCtx::with_prepared(p, i as u16, cfg.machine.n_clusters, 0))
             .collect();
         let n_programs = contexts.len();
         let n_threads = cfg.n_threads;
@@ -514,7 +529,7 @@ impl Engine {
 
             // Fetch/activate if nothing is in flight.
             if !t.inflight.active {
-                if t.pc >= t.decoded.len() {
+                if t.pc >= t.prepared.decoded().len() {
                     // Fell off the end: treat like halt.
                     if self.cfg.respawn {
                         t.respawn();
@@ -531,7 +546,7 @@ impl Engine {
                     }
                 }
                 if !t.fetch_paid {
-                    let di = t.decoded.inst(t.pc);
+                    let di = t.prepared.decoded().inst(t.pc);
                     let pen = self.mem.fetch_access(t.asid, di.fetch_addr, di.fetch_len);
                     if pen > 0 {
                         t.stall_until = self.cycle + pen as u64;
@@ -886,7 +901,7 @@ fn issue_thread<const MERGE_OP: bool, const SPLIT: u8>(
     let phys = |c: u8| phys_cluster(c, rename, n_clusters);
 
     let ThreadCtx {
-        decoded,
+        prepared,
         inflight,
         stall_until,
         stats,
@@ -894,6 +909,7 @@ fn issue_thread<const MERGE_OP: bool, const SPLIT: u8>(
         issue_scans,
         ..
     } = t;
+    let decoded = prepared.decoded();
     let fl = inflight;
     debug_assert!(fl.active);
     *issue_calls += 1;

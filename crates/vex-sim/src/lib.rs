@@ -90,9 +90,10 @@ pub fn run_workload(cfg: &SimConfig, programs: &[Arc<Program>]) -> SimStats {
 
 /// Runs a workload of pre-decoded programs under `cfg` and returns the
 /// statistics with the [`StopReason`]. Sweep harnesses use this entry so
-/// one [`PreparedProgram`] decode serves every grid point the program
-/// appears in, and record whether a point terminated normally or was cut
-/// off by the `max_cycles` watchdog ([`StopReason::Exhausted`]).
+/// one [`PreparedProgram`] — one decode and one data image — serves every
+/// grid point the program appears in, and record whether a point
+/// terminated normally or was cut off by the `max_cycles` watchdog
+/// ([`StopReason::Exhausted`]).
 pub fn run_prepared_full(cfg: &SimConfig, workload: &[PreparedProgram]) -> (SimStats, StopReason) {
     let mut engine = Engine::with_prepared(cfg.clone(), workload);
     let reason = engine.run();

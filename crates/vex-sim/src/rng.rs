@@ -5,6 +5,15 @@
 //! simulator carries its own tiny SplitMix64 instead of depending on an
 //! external RNG crate.
 
+/// The SplitMix64 output function: a bijection of `u64` under which every
+/// input bit reaches every output bit.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64 (Steele, Lea & Flood; public domain reference constants).
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
@@ -20,10 +29,7 @@ impl SplitMix64 {
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.

@@ -17,7 +17,8 @@
 //! operation's effects in [`OpRecord`]s; issuing a part is then purely a
 //! timing event, and commit replays the recorded effects.
 
-use crate::decode::{DecodedProgram, SrcRef, SRC_IMM};
+use crate::decode::{SrcRef, SRC_IMM};
+use crate::engine::PreparedProgram;
 use crate::packet::MAX_CLUSTERS;
 use crate::stats::ThreadStats;
 use crate::threaded::{eval_op, EvalCtx};
@@ -68,7 +69,8 @@ pub enum CtrlEffect {
 ///
 /// Only the *values* here are computed at activation; the static facts
 /// (`log_cluster`, `fu`) are copied straight from the shared
-/// [`DecodedProgram`] table so the issue loop can stay on one array.
+/// [`crate::decode::DecodedProgram`] table so the issue loop can stay on
+/// one array.
 /// Effects are flag-encoded: a GPR/branch-register write, a buffered store
 /// and a control effect are mutually exclusive by construction (loads write
 /// a GPR, stores store, branches branch), so one `val`/`dst` pair serves
@@ -243,9 +245,11 @@ pub struct ThreadCtx {
     /// In-flight instruction state (delay buffers included); its own hot
     /// head (`active` … the record pointer) continues this cache line.
     pub inflight: InFlight,
-    /// Pre-decoded static metadata, shared between contexts running the
-    /// same program (see [`DecodedProgram`]).
-    pub decoded: Arc<DecodedProgram>,
+    /// The program this context runs, with its pre-decoded static metadata
+    /// (see [`crate::decode::DecodedProgram`]) and its initial data image,
+    /// all shared between contexts running the same program: `mem` starts
+    /// from the image and respawn returns to it.
+    pub prepared: PreparedProgram,
     /// GPR file, indexed flat (`cluster * 64 + index`); register zero of
     /// each cluster reads zero.
     pub regs: Box<GprFile>,
@@ -253,8 +257,6 @@ pub struct ThreadCtx {
     pub bregs: Box<BregFile>,
     /// Private functional memory.
     pub mem: Memory,
-    /// The program this context runs.
-    pub program: Arc<Program>,
     /// Event counters.
     pub stats: ThreadStats,
     /// Profiling: issue-stage attempts for this context (one per cycle the
@@ -272,37 +274,33 @@ pub struct ThreadCtx {
 
 impl ThreadCtx {
     /// Creates a context at the program entry with zeroed registers and the
-    /// initial data image loaded, decoding the program privately. When
-    /// several contexts run the same program, decode it once and use
-    /// [`ThreadCtx::with_decoded`] instead (as [`crate::Engine::new`] does).
+    /// initial data image loaded, decoding the program and building its
+    /// image privately. When several contexts run the same program, prepare
+    /// it once and use [`ThreadCtx::with_prepared`] instead (as
+    /// [`crate::Engine::new`] does).
     pub fn new(program: Arc<Program>, asid: u16, n_clusters: u8, rename: u8) -> Self {
-        let decoded = DecodedProgram::decode_arc(&program);
-        Self::with_decoded(program, decoded, asid, n_clusters, rename)
+        Self::with_prepared(&PreparedProgram::prepare(program), asid, n_clusters, rename)
     }
 
-    /// Creates a context sharing a pre-decoded table.
-    pub fn with_decoded(
-        program: Arc<Program>,
-        decoded: Arc<DecodedProgram>,
+    /// Creates a context sharing a prepared program's decode table and
+    /// data image: its memory shares the image's pages, so building it
+    /// copies no data.
+    pub fn with_prepared(
+        prepared: &PreparedProgram,
         asid: u16,
         n_clusters: u8,
         rename: u8,
     ) -> Self {
-        debug_assert_eq!(decoded.len(), program.len());
+        debug_assert_eq!(prepared.decoded().len(), prepared.program().len());
         assert!(n_clusters as usize <= MAX_CLUSTERS);
-        let mut mem = Memory::new();
-        for seg in &program.data {
-            mem.write_bytes(seg.base, &seg.bytes);
-        }
         ThreadCtx {
-            program,
-            decoded,
+            mem: Memory::from_image(prepared.image()),
+            prepared: prepared.clone(),
             asid,
             rename,
             pc: 0,
             regs: Box::new([0u32; MAX_CLUSTERS * 64]),
             bregs: Box::new([false; MAX_CLUSTERS * 8]),
-            mem,
             inflight: InFlight::default(),
             stall_until: 0,
             retired: false,
@@ -323,9 +321,10 @@ impl ThreadCtx {
 
     /// Activates the instruction at `pc`: evaluates every operation against
     /// the (stable) pre-instruction state and fills the in-flight record.
-    /// All static decode work comes from the shared [`DecodedProgram`]
-    /// table; this function only reads registers/memory and computes
-    /// values, reusing the record buffer (no allocation, no re-decode).
+    /// All static decode work comes from the shared
+    /// [`crate::decode::DecodedProgram`] table; this function only reads
+    /// registers/memory and computes values, reusing the record buffer (no
+    /// allocation, no re-decode).
     /// Every operation goes through the one threaded-code evaluator,
     /// [`crate::threaded`]'s `eval_op`.
     ///
@@ -349,7 +348,7 @@ impl ThreadCtx {
     pub fn activate(&mut self, split_op: bool) {
         debug_assert!(!self.inflight.active);
         let ThreadCtx {
-            decoded,
+            prepared,
             inflight,
             regs,
             bregs,
@@ -359,6 +358,7 @@ impl ThreadCtx {
             eval_ops,
             ..
         } = self;
+        let decoded = prepared.decoded();
         let di = decoded.inst(*pc);
 
         // Send values, indexed by pair id (pre-instruction reads, §V-E).
@@ -457,16 +457,13 @@ impl ThreadCtx {
     }
 
     /// Resets the context to the program entry (benchmark respawn, §VI-A).
-    /// Reloads the initial data image; registers keep their values, like a
-    /// process re-entering `main` with a fresh heap.
+    /// Returns memory to the initial data image, sharing its pages again;
+    /// registers keep their values, like a process re-entering `main` with
+    /// a fresh heap.
     pub fn respawn(&mut self) {
         self.pc = 0;
         self.fetch_paid = false;
-        let ThreadCtx { program, mem, .. } = self;
-        mem.clear();
-        for seg in &program.data {
-            mem.write_bytes(seg.base, &seg.bytes);
-        }
+        self.mem.reset_to(self.prepared.image());
         self.stats.runs_completed += 1;
     }
 }
@@ -576,9 +573,12 @@ mod tests {
             }],
         ));
         let mut t = ThreadCtx::new(p, 0, 4, 0);
+        assert_eq!(t.mem.owned_pages(), 0, "the context shares its image");
         t.mem.write_u32(0x100, 0xdeadbeef);
+        assert_eq!(t.mem.owned_pages(), 1);
         t.respawn();
         assert_eq!(t.mem.read_u32(0x100), 0x04030201);
+        assert_eq!(t.mem.owned_pages(), 0, "respawn shares the image again");
         assert_eq!(t.stats.runs_completed, 1);
     }
 }

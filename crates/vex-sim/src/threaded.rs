@@ -646,7 +646,11 @@ mod tests {
                                 }
                                 let program = Arc::new(program_of(inst));
                                 let mut t = ThreadCtx::new(program, 0, 4, 0);
-                                assert_eq!(t.decoded.inst(0).direct, !beside_load, "{o}");
+                                assert_eq!(
+                                    t.prepared.decoded().inst(0).direct,
+                                    !beside_load,
+                                    "{o}"
+                                );
                                 for (i, r) in t.regs.iter_mut().enumerate().skip(1) {
                                     *r = (i as u32).wrapping_mul(0x9e37_79b9);
                                 }

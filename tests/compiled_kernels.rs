@@ -1,18 +1,61 @@
 //! Pins the compiler's output for every built-in kernel.
 //!
-//! `program_digest` of each of the twelve kernels, compiled for six
-//! machine shapes, must equal the value recorded in [`PINNED`]. The
-//! digests feed every sweep point key, so a schedule change in any kernel
-//! would silently invalidate journals and result caches; the golden-stats
-//! test compiles only one kernel and would miss it. Shapes whose register
+//! The [`digest`] of each of the twelve kernels, compiled for six machine
+//! shapes, must equal the value recorded in [`PINNED`]. The programs feed
+//! every sweep point key, so a schedule change in any kernel would
+//! silently invalidate journals and result caches; the golden-stats test
+//! compiles only one kernel and would miss it. Shapes whose register
 //! files cannot hold a kernel must keep failing with the same message.
 //!
-//! An intentional compiler change re-records the table: the failure
-//! message prints the whole table as it now stands.
+//! [`digest`] is this test's own byte-serial FNV-1a over the program's
+//! derived `Hash`, not the point keys' `program_digest`: the table pins
+//! what the compiler emits, and a change to how keys are hashed leaves it
+//! alone. An intentional compiler change re-records the table: the
+//! failure message prints the whole table as it now stands.
 
-use clustered_vliw_smt::experiments::journal::program_digest;
-use clustered_vliw_smt::isa::MachineConfig;
+use clustered_vliw_smt::isa::{MachineConfig, Program};
 use clustered_vliw_smt::workloads::{compile_benchmark_for, BENCHMARKS};
+use std::hash::{Hash, Hasher};
+
+/// FNV-1a 64 one byte at a time, with every integer folded as
+/// fixed-width little-endian bytes (`usize` and enum discriminants as 8).
+struct ByteFnv(u64);
+
+impl Hasher for ByteFnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The program's derived `Hash` through [`ByteFnv`].
+fn digest(program: &Program) -> u64 {
+    let mut h = ByteFnv(0xcbf2_9ce4_8422_2325);
+    program.hash(&mut h);
+    h.finish()
+}
 
 /// The machine shapes the table covers, by label.
 fn machines() -> Vec<(&'static str, MachineConfig)> {
@@ -114,7 +157,7 @@ const PINNED: &[(&str, &str, Pinned)] = &[
 ];
 
 fn compiled(m: &MachineConfig, name: &str) -> Result<u64, String> {
-    compile_benchmark_for(name, m).map(|p| program_digest(&p))
+    compile_benchmark_for(name, m).map(|p| digest(&p))
 }
 
 #[test]

@@ -150,6 +150,45 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// A journal written by a build that derived other keys — every build
+/// before a change to how keys are hashed — replays nothing: the resume
+/// re-simulates all 8 points, emits JSON byte-identical to the baseline
+/// and appends its own records, which the next resume replays.
+#[test]
+fn a_journal_under_other_keys_replays_as_misses() {
+    let (json, journal) = baseline();
+    let mut bytes = journal[..MAGIC_LEN].to_vec();
+    for span in record_spans(journal) {
+        let text = std::str::from_utf8(payload(journal, span)).expect("text payload");
+        let (key_line, rest) = text.split_once('\n').expect("a key line");
+        let key = key_line.strip_prefix("key=").expect("the key comes first");
+        let key = u64::from_str_radix(key, 16).expect("hex key");
+        bytes.extend(frame(format!("key={:016x}\n{rest}", !key).as_bytes()));
+    }
+    let path = temp_journal("other_keys");
+    std::fs::write(&path, &bytes).expect("seed journal");
+    let spec = grid();
+    let resume = || {
+        let outcome = SweepRunner::new(&spec)
+            .journal(path.to_str().unwrap())
+            .resume(true)
+            .deterministic_wall(true)
+            .run()
+            .expect("resumed sweep");
+        assert_eq!(outcome.points.len(), 8);
+        assert!(outcome.errors.is_empty());
+        let replayed = outcome.points.iter().filter(|p| p.resumed).count();
+        (outcome.to_json(), replayed)
+    };
+    let first = resume();
+    let second = resume();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(&first.0, json);
+    assert_eq!(first.1, 0, "no record under another key replays");
+    assert_eq!(&second.0, json);
+    assert_eq!(second.1, 8, "the records the first resume appended replay");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 

@@ -3,7 +3,10 @@
 
 use clustered_vliw_smt::compiler::verify::interpret;
 use clustered_vliw_smt::isa::MachineConfig;
-use clustered_vliw_smt::sim::{run_single, CommPolicy, Technique};
+use clustered_vliw_smt::mem::Memory;
+use clustered_vliw_smt::sim::{
+    run_single, CommPolicy, Engine, PreparedProgram, SimConfig, Technique,
+};
 use clustered_vliw_smt::workloads::{by_name, compile_benchmark, BENCHMARKS, MIXES};
 
 /// Every shipped benchmark compiles, validates, halts, and its compiled
@@ -80,4 +83,36 @@ fn comm_density_grows_with_ilp_class() {
         high > low,
         "high-ILP kernels should be more comm-dense: low={low:.3} high={high:.3}"
     );
+}
+
+/// Building an engine copies no data: four `blowfish` contexts (over a
+/// megabyte of data each) share their program's image and own no page
+/// until they store. A respawned context owns none again and holds the
+/// image exactly.
+#[test]
+fn engine_contexts_share_the_data_image_until_they_store() {
+    let prepared = PreparedProgram::prepare(compile_benchmark("blowfish"));
+    let data: usize = prepared.program().data.iter().map(|s| s.bytes.len()).sum();
+    assert!(data > 1 << 20, "blowfish carries {data} bytes of data");
+    let workload = vec![prepared.clone(); 4];
+    let cfg = SimConfig::paper(Technique::ccsi(CommPolicy::AlwaysSplit), 4);
+    let mut engine = Engine::with_prepared(cfg, &workload);
+    for ctx in &engine.contexts {
+        assert_eq!(ctx.mem.owned_pages(), 0);
+        assert!(ctx.mem.resident_bytes() >= data);
+    }
+    let mut cycles = 0;
+    while engine.contexts[0].mem.owned_pages() == 0 {
+        engine.step();
+        cycles += 1;
+        assert!(
+            cycles < 100_000,
+            "blowfish stores within its first 100k cycles"
+        );
+    }
+    let image = Memory::from_image(prepared.image());
+    assert_ne!(engine.contexts[0].mem.first_difference(&image), None);
+    engine.contexts[0].respawn();
+    assert_eq!(engine.contexts[0].mem.owned_pages(), 0);
+    assert_eq!(engine.contexts[0].mem.first_difference(&image), None);
 }
