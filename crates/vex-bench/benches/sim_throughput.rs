@@ -12,20 +12,22 @@
 //! suppress scheduler noise, like Criterion's minimum-time estimator.
 //!
 //! The metric is simulated-cycles/second (higher is better); every run
-//! also rewrites `BENCH_sim_throughput.json` at the repository root so CI
-//! and later PRs have a perf trajectory to compare against. Besides the
-//! best-of-N headline the artifact records, per point and in aggregate,
-//! the **mean and sample stddev across the repetitions** — the noise
-//! estimate `vex_bench::gate` (the `bench-gate` binary) needs to tell a
-//! real regression from runner jitter. The artifact carries a `history`
-//! array: each run appends one entry (aggregate cycles/s with its
-//! mean/stddev/reps, total wall seconds, a timestamp passed in from the
-//! harness via `BENCH_SIM_THROUGHPUT_STAMP`) after the entries already
-//! recorded in the previous artifact, so the trajectory survives the
-//! rewrite.
+//! also rewrites `BENCH_sim_throughput.json` at the repository root as a
+//! perf trajectory. Besides the best-of-N headline the artifact records,
+//! per point and in aggregate, the **mean and sample stddev across the
+//! repetitions**: a trend record of how fast a host ran this grid and how
+//! much it wandered. No gate reads it, because a number from one host
+//! says little about another; `bench-gate` times a parent and a change
+//! side by side instead. The artifact carries a `history` array: each run
+//! appends one entry (aggregate cycles/s with its mean/stddev/reps, total
+//! wall seconds, a timestamp passed in from the harness via
+//! `BENCH_SIM_THROUGHPUT_STAMP`) after the entries already recorded in
+//! the previous artifact, so the trajectory survives the rewrite.
 //!
 //! Run with `cargo bench --bench sim_throughput`. Override the artifact
-//! location with `BENCH_SIM_THROUGHPUT_OUT=/path/to.json`.
+//! location with `BENCH_SIM_THROUGHPUT_OUT=/path/to.json`, for example to
+//! pair two builds' bench binaries with `bench-gate` without rewriting
+//! the checked-in artifact.
 
 use vex_experiments::SweepRunner;
 use vex_spec::SweepSpec;
@@ -145,12 +147,12 @@ fn main() {
     let total_secs: f64 = results.iter().map(PointResult::best_wall).sum();
     let aggregate = total_cycles as f64 / total_secs;
 
-    // The noise estimate the gate consumes: one aggregate-throughput
-    // sample per whole pass (every pass runs every point once, so each
-    // sample sees the same work), then mean and sample stddev across
-    // passes. The best-of headline above and this mean answer different
-    // questions — "how fast can it go" vs "how fast does it typically
-    // go, and how sure are we" — so the artifact carries both.
+    // The trend record's spread: one aggregate-throughput sample per
+    // whole pass (every pass runs every point once, so each sample sees
+    // the same work), then mean and sample stddev across passes. The
+    // best-of headline above and this mean answer different questions —
+    // "how fast can it go" vs "how fast does it typically go, and how
+    // sure are we" — so the artifact carries both.
     let rep_samples: Vec<f64> = (0..REPS as usize)
         .map(|rep| {
             let secs: f64 = results.iter().map(|r| r.walls[rep]).sum();

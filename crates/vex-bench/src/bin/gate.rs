@@ -1,93 +1,89 @@
-//! `bench-gate` — compares two `BENCH_sim_throughput.json` artifacts and
-//! exits non-zero on a statistically significant throughput regression.
+//! `bench-gate` — the paired throughput gate: times a parent and a
+//! change binary on the same host and exits 1 when the change is slower.
 //!
 //! ```text
-//! bench-gate BASELINE.json CURRENT.json [--z Z] [--fail-floor PCT]
+//! bench-gate PARENT CHANGE [-- ARGS...]
 //! ```
 //!
-//! The verdict logic lives in [`vex_bench::gate`]; this binary only
-//! parses arguments, reads the two files, prints one honest line and
-//! emits GitHub workflow annotations (`::error`/`::warning`) so the
-//! verdict shows on the run summary. Exit status: 0 on Pass or Warn,
-//! 1 on Fail, 2 on usage or I/O errors.
-//!
-//! `--fail-floor` is the minimum drop, in percent, that may fail the
-//! gate (default 5). CI passes a wide floor because shared runners can
-//! legitimately differ in absolute speed from the machine that produced
-//! the checked-in baseline; the statistical band handles everything
-//! tighter.
+//! Runs `PARENT ARGS...` and `CHANGE ARGS...` once per round for
+//! [`ROUNDS`] rounds, the parent first in odd rounds and the change
+//! first in even ones, and times each process from spawn to exit. The
+//! children's stdout is discarded. It prints one line per round and a
+//! `PASS` or `FAIL` line; a fail also prints a GitHub workflow `::error`
+//! annotation. The verdict is [`vex_bench::gate::judge`]'s. Exit status:
+//! 0 on a pass, 1 on a regression, 2 on a usage error or a failed run,
+//! which prints that run's exit status and stderr.
 
-use vex_bench::gate::{compare, GateConfig, Sample, Verdict};
-
-fn usage() -> ! {
-    eprintln!("usage: bench-gate BASELINE.json CURRENT.json [--z Z] [--fail-floor PCT]");
-    std::process::exit(2);
-}
-
-fn read_sample(path: &str) -> Sample {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench-gate: reading `{path}`: {e}");
-        std::process::exit(2);
-    });
-    Sample::from_artifact(&text).unwrap_or_else(|e| {
-        eprintln!("bench-gate: `{path}`: {e}");
-        std::process::exit(2);
-    })
-}
+use std::process::{exit, Command, Stdio};
+use std::time::Instant;
+use vex_bench::gate::{judge, FLOOR, ROUNDS};
 
 fn main() {
-    let mut cfg = GateConfig::default();
-    let mut paths: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> f64 {
-            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("bench-gate: {name} needs a numeric value");
-                std::process::exit(2);
-            })
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (bins, child_args) = match args.iter().position(|a| a == "--") {
+        Some(i) => (&args[..i], &args[i + 1..]),
+        None => (&args[..], &[][..]),
+    };
+    let [parent, change] = bins else {
+        eprintln!("usage: bench-gate PARENT CHANGE [-- ARGS...]");
+        exit(2);
+    };
+
+    let mut rounds = Vec::with_capacity(ROUNDS);
+    for round in 1..=ROUNDS {
+        let (parent_s, change_s) = if round % 2 == 1 {
+            let p = time(parent, child_args);
+            (p, time(change, child_args))
+        } else {
+            let c = time(change, child_args);
+            (time(parent, child_args), c)
         };
-        match a.as_str() {
-            "--z" => cfg.z = num("--z"),
-            "--fail-floor" => cfg.fail_floor = num("--fail-floor") / 100.0,
-            "-h" | "--help" => usage(),
-            _ if a.starts_with('-') => {
-                eprintln!("bench-gate: unknown option `{a}`");
-                usage();
-            }
-            _ => paths.push(a),
-        }
+        println!(
+            "round {round:>2}: parent {parent_s:.3} s  change {change_s:.3} s  ratio {:.3}",
+            change_s / parent_s
+        );
+        rounds.push((parent_s, change_s));
     }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        usage();
-    };
 
-    let baseline = read_sample(baseline_path);
-    let current = read_sample(current_path);
-    let gate = compare(&baseline, &current, &cfg);
+    let g = judge(&rounds);
+    let summary = format!(
+        "median ratio {:.3}, lower quartile {:.3}, change slower in {}/{ROUNDS} rounds \
+         (fails above a median of {:.2} with a lower quartile above 1)",
+        g.median,
+        g.lower_quartile,
+        g.slower,
+        1.0 + FLOOR
+    );
+    if g.fail {
+        println!("bench-gate: FAIL — {summary}");
+        println!(
+            "::error title=throughput regression::{change} is slower than {parent}: {summary}"
+        );
+        exit(1);
+    }
+    println!("bench-gate: PASS — {summary}");
+}
 
-    let spread = |s: &Sample| match s.stddev {
-        Some(sd) => format!("{:.0} ±{:.0} cycles/s (n={})", s.value, sd, s.reps),
-        None => format!("{:.0} cycles/s (point estimate)", s.value),
-    };
-    println!("bench-gate: baseline {}", spread(&baseline));
-    println!("bench-gate: current  {}", spread(&current));
-
-    match gate.verdict {
-        Verdict::Pass => println!("bench-gate: PASS — {}", gate.message),
-        Verdict::Warn => {
-            println!("bench-gate: WARN — {}", gate.message);
-            println!(
-                "::warning title=sim_throughput::aggregate throughput {}",
-                gate.message
-            );
+/// Wall seconds of one run of `bin` with `args`, from spawn to exit.
+fn time(bin: &str, args: &[String]) -> f64 {
+    let start = Instant::now();
+    let out = Command::new(bin)
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .output();
+    let secs = start.elapsed().as_secs_f64();
+    match out {
+        Ok(out) if out.status.success() => secs,
+        Ok(out) => {
+            eprintln!("bench-gate: `{bin}` failed ({})", out.status);
+            eprint!("{}", String::from_utf8_lossy(&out.stderr));
+            exit(2);
         }
-        Verdict::Fail => {
-            println!("bench-gate: FAIL — {}", gate.message);
-            println!(
-                "::error title=sim_throughput regression::aggregate throughput {}",
-                gate.message
-            );
-            std::process::exit(1);
+        Err(e) => {
+            eprintln!("bench-gate: cannot run `{bin}`: {e}");
+            exit(2);
         }
     }
 }

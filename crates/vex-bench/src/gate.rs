@@ -1,200 +1,73 @@
-//! Statistically honest perf gate for the `BENCH_sim_throughput.json`
-//! trajectory artifact.
+//! The paired throughput gate behind `bench-gate`.
 //!
-//! The old CI check compared two point estimates and warned when the
-//! fresh aggregate fell more than 10% — it could neither *fail* the job
-//! (a real regression sailed through with a yellow triangle nobody reads)
-//! nor tell a regression from runner noise (a quiet runner made a healthy
-//! commit look 12% "slower" than a loud baseline). This module replaces
-//! it with a comparison over per-rep variance: each artifact carries the
-//! mean and sample stddev of its per-rep aggregate throughput, and the
-//! gate fails only when the drop is **both**
+//! A throughput number stored on one host and compared with a fresh one
+//! on another measures the hosts as much as the code, and on a shared
+//! machine the same binary can read 20% apart from one minute to the
+//! next. So the gate never compares with a stored number. It times the
+//! parent's and the change's binaries on the same arguments in the same
+//! minutes, [`ROUNDS`] times, alternating which side goes first, and
+//! judges the per-round ratios change ÷ parent (above 1: the change is
+//! slower). A session fails only when
 //!
-//! 1. *statistically significant* — larger than `z` standard errors of
-//!    the difference of means (Welch-style,
-//!    `stderr = sqrt(sb²/nb + sc²/nc)`), and
-//! 2. *practically significant* — larger than `fail_floor` (so a
-//!    significant-but-tiny 0.4% drop never blocks a merge).
+//! 1. the median ratio is above `1 + FLOOR`: the typical round is
+//!    slower by more than [`FLOOR`], and
+//! 2. the lower quartile is above 1: at least three quarters of the
+//!    rounds are slower, so the median is not carried by a few noisy
+//!    rounds.
 //!
-//! A drop that clears the significance bar but not the floor produces a
-//! [`Verdict::Warn`]. Artifacts written before variance was recorded
-//! (no `*_mean`/`*_stddev` fields) degrade to the legacy behaviour:
-//! warn-only at a fixed 10% drop, never fail — an honest gate cannot
-//! hard-fail on data whose noise it cannot estimate.
+//! The constants come from measured sessions on a shared 2-vCPU VM
+//! (docs/PERF.md, "The paired regression gate"): every A/A session of
+//! one binary against a copy of itself passes, every session against a
+//! build simulating 1.233× the cycles fails, and five of six against
+//! one simulating 1.118× fail.
 
-/// One side of a throughput comparison: a mean with optional spread.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sample {
-    /// Mean aggregate throughput in simulated cycles per wall second
-    /// (higher is better).
-    pub value: f64,
-    /// Sample standard deviation over the per-rep aggregates; `None` for
-    /// legacy artifacts that recorded only a point estimate.
-    pub stddev: Option<f64>,
-    /// Number of repetitions behind `value` (1 for legacy artifacts).
-    pub reps: u32,
-}
+/// Rounds per session; each round runs the parent once and the change
+/// once.
+pub const ROUNDS: usize = 12;
 
-impl Sample {
-    /// Reads a sample out of a `BENCH_sim_throughput.json` artifact (or a
-    /// single `history` entry — same keys).
-    ///
-    /// Prefers the variance-carrying schema
-    /// (`aggregate_cycles_per_sec_mean` + `_stddev` + `reps`); falls back
-    /// to the legacy point estimate `aggregate_cycles_per_sec` with no
-    /// spread. Errors when neither key parses to a number.
-    pub fn from_artifact(json: &str) -> Result<Sample, String> {
-        if let Some(mean) = extract_number(json, "aggregate_cycles_per_sec_mean") {
-            let stddev = extract_number(json, "aggregate_cycles_per_sec_stddev");
-            let reps = extract_number(json, "reps").map_or(1, |r| r as u32).max(1);
-            return Ok(Sample {
-                value: mean,
-                stddev,
-                reps,
-            });
-        }
-        match extract_number(json, "aggregate_cycles_per_sec") {
-            Some(value) => Ok(Sample {
-                value,
-                stddev: None,
-                reps: 1,
-            }),
-            None => Err("no `aggregate_cycles_per_sec[_mean]` field in artifact".to_string()),
-        }
-    }
-}
+/// The median slowdown a change may show before it can fail the gate.
+pub const FLOOR: f64 = 0.05;
 
-/// Gate thresholds; see the module docs for how they compose.
-#[derive(Debug, Clone, Copy)]
-pub struct GateConfig {
-    /// Confidence multiplier on the standard error of the difference of
-    /// means. 3.0 ≈ a 99.7% two-sided interval under normality.
-    pub z: f64,
-    /// Minimum fractional drop (0.05 = 5%) that counts as *practically*
-    /// significant; significant drops below this floor only warn.
-    pub fail_floor: f64,
-    /// Fractional drop at which a comparison against a variance-less
-    /// legacy artifact warns (it can never fail).
-    pub legacy_warn_floor: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            z: 3.0,
-            fail_floor: 0.05,
-            legacy_warn_floor: 0.10,
-        }
-    }
-}
-
-/// Outcome of one baseline/current comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// No regression, or a drop within the noise band.
-    Pass,
-    /// A drop worth a look that must not block the merge: statistically
-    /// significant but under the fail floor, or any sizeable drop against
-    /// a variance-less legacy baseline.
-    Warn,
-    /// A drop that is both statistically and practically significant.
-    Fail,
-}
-
-/// Full result of [`compare`]: the verdict plus the numbers behind it,
-/// so callers can print one honest line instead of re-deriving them.
-#[derive(Debug, Clone)]
+/// The verdict of one session and the numbers behind it.
+#[derive(Debug)]
 pub struct Gate {
-    /// Pass / Warn / Fail.
-    pub verdict: Verdict,
-    /// Fractional change relative to the baseline; positive = regression
-    /// (current slower than baseline).
-    pub drop: f64,
-    /// The noise band as a fraction of the baseline mean
-    /// (`z * stderr / baseline`), when both sides carry variance.
-    pub noise: Option<f64>,
-    /// One-line human explanation of the verdict.
-    pub message: String,
+    /// Median of the per-round ratios change ÷ parent.
+    pub median: f64,
+    /// Lower quartile of the ratios.
+    pub lower_quartile: f64,
+    /// Rounds in which the change took longer than the parent.
+    pub slower: usize,
+    /// The median is above `1 + FLOOR` and the lower quartile above 1.
+    pub fail: bool,
 }
 
-/// Compares a current throughput sample against a baseline and renders a
-/// verdict. Both samples are "higher is better".
-pub fn compare(baseline: &Sample, current: &Sample, cfg: &GateConfig) -> Gate {
-    let drop = (baseline.value - current.value) / baseline.value;
-    let pct = |f: f64| format!("{:+.1}%", -f * 100.0);
-
-    let noise = match (baseline.stddev, current.stddev) {
-        (Some(bs), Some(cs)) => {
-            let stderr = (bs * bs / baseline.reps as f64 + cs * cs / current.reps as f64).sqrt();
-            Some(cfg.z * stderr / baseline.value)
-        }
-        _ => None,
-    };
-
-    let (verdict, message) = match noise {
-        Some(noise) => {
-            if drop <= noise {
-                (
-                    Verdict::Pass,
-                    format!(
-                        "{} is within the ±{:.1}% noise band (z={})",
-                        pct(drop),
-                        noise * 100.0,
-                        cfg.z
-                    ),
-                )
-            } else if drop <= cfg.fail_floor {
-                (
-                    Verdict::Warn,
-                    format!(
-                        "{} is outside the ±{:.1}% noise band but under the {:.0}% fail floor",
-                        pct(drop),
-                        noise * 100.0,
-                        cfg.fail_floor * 100.0
-                    ),
-                )
-            } else {
-                (
-                    Verdict::Fail,
-                    format!(
-                        "{} exceeds both the ±{:.1}% noise band and the {:.0}% fail floor",
-                        pct(drop),
-                        noise * 100.0,
-                        cfg.fail_floor * 100.0
-                    ),
-                )
-            }
-        }
-        None => {
-            if drop > cfg.legacy_warn_floor {
-                (
-                    Verdict::Warn,
-                    format!(
-                        "{} against a variance-less baseline (legacy warn floor {:.0}%); \
-                         cannot hard-fail without a noise estimate",
-                        pct(drop),
-                        cfg.legacy_warn_floor * 100.0
-                    ),
-                )
-            } else {
-                (
-                    Verdict::Pass,
-                    format!(
-                        "{} against a variance-less baseline (legacy warn floor {:.0}%)",
-                        pct(drop),
-                        cfg.legacy_warn_floor * 100.0
-                    ),
-                )
-            }
-        }
-    };
-
+/// Judges a session of `(parent_s, change_s)` rounds. The quartiles
+/// interpolate linearly between the sorted ratios. `rounds` must not be
+/// empty.
+pub fn judge(rounds: &[(f64, f64)]) -> Gate {
+    let mut ratios: Vec<f64> = rounds
+        .iter()
+        .map(|&(parent, change)| change / parent)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = quantile(&ratios, 0.5);
+    let lower_quartile = quantile(&ratios, 0.25);
     Gate {
-        verdict,
-        drop,
-        noise,
-        message,
+        median,
+        lower_quartile,
+        slower: rounds
+            .iter()
+            .filter(|&&(parent, change)| change > parent)
+            .count(),
+        fail: median > 1.0 + FLOOR && lower_quartile > 1.0,
     }
+}
+
+/// The `q` quantile of a sorted, non-empty slice.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 /// Mean and sample standard deviation (n−1 denominator) of a slice;
@@ -212,136 +85,70 @@ pub fn mean_stddev(samples: &[f64]) -> (f64, Option<f64>) {
     (mean, Some(var.sqrt()))
 }
 
-/// Scans hand-rolled JSON for `"key": <number>` at any nesting depth and
-/// parses the first occurrence. Sufficient for the flat artifacts this
-/// crate emits; not a general JSON parser.
-pub fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let mut rest = json;
-    loop {
-        let pos = rest.find(&needle)?;
-        let after = rest[pos + needle.len()..].trim_start();
-        if let Some(after) = after.strip_prefix(':') {
-            let after = after.trim_start();
-            let end = after
-                .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-                .unwrap_or(after.len());
-            if let Ok(v) = after[..end].parse::<f64>() {
-                return Some(v);
-            }
-            return None;
-        }
-        // The needle was a value (e.g. inside a string), not a key.
-        rest = &rest[pos + needle.len()..];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample(value: f64, stddev: f64, reps: u32) -> Sample {
-        Sample {
-            value,
-            stddev: Some(stddev),
-            reps,
-        }
-    }
-
-    fn legacy(value: f64) -> Sample {
-        Sample {
-            value,
-            stddev: None,
-            reps: 1,
-        }
+    /// A session whose rounds have these ratios, the parent at 1 s.
+    fn session(ratios: &[f64]) -> Gate {
+        let rounds: Vec<(f64, f64)> = ratios.iter().map(|&r| (1.0, r)).collect();
+        judge(&rounds)
     }
 
     #[test]
-    fn improvement_passes() {
-        let g = compare(
-            &sample(1000.0, 10.0, 5),
-            &sample(1100.0, 10.0, 5),
-            &GateConfig::default(),
-        );
-        assert_eq!(g.verdict, Verdict::Pass);
-        assert!(g.drop < 0.0);
-    }
-
-    #[test]
-    fn drop_inside_noise_band_passes() {
-        // stderr = sqrt(2·80²/5) ≈ 50.6, band z·stderr ≈ 151.8 → a 100
-        // cycles/s drop (10%) is indistinguishable from runner noise.
-        let g = compare(
-            &sample(1000.0, 80.0, 5),
-            &sample(900.0, 80.0, 5),
-            &GateConfig::default(),
-        );
-        assert_eq!(g.verdict, Verdict::Pass);
-        assert!(g.noise.unwrap() > g.drop);
+    fn aa_mix_around_one_passes() {
+        let g = session(&[
+            0.91, 1.08, 0.97, 1.12, 0.99, 1.03, 0.88, 1.01, 0.95, 1.06, 0.93, 1.10,
+        ]);
+        assert!(!g.fail, "{g:?}");
+        assert!((g.median - 1.0).abs() < 0.02);
     }
 
     #[test]
     fn significant_drop_beyond_floor_fails() {
-        // stderr = sqrt(2·5²/5) ≈ 3.16, band ≈ 0.95% → a 10% drop is
-        // significant and above the 5% floor.
-        let g = compare(
-            &sample(1000.0, 5.0, 5),
-            &sample(900.0, 5.0, 5),
-            &GateConfig::default(),
-        );
-        assert_eq!(g.verdict, Verdict::Fail);
+        let g = session(&[1.10; ROUNDS]);
+        assert!(g.fail);
+        assert!((g.median - 1.10).abs() < 1e-12);
+        assert_eq!(g.slower, ROUNDS);
     }
 
     #[test]
-    fn significant_drop_under_floor_warns() {
-        // A 3% drop with a tight ±0.95% band: significant, but under the
-        // 5% practical floor.
-        let g = compare(
-            &sample(1000.0, 5.0, 5),
-            &sample(970.0, 5.0, 5),
-            &GateConfig::default(),
-        );
-        assert_eq!(g.verdict, Verdict::Warn);
+    fn drop_inside_noise_band_passes() {
+        // Median 1.10, but three rounds of twelve faster: the lower
+        // quartile interpolates to 0.9375.
+        let g = session(&[
+            0.80, 0.85, 0.90, 0.95, 1.10, 1.10, 1.10, 1.10, 1.10, 1.10, 1.10, 1.10,
+        ]);
+        assert!(g.median > 1.0 + FLOOR);
+        assert!((g.lower_quartile - 0.9375).abs() < 1e-12);
+        assert!(!g.fail);
     }
 
     #[test]
-    fn raising_the_fail_floor_downgrades_fail_to_warn() {
-        let cfg = GateConfig {
-            fail_floor: 0.25,
-            ..GateConfig::default()
-        };
-        let g = compare(&sample(1000.0, 5.0, 5), &sample(900.0, 5.0, 5), &cfg);
-        assert_eq!(g.verdict, Verdict::Warn);
+    fn median_of_exactly_the_floor_passes() {
+        let g = session(&[1.05; ROUNDS]);
+        assert_eq!(g.median, 1.0 + FLOOR);
+        assert!(g.lower_quartile > 1.0);
+        assert!(!g.fail);
     }
 
     #[test]
-    fn legacy_baseline_warns_but_never_fails() {
-        let cfg = GateConfig::default();
-        let g = compare(&legacy(1000.0), &sample(500.0, 5.0, 5), &cfg);
-        assert_eq!(
-            g.verdict,
-            Verdict::Warn,
-            "50% drop on legacy data: warn only"
-        );
-        let g = compare(&legacy(1000.0), &sample(950.0, 5.0, 5), &cfg);
-        assert_eq!(
-            g.verdict,
-            Verdict::Pass,
-            "5% drop is under the 10% legacy floor"
-        );
+    fn improvement_passes() {
+        let g = session(&[0.9; ROUNDS]);
+        assert!(!g.fail);
+        assert_eq!(g.slower, 0);
     }
 
     #[test]
-    fn welch_stderr_combines_both_sides() {
-        // baseline s=30 n=9, current s=40 n=4 → stderr = sqrt(100+400)
-        // ≈ 22.36; band = 3·22.36/1000 ≈ 6.7%.
-        let g = compare(
-            &sample(1000.0, 30.0, 9),
-            &sample(1000.0, 40.0, 4),
-            &GateConfig::default(),
-        );
-        let noise = g.noise.unwrap();
-        assert!((noise - 3.0 * (500.0f64).sqrt() / 1000.0).abs() < 1e-12);
+    fn slower_rounds_are_counted() {
+        // A tie is not slower.
+        let rounds = [(1.0, 1.2), (1.0, 1.0), (2.0, 1.0), (1.0, 1.01), (0.5, 0.6)];
+        let g = judge(&rounds);
+        assert_eq!(g.slower, 3);
+        // Sorted ratios 0.5, 1.0, 1.01, 1.2, 1.2: the median is the
+        // middle one and the lower quartile the second.
+        assert_eq!(g.median, 1.01);
+        assert_eq!(g.lower_quartile, 1.0);
     }
 
     #[test]
@@ -351,36 +158,5 @@ mod tests {
         let (m, s) = mean_stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((m - 5.0).abs() < 1e-12);
         assert!((s.unwrap() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_artifact_prefers_variance_schema() {
-        let json = r#"{
-            "reps": 5,
-            "aggregate_cycles_per_sec": 3300000.0,
-            "aggregate_cycles_per_sec_mean": 3200000.0,
-            "aggregate_cycles_per_sec_stddev": 45000.5
-        }"#;
-        let s = Sample::from_artifact(json).unwrap();
-        assert_eq!(s.value, 3200000.0);
-        assert_eq!(s.stddev, Some(45000.5));
-        assert_eq!(s.reps, 5);
-    }
-
-    #[test]
-    fn from_artifact_falls_back_to_legacy_point_estimate() {
-        let s = Sample::from_artifact(r#"{"aggregate_cycles_per_sec": 3205450.2}"#).unwrap();
-        assert_eq!(s.value, 3205450.2);
-        assert_eq!(s.stddev, None);
-        assert_eq!(s.reps, 1);
-        assert!(Sample::from_artifact("{}").is_err());
-    }
-
-    #[test]
-    fn extract_number_skips_string_occurrences() {
-        let json = r#"{"note": "reps", "reps": 7}"#;
-        assert_eq!(extract_number(json, "reps"), Some(7.0));
-        assert_eq!(extract_number(json, "absent"), None);
-        assert_eq!(extract_number(r#"{"x": 1.5e3}"#, "x"), Some(1500.0));
     }
 }

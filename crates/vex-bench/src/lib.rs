@@ -1,11 +1,13 @@
 //! Throughput benchmark support for the reproduction: the
 //! `sim_throughput` bench (`cargo bench --bench sim_throughput`) and the
-//! `bench-gate` regression check. The paper's tables come from the
+//! paired `bench-gate` regression check. The paper's tables come from the
 //! `repro` binary and `vex sweep examples/paper.toml`.
 //!
-//! The library part holds the helpers the `sim_throughput` bench shares
-//! with its unit tests — most importantly the history-carrying logic for
-//! the `BENCH_sim_throughput.json` perf-trajectory artifact.
+//! The library part holds the gate's verdict ([`gate::judge`]) and the
+//! helpers the `sim_throughput` bench shares with its unit tests: the
+//! history-carrying logic for the `BENCH_sim_throughput.json` artifact
+//! and [`gate::mean_stddev`]. The artifact's mean and stddev are a trend
+//! record across runs; no gate reads them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -143,8 +145,8 @@ mod tests {
     /// The append path must re-serialize variance-carrying entries
     /// losslessly: the bench re-emits each prior entry verbatim, so a
     /// mean/stddev/reps triple written by one run must survive any number
-    /// of later runs byte-for-byte — the gate reads its baseline noise
-    /// estimate from exactly these strings.
+    /// of later runs byte-for-byte — the trend record is exactly these
+    /// strings.
     #[test]
     fn variance_fields_round_trip_through_the_append_path() {
         let entry_v = r#"{"aggregate_cycles_per_sec": 3300123.4, "aggregate_cycles_per_sec_mean": 3254321.1, "aggregate_cycles_per_sec_stddev": 41234.567891, "reps": 5, "total_wall_secs": 0.591234, "timestamp": "2026-08-08-pr6"}"#;
@@ -165,11 +167,5 @@ mod tests {
 
         let reread = extract_history(&second);
         assert_eq!(reread, vec![ENTRY_A, entry_v, ENTRY_B]);
-
-        // And the gate still reads the exact variance numbers back out.
-        let s = gate::Sample::from_artifact(&reread[1]).unwrap();
-        assert_eq!(s.value, 3254321.1);
-        assert_eq!(s.stddev, Some(41234.567891));
-        assert_eq!(s.reps, 5);
     }
 }

@@ -1,15 +1,15 @@
-//! The reusable job model shared by the in-process [`SweepRunner`]
-//! (crate::SweepRunner) and the `vex serve` sweep service: program
-//! preparation + content-addressed point keys, and the single-point spec
-//! conversion the service uses as its assignment wire format.
+//! The reusable job model shared by the in-process
+//! [`SweepRunner`](crate::SweepRunner) and the `vex serve` sweep service:
+//! program preparation + content-addressed point keys, and the
+//! single-point spec conversion the service uses as its assignment wire
+//! format.
 //!
 //! The unit of work everywhere is a *point job*: one [`RunSpec`] plus its
-//! FNV-64 [`point_key`](crate::point_key), which hashes every
-//! result-affecting field and the member programs' compiled digests. The
-//! key is what makes work distributable: any process that expands the
-//! same spec against the same programs derives the same keys, so results
-//! can be cached, journaled and exchanged between processes without
-//! trusting anything but the key.
+//! FNV-64 [`point_key`], which hashes every result-affecting field and
+//! the member programs' compiled digests. The key is what makes work
+//! distributable: any process that expands the same spec against the same
+//! programs derives the same keys, so results can be cached, journaled and
+//! exchanged between processes without trusting anything but the key.
 
 use crate::journal::{point_key, program_digest};
 use crate::runner::ProgramLoader;
@@ -126,7 +126,7 @@ pub fn spec_point_keys(
 /// printer emits every result-affecting field explicitly (including the
 /// mix's resolved seed and the full machine geometry), and
 /// `parse(print(spec)) == spec`, so a worker that parses the printed form
-/// recomputes the identical [`point_key`](crate::point_key).
+/// recomputes the identical [`point_key`].
 pub fn single_point_spec(run: &RunSpec) -> SweepSpec {
     let mut spec = SweepSpec::base(vex_sim::Scale {
         inst_limit: run.inst_limit,

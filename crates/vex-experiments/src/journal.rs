@@ -116,8 +116,7 @@ impl std::fmt::Write for Fnv64 {
 /// Every integer is folded as fixed-width little-endian bytes (`usize`
 /// and enum discriminants as 8), so a digest does not depend on the
 /// host's pointer width: the default methods would hash native-endian
-/// bytes. A slice of integers is the exception: std hashes it as one
-/// [`Hasher::write`] of its native-endian bytes.
+/// bytes.
 impl Hasher for Fnv64 {
     /// Folds a byte string a little-endian 8-byte word at a time, each
     /// word through [`mix64`] before the FNV-1a step, then its last
@@ -161,7 +160,7 @@ impl Hasher for Fnv64 {
     }
 }
 
-/// Structural digest of a compiled program: its derived `Hash` — name,
+/// Structural digest of a compiled program: its `Hash` — name,
 /// every operation of every bundle, the instruction addresses and the
 /// data segments, each `Vec` length-prefixed — fed through [`Fnv64`],
 /// whose `Hasher::write` folds the data bytes a word at a time.

@@ -3,6 +3,7 @@
 use crate::inst::Instruction;
 use crate::machine::MachineConfig;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An initialised region of a program's (private) data address space.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -20,7 +21,7 @@ pub struct DataSegment {
 /// Control-flow targets are *instruction indices* (`Operation::imm`); the
 /// byte layout exists only so the instruction cache sees realistic
 /// variable-length code addresses.
-#[derive(Clone, PartialEq, Hash, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Program {
     /// Human-readable benchmark name.
     pub name: String,
@@ -113,6 +114,26 @@ impl Program {
     }
 }
 
+/// Hashes the fields in order, each `Vec` length-prefixed, as a derive
+/// would, except that the instruction addresses reach the hasher as one
+/// [`Hasher::write`] of their little-endian bytes: std would write a
+/// slice of integers in the host's byte order, and a program's digest
+/// keys results that other hosts read.
+impl Hash for Program {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name.hash(state);
+        self.instructions.hash(state);
+        state.write_usize(self.inst_addr.len());
+        let addr_bytes: Vec<u8> = self
+            .inst_addr
+            .iter()
+            .flat_map(|a| a.to_le_bytes())
+            .collect();
+        state.write(&addr_bytes);
+        self.data.hash(state);
+    }
+}
+
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -163,6 +184,52 @@ mod tests {
             ],
             vec![],
         )
+    }
+
+    /// Every call a `Hash` impl makes, in order.
+    #[derive(Default, PartialEq, Debug)]
+    struct Recorder(Vec<Call>);
+
+    #[derive(PartialEq, Debug)]
+    enum Call {
+        Write(Vec<u8>),
+        Len(usize),
+    }
+
+    impl Hasher for Recorder {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.push(Call::Write(bytes.to_vec()));
+        }
+
+        fn write_usize(&mut self, n: usize) {
+            self.0.push(Call::Len(n));
+        }
+
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn instruction_addresses_hash_as_one_little_endian_write() {
+        let p = mini_program();
+        let mut all = Recorder::default();
+        p.hash(&mut all);
+        let mut head = Recorder::default();
+        p.name.hash(&mut head);
+        p.instructions.hash(&mut head);
+        let mut tail = Recorder::default();
+        p.data.hash(&mut tail);
+
+        let n = head.0.len();
+        assert_eq!(all.0[..n], head.0[..]);
+        assert_eq!(all.0[n], Call::Len(3));
+        let le: Vec<u8> = [CODE_BASE, CODE_BASE + 8, CODE_BASE + 12]
+            .iter()
+            .flat_map(|a| a.to_le_bytes())
+            .collect();
+        assert_eq!(all.0[n + 1], Call::Write(le));
+        assert_eq!(all.0[n + 2..], tail.0[..]);
     }
 
     #[test]

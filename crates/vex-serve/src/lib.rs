@@ -14,7 +14,7 @@
 //!   assignments, heartbeats from inside the engine's cycle loop, and
 //!   keeps nothing between assignments but the prepared programs of its
 //!   last mix.
-//! * **Client** ([`submit`]) — submits a spec, waits, and reassembles a
+//! * **Client** ([`submit`](fn@submit)) — submits a spec, waits, and reassembles a
 //!   [`SweepOutcome`](vex_experiments::SweepOutcome) byte-identical to an
 //!   uninterrupted in-process run.
 //!
