@@ -85,8 +85,6 @@ SWEEP OPTIONS:
     --keep-going                          simulate every point even after one
                                           fails (default: stop scheduling new
                                           points at the first failure)
-    --retries N                           re-run a failed/panicked point up to
-                                          N extra times         [default: spec]
     --zero-wall                           report wall_secs as 0.0 everywhere
                                           so resumed and uninterrupted sweeps
                                           are byte-identical
@@ -742,7 +740,7 @@ fn emit_outcome(
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), Fail> {
-    let (mut spec_path, mut out_path, mut journal, mut retries) = (None, None, None, None);
+    let (mut spec_path, mut out_path, mut journal) = (None, None, None);
     let mut workers = vex_experiments::default_workers();
     let (mut resume, mut keep_going, mut zero_wall) = (false, false, false);
     let mut a = Args::new("sweep", args);
@@ -753,7 +751,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), Fail> {
             "--journal" => journal = Some(a.value(arg)?),
             "--resume" => resume = true,
             "--keep-going" => keep_going = true,
-            "--retries" => retries = Some(a.num(arg, ..)?),
             "--zero-wall" => zero_wall = true,
             _ => a.operand(&mut spec_path, arg)?,
         }
@@ -761,7 +758,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), Fail> {
     let spec_path = spec_path.ok_or_else(|| {
         Fail::usage(
             "usage: vex sweep SPEC.toml [--out FILE] [--journal FILE [--resume]] \
-             [--keep-going] [--retries N] [--zero-wall]",
+             [--keep-going] [--zero-wall]",
         )
     })?;
     let spec = load_spec(spec_path).map_err(Fail::input)?;
@@ -780,9 +777,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), Fail> {
         .deterministic_wall(zero_wall);
     if let Some(j) = journal {
         runner = runner.journal(j);
-    }
-    if let Some(r) = retries {
-        runner = runner.retries(r);
     }
     let t0 = std::time::Instant::now();
     let outcome = runner.run()?;

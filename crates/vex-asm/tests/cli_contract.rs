@@ -1,7 +1,7 @@
 //! The `vex` command-line contract: every subcommand reports a bad
 //! invocation with exit code 2, numbers outside a flag's range are bad
-//! invocations, each mode has one name, and the `vex run` report and the
-//! `vex help` layout are pinned.
+//! invocations, each mode has one name, the `vex run` report (from flags
+//! and from a one-point spec) and the `vex help` layout are pinned.
 //!
 //! Every `vex serve` case listens on `127.0.0.1:99999`, whose port is out
 //! of range: should a case ever get past argument reading, the server
@@ -9,6 +9,7 @@
 //! without a name lookup (a host that is not an IP literal, such as
 //! `256.0.0.1`, would go to the resolver first).
 
+use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
 const VEX: &str = env!("CARGO_BIN_EXE_vex");
@@ -86,6 +87,9 @@ fn every_subcommand_rejects_bad_invocations_with_exit_2() {
     }
     // `--attribute` used to take its path over an earlier operand.
     cases.push((vec!["trace", "a.vext", "--attribute", "b.vext"], 2));
+    // A sweep attempts each point once: `--retries` is refused before the
+    // spec is read (only `vex serve` has a retry budget).
+    cases.push((vec!["sweep", "a.toml", "--retries", "1"], 2));
     assert_exits(&cases);
 }
 
@@ -160,4 +164,87 @@ fn help_lists_run_options_under_run() {
         at("RUN OPTIONS:") < at("--technique") && at("--technique") < at("TRACE OPTIONS:"),
         "`--technique` must sit between `RUN OPTIONS:` and `TRACE OPTIONS:`\n{help}"
     );
+}
+
+/// A fresh scratch directory for one test of this process.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("vex_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// A quick-scale spec of built-ins that expands to exactly one point,
+/// with `extra` appended at the top level.
+fn one_point_spec(extra: &str) -> String {
+    format!(
+        "name = \"one-point\"\n\
+         scale = \"quick\"\n\
+         techniques = [\"CCSI AS\"]\n\
+         threads = [2]\n\
+         mixes = [\"llhh\"]\n{extra}"
+    )
+}
+
+#[test]
+fn run_spec_report_is_pinned() {
+    let dir = scratch_dir("run_spec");
+    let spec = dir.join("one.toml");
+    std::fs::write(&spec, one_point_spec("")).unwrap();
+    let out = vex(&["run", "--spec", spec.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let want = include_str!("fixtures/cli/run_spec_report.txt");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_spec_trace_flag_overrides_the_specs_trace_key() {
+    let dir = scratch_dir("run_spec_trace");
+    let (from_spec, from_flag) = (dir.join("from_spec.vext"), dir.join("from_flag.vext"));
+    let spec = dir.join("traced.toml");
+    let key = format!("trace = \"{}\"\n", from_spec.display());
+    std::fs::write(&spec, one_point_spec(&key)).unwrap();
+    let out = vex(&[
+        "run",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--trace",
+        from_flag.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Tracing does not change the run.
+    let want = include_str!("fixtures/cli/run_spec_report.txt");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+    let trace = std::fs::read(&from_flag).expect("the --trace file is written");
+    assert!(trace.starts_with(b"VEXT"), "not a .vext trace");
+    assert!(
+        !from_spec.exists(),
+        "the spec's own trace path must not be created"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_spec_of_two_points_exits_3_and_names_sweep() {
+    let dir = scratch_dir("run_spec_two");
+    let spec = dir.join("two.toml");
+    let text = one_point_spec("").replace("[\"CCSI AS\"]", "[\"CSMT\", \"CCSI AS\"]");
+    std::fs::write(&spec, text).unwrap();
+    let out = vex(&["run", "--spec", spec.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("expands to 2 grid points") && stderr.contains("vex sweep"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,20 +1,17 @@
 //! Retry pacing: truncated exponential backoff with deterministic jitter.
 //!
-//! Both retry paths — [`SweepRunner::retries`](crate::SweepRunner::retries)
-//! inside one process and the sweep service's requeue of crashed points —
-//! share this policy, so a point that fails repeatedly is re-attempted on
-//! the same schedule no matter which layer drives it.
+//! The sweep service (`vex serve`) paces its re-queue of a point whose
+//! worker crashed, hung or failed with this policy. `vex sweep` has no
+//! retry path: it attempts each point once (see [`crate::runner`]).
 //!
 //! The jitter is *deterministic*: it is derived by hashing the point's
 //! content-addressed key with the attempt number, not from a clock or an
 //! RNG. Retries therefore de-synchronize across points (different keys
 //! get different jitter) while every run of the same spec produces the
-//! same schedule — which keeps the crash-equivalence tests reproducible
-//! and `deterministic_wall` byte-identical.
+//! same schedule.
 
 use crate::journal::Fnv64;
 use std::hash::Hasher as _;
-use std::time::Duration;
 
 /// Truncated exponential backoff: attempt `n` (2 = first retry) waits
 /// `base_ms << (n-2)` capped at `max_ms`, plus up to half that again of
@@ -72,33 +69,6 @@ impl BackoffPolicy {
         h.update(&attempt.to_le_bytes());
         delay + h.finish() % (delay / 2 + 1)
     }
-}
-
-/// Injectable clock for retry pacing. Production uses [`OsSleeper`];
-/// tests substitute a recorder so schedules are asserted, not waited on.
-pub trait Sleeper: Sync {
-    /// Blocks the calling worker for `d`.
-    fn sleep(&self, d: Duration);
-}
-
-/// Real wall-clock sleeping via `std::thread::sleep`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OsSleeper;
-
-impl Sleeper for OsSleeper {
-    fn sleep(&self, d: Duration) {
-        if !d.is_zero() {
-            std::thread::sleep(d);
-        }
-    }
-}
-
-/// A sleeper that never sleeps (deterministic tests).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoSleep;
-
-impl Sleeper for NoSleep {
-    fn sleep(&self, _d: Duration) {}
 }
 
 #[cfg(test)]

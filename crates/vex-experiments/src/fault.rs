@@ -1,5 +1,5 @@
-//! Fault-injection plan for exercising the sweep runner's isolation,
-//! retry and crash-resume machinery from tests. Production sweeps never
+//! Fault-injection plan for exercising the sweep runner's isolation and
+//! crash-resume machinery from tests. Production sweeps never
 //! construct one; the hooks cost a few `Option` checks per point.
 //!
 //! Faults address points by their **flat expansion index** (the order
@@ -11,15 +11,10 @@
 /// Which points fail, and how.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultPlan {
-    /// Panic while simulating this point (first attempt only, so a retry
-    /// budget also covers panics).
+    /// Panic while simulating this point.
     pub panic_at: Option<usize>,
-    /// Return a structured error from this point, on every attempt — a
-    /// *permanent* failure that exhausts the retry budget.
+    /// Return a structured error from this point.
     pub error_at: Option<usize>,
-    /// Return an error from this point on the first attempt only — a
-    /// *transient* failure that one retry fixes.
-    pub fail_once_at: Option<usize>,
 }
 
 impl FaultPlan {
@@ -31,19 +26,10 @@ impl FaultPlan {
         }
     }
 
-    /// A plan that permanently fails flat point index `i`.
+    /// A plan that fails flat point index `i` with an error.
     pub fn error_at(i: usize) -> FaultPlan {
         FaultPlan {
             error_at: Some(i),
-            ..Default::default()
-        }
-    }
-
-    /// A plan that transiently fails flat point index `i` (first attempt
-    /// only).
-    pub fn fail_once_at(i: usize) -> FaultPlan {
-        FaultPlan {
-            fail_once_at: Some(i),
             ..Default::default()
         }
     }

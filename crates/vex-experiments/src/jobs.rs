@@ -134,7 +134,6 @@ pub fn single_point_spec(run: &RunSpec) -> SweepSpec {
     });
     spec.name = run.spec_name.clone();
     spec.max_cycles = run.max_cycles;
-    spec.retries = 0;
     spec.seed = run.mix.seed;
     spec.threads = vec![run.threads];
     spec.techniques = vec![run.technique];

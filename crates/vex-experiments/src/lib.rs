@@ -13,12 +13,14 @@
 //! Every module is a thin builder of declarative `vex_spec::SweepSpec`
 //! values executed by the shared [`runner::SweepRunner`], which prepares
 //! each distinct (machine, program) pair once and fans the grid out over
-//! OS threads with `std::thread::scope`. Figures 14–16 all read one
+//! OS threads with [`parallel_map_isolated`]. Figures 14–16 all read one
 //! [`SweepOutcome`] of `SweepSpec::paper_grid`, so each (mix, technique,
-//! thread-count) point is simulated exactly once. Absolute IPC values will
-//! not match a 2010 ST200-class testbed, but the *shape* — who wins, by
-//! what factor, where NS hurts — is the reproduction target (see
-//! `docs/PERF.md` for how the simulator's own throughput is tracked).
+//! thread-count) point is simulated exactly once; a point that fails is
+//! not run again in the same process, because it would fail the same way
+//! (see [`runner`]). Absolute IPC values will not match a 2010
+//! ST200-class testbed, but the *shape* — who wins, by what factor, where
+//! NS hurts — is the reproduction target (see `docs/PERF.md` for how the
+//! simulator's own throughput is tracked).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +36,7 @@ pub mod jobs;
 pub mod journal;
 pub mod runner;
 
-pub use backoff::{BackoffPolicy, NoSleep, OsSleeper, Sleeper};
+pub use backoff::BackoffPolicy;
 pub use fault::FaultPlan;
 pub use jobs::{prepare_programs, single_point_spec, spec_point_keys};
 pub use journal::{
@@ -143,34 +145,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs infallible `jobs` on up to `workers` OS threads, preserving output
-/// order. A panic in any job is re-raised here (the first one in input
-/// order), after every already-started job has finished — same observable
-/// behaviour as before isolation existed, minus the lock poisoning.
-pub fn parallel_map<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let jobs: Vec<_> = jobs
-        .into_iter()
-        .map(|j| move || Ok::<T, std::convert::Infallible>(j()))
-        .collect();
-    let mut out = Vec::new();
-    for status in parallel_map_isolated(jobs, workers, true) {
-        match status {
-            JobStatus::Done(v) => out.push(v),
-            JobStatus::Panicked(payload) => std::panic::resume_unwind(payload),
-            JobStatus::Failed(e) => match e {},
-            // Jobs are claimed in index order, so a skipped index is
-            // always preceded by the failure that caused it — the
-            // `resume_unwind` above fires first.
-            JobStatus::Skipped => unreachable!("skip without a preceding panic"),
-        }
-    }
-    out
-}
-
 /// Number of worker threads to use for sweeps.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
@@ -202,25 +176,6 @@ fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<_> = (0..32).map(|i| move || i * 2).collect();
-        let out = parallel_map(jobs, 8);
-        assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_reraises_job_panics() {
-        let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("boom in job 1")),
-            Box::new(|| 3),
-        ];
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| parallel_map(jobs, 2)))
-            .unwrap_err();
-        assert_eq!(panic_message(err.as_ref()), "boom in job 1");
-    }
 
     #[test]
     fn isolated_map_keeps_going_and_records_each_failure() {

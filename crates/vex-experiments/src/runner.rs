@@ -11,7 +11,7 @@
 //!
 //! ## Crash safety and fault isolation
 //!
-//! Three independent layers (all off by default — the hot path of a plain
+//! Two independent layers (both off by default — the hot path of a plain
 //! `run()` is unchanged; see `docs/ROBUSTNESS.md`):
 //!
 //! * **Journaling** ([`SweepRunner::journal`] / [`SweepRunner::resume`]):
@@ -19,30 +19,27 @@
 //!   before the sweep moves on. Resume replays the journal, skips every
 //!   point whose content-addressed key is already recorded, and merges the
 //!   replayed results into the outcome in expansion order.
-//! * **Isolation** ([`SweepRunner::keep_going`]): every point runs under
-//!   `catch_unwind`; a panicking or failing point becomes a structured
-//!   [`PointError`] instead of tearing down the sweep. The default is
-//!   fail-fast: the first failure stops new points from starting and the
-//!   untouched tail is reported as skipped.
-//! * **Retry** ([`SweepRunner::retries`]): transient failures (including
-//!   panics) are retried up to the budget before a point is declared
-//!   failed, paced by the shared [`BackoffPolicy`] (exponential with
-//!   deterministic jitter — the same schedule the `vex serve` service
-//!   applies to crashed workers); [`SweepRunner::on_retry`] observes each
-//!   re-attempt, and [`SweepRunner::sleeper`] injects the clock so tests
-//!   assert the schedule instead of waiting it out.
+//! * **Isolation** ([`SweepRunner::keep_going`]): every point is one job
+//!   of [`parallel_map_isolated`], which catches its panic; a panicking or
+//!   failing point becomes a structured [`PointError`] instead of tearing
+//!   down the sweep. The default is fail-fast: the first failure stops new
+//!   points from starting and the untouched tail is reported as skipped.
+//!
+//! Each point is attempted once. A point is a deterministic function of
+//! its spec (the scheduler draws from a seeded generator), so running a
+//! failed point again in the same process fails the same way, and a
+//! process that dies takes every attempt with it. Retrying belongs to
+//! `vex serve`, whose points run in worker processes.
 
-use crate::backoff::{BackoffPolicy, OsSleeper, Sleeper};
 use crate::jobs::{key_of, prepare_programs};
 use crate::journal::{Journal, JournalEntry};
 use crate::{
     default_workers, lock_clean, panic_message, parallel_map_isolated, FaultPlan, JobStatus,
 };
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use vex_isa::Program;
 use vex_sim::{run_prepared_full, PreparedProgram, SimStats, StopReason};
 use vex_spec::{RunSpec, SweepSpec};
@@ -50,10 +47,6 @@ use vex_spec::{RunSpec, SweepSpec};
 /// Resolves a `.vex`/`.vexb` path to a program. The runner itself has no
 /// parser dependency; the `vex` CLI plugs `vex_asm` in here.
 pub type ProgramLoader<'a> = &'a (dyn Fn(&str) -> Result<Program, String> + Sync);
-
-/// Observes retry attempts (point, attempt number about to run). Tests
-/// and CLIs hang reseeding or backoff off this.
-pub type RetryHook<'a> = &'a (dyn Fn(&RunSpec, u32) + Sync);
 
 /// One simulated grid point.
 #[derive(Clone, Debug)]
@@ -73,7 +66,9 @@ pub struct PointResult {
     /// True when this result was replayed from the journal instead of
     /// simulated in this process.
     pub resumed: bool,
-    /// Simulation attempts this result took (1 = first try; 0 = replayed).
+    /// 1 when simulated in this process, 0 when replayed. It says no more
+    /// than `resumed`, and stays only because `perfbench/replay` builds
+    /// `PointResult` by struct literal; it goes when that replay does.
     pub attempts: u32,
 }
 
@@ -98,7 +93,9 @@ pub struct PointError {
     pub key: u64,
     /// Human-readable point label (`RunSpec::label()`).
     pub label: String,
-    /// Attempts spent before giving up (0 = never ran).
+    /// Attempts spent before giving up: 1 for a point the [`SweepRunner`]
+    /// ran, 0 for one that never ran. An outcome from `vex serve` carries
+    /// the service's count, which its retry budget can raise.
     pub attempts: u32,
     /// The failure itself.
     pub cause: PointFailure,
@@ -275,7 +272,7 @@ fn json_escape(s: &str) -> String {
 /// Executes a [`SweepSpec`]. Build with [`SweepRunner::new`], optionally
 /// cap [`SweepRunner::workers`] (benches use 1 for clean timing), plug a
 /// [`SweepRunner::loader`] for path workloads, or switch on the crash
-///-safety layers (journal / resume / keep-going / retries), then
+///-safety layers (journal / resume / keep-going), then
 /// [`SweepRunner::run`].
 pub struct SweepRunner<'a> {
     spec: &'a SweepSpec,
@@ -284,10 +281,6 @@ pub struct SweepRunner<'a> {
     journal: Option<String>,
     resume: bool,
     keep_going: bool,
-    retries: Option<u32>,
-    retry_hook: Option<RetryHook<'a>>,
-    backoff: BackoffPolicy,
-    sleeper: &'a dyn Sleeper,
     fault: Option<&'a FaultPlan>,
     deterministic_wall: bool,
 }
@@ -302,10 +295,6 @@ impl<'a> SweepRunner<'a> {
             journal: None,
             resume: false,
             keep_going: false,
-            retries: None,
-            retry_hook: None,
-            backoff: BackoffPolicy::default(),
-            sleeper: &OsSleeper,
             fault: None,
             deterministic_wall: false,
         }
@@ -342,35 +331,6 @@ impl<'a> SweepRunner<'a> {
     /// fail-fast: stop starting new points after the first failure).
     pub fn keep_going(mut self, on: bool) -> Self {
         self.keep_going = on;
-        self
-    }
-
-    /// Retry budget per point (overrides the spec's `[limits] retries`).
-    pub fn retries(mut self, n: u32) -> Self {
-        self.retries = Some(n);
-        self
-    }
-
-    /// Observes each retry before it runs (reseed/backoff hook).
-    pub fn on_retry(mut self, hook: RetryHook<'a>) -> Self {
-        self.retry_hook = Some(hook);
-        self
-    }
-
-    /// Retry pacing policy (default: [`BackoffPolicy::default`] —
-    /// exponential with deterministic jitter). Use
-    /// [`BackoffPolicy::none`] for immediate re-runs.
-    pub fn backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.backoff = policy;
-        self
-    }
-
-    /// Injects the retry clock (default: real `thread::sleep`). Tests
-    /// plug a recorder here, so backoff schedules are asserted rather
-    /// than waited on; the wall-clock field is unaffected either way —
-    /// it only times the simulation itself.
-    pub fn sleeper(mut self, sleeper: &'a dyn Sleeper) -> Self {
-        self.sleeper = sleeper;
         self
     }
 
@@ -431,12 +391,8 @@ impl<'a> SweepRunner<'a> {
         // its durability promise and `run` returns `Err` at the end.
         let journal_err: Mutex<Option<String>> = Mutex::new(None);
 
-        let retries = self.retries.unwrap_or(self.spec.retries);
         let zero_wall = self.deterministic_wall;
         let fault = self.fault;
-        let retry_hook = self.retry_hook;
-        let backoff = self.backoff;
-        let sleeper = self.sleeper;
 
         // One slot per expanded point, so replayed and simulated results
         // merge back in expansion order.
@@ -476,89 +432,49 @@ impl<'a> SweepRunner<'a> {
             let journal = &journal;
             let journal_err = &journal_err;
             job_slot.push(index);
-            jobs.push(move || -> Result<PointResult, PointError> {
-                let mut last = PointFailure::Skipped;
-                for attempt in 1..=retries.saturating_add(1) {
-                    if attempt > 1 {
-                        if let Some(hook) = retry_hook {
-                            hook(&run, attempt);
-                        }
-                        // Pace the re-run; this happens outside the
-                        // simulation's wall-clock window, so recorded
-                        // timings (and `deterministic_wall` byte
-                        // identity) are unaffected.
-                        sleeper.sleep(Duration::from_millis(backoff.delay_ms(key, attempt)));
+            jobs.push(move || -> Result<PointResult, String> {
+                // A panic unwinds into `parallel_map_isolated`, which
+                // catches it.
+                if let Some(f) = fault {
+                    if f.panic_at == Some(index) {
+                        panic!("injected panic at point {index}");
                     }
-                    let sim = catch_unwind(AssertUnwindSafe(
-                        || -> Result<(SimStats, StopReason, f64), String> {
-                            if let Some(f) = fault {
-                                if f.panic_at == Some(index) && attempt == 1 {
-                                    panic!("injected panic at point {index}");
-                                }
-                                if f.error_at == Some(index) {
-                                    return Err(format!("injected error at point {index}"));
-                                }
-                                if f.fail_once_at == Some(index) && attempt == 1 {
-                                    return Err(format!(
-                                        "injected transient failure at point {index}"
-                                    ));
-                                }
-                            }
-                            let cfg = run.to_sim_config();
-                            let start = Instant::now();
-                            let (stats, stop) = run_prepared_full(&cfg, &workload);
-                            let wall = if zero_wall {
-                                0.0
-                            } else {
-                                start.elapsed().as_secs_f64()
-                            };
-                            Ok((stats, stop, wall))
-                        },
-                    ));
-                    match sim {
-                        Ok(Ok((stats, stop, wall_secs))) => {
-                            if let Some(j) = lock_clean(journal).as_mut() {
-                                let entry = JournalEntry {
-                                    key,
-                                    label: label.clone(),
-                                    stop,
-                                    wall_secs,
-                                    stats: stats.clone(),
-                                };
-                                if let Err(e) = j.append(&entry) {
-                                    let mut latch = lock_clean(journal_err);
-                                    if latch.is_none() {
-                                        *latch = Some(e.clone());
-                                    }
-                                    return Err(PointError {
-                                        key,
-                                        label,
-                                        attempts: attempt,
-                                        cause: PointFailure::Failed(format!(
-                                            "completed but could not be journaled: {e}"
-                                        )),
-                                    });
-                                }
-                            }
-                            return Ok(PointResult {
-                                run,
-                                stats,
-                                stop,
-                                wall_secs,
-                                key,
-                                resumed: false,
-                                attempts: attempt,
-                            });
-                        }
-                        Ok(Err(msg)) => last = PointFailure::Failed(msg),
-                        Err(payload) => last = PointFailure::Panic(panic_message(payload.as_ref())),
+                    if f.error_at == Some(index) {
+                        return Err(format!("injected error at point {index}"));
                     }
                 }
-                Err(PointError {
+                let cfg = run.to_sim_config();
+                let start = Instant::now();
+                let (stats, stop) = run_prepared_full(&cfg, &workload);
+                let wall_secs = if zero_wall {
+                    0.0
+                } else {
+                    start.elapsed().as_secs_f64()
+                };
+                if let Some(j) = lock_clean(journal).as_mut() {
+                    let entry = JournalEntry {
+                        key,
+                        label,
+                        stop,
+                        wall_secs,
+                        stats: stats.clone(),
+                    };
+                    if let Err(e) = j.append(&entry) {
+                        let mut latch = lock_clean(journal_err);
+                        if latch.is_none() {
+                            *latch = Some(e.clone());
+                        }
+                        return Err(format!("completed but could not be journaled: {e}"));
+                    }
+                }
+                Ok(PointResult {
+                    run,
+                    stats,
+                    stop,
+                    wall_secs,
                     key,
-                    label,
-                    attempts: retries.saturating_add(1),
-                    cause: last,
+                    resumed: false,
+                    attempts: 1,
                 })
             });
         }
@@ -567,28 +483,24 @@ impl<'a> SweepRunner<'a> {
         let mut errors = Vec::new();
         for (j, status) in statuses.into_iter().enumerate() {
             let slot = job_slot[j];
-            match status {
-                JobStatus::Done(result) => slots[slot] = Some(result),
-                JobStatus::Failed(e) => errors.push(e),
+            let (attempts, cause) = match status {
+                JobStatus::Done(result) => {
+                    slots[slot] = Some(result);
+                    continue;
+                }
+                JobStatus::Failed(msg) => (1, PointFailure::Failed(msg)),
                 JobStatus::Panicked(payload) => {
-                    let (key, label) = slot_ids[slot].clone();
-                    errors.push(PointError {
-                        key,
-                        label,
-                        attempts: 1,
-                        cause: PointFailure::Panic(panic_message(payload.as_ref())),
-                    });
+                    (1, PointFailure::Panic(panic_message(payload.as_ref())))
                 }
-                JobStatus::Skipped => {
-                    let (key, label) = slot_ids[slot].clone();
-                    errors.push(PointError {
-                        key,
-                        label,
-                        attempts: 0,
-                        cause: PointFailure::Skipped,
-                    });
-                }
-            }
+                JobStatus::Skipped => (0, PointFailure::Skipped),
+            };
+            let (key, label) = slot_ids[slot].clone();
+            errors.push(PointError {
+                key,
+                label,
+                attempts,
+                cause,
+            });
         }
         if let Some(e) = lock_clean(&journal_err).take() {
             return Err(format!("sweep journal lost durability: {e}"));
@@ -704,84 +616,6 @@ mod tests {
         assert_eq!(outcome.errors.len(), 2);
         assert!(matches!(outcome.errors[0].cause, PointFailure::Failed(_)));
         assert_eq!(outcome.errors[1].cause, PointFailure::Skipped);
-    }
-
-    #[test]
-    fn transient_failure_is_retried_and_attempts_counted() {
-        let spec = small_spec();
-        let plan = FaultPlan::fail_once_at(1);
-        let seen = Mutex::new(Vec::new());
-        let hook = |run: &RunSpec, attempt: u32| {
-            seen.lock().unwrap().push((run.label(), attempt));
-        };
-        let outcome = SweepRunner::new(&spec)
-            .fault(&plan)
-            .retries(1)
-            .on_retry(&hook)
-            .run()
-            .unwrap();
-        assert!(outcome.errors.is_empty());
-        assert_eq!(outcome.points.len(), 2);
-        let flaky = outcome.points.iter().find(|p| p.attempts == 2).unwrap();
-        assert_eq!(seen.lock().unwrap().as_slice(), &[(flaky.run.label(), 2)]);
-    }
-
-    #[test]
-    fn retries_follow_the_backoff_schedule() {
-        struct Recorder(Mutex<Vec<u64>>);
-        impl crate::Sleeper for Recorder {
-            fn sleep(&self, d: Duration) {
-                self.0.lock().unwrap().push(d.as_millis() as u64);
-            }
-        }
-
-        let spec = small_spec();
-        let plan = FaultPlan::fail_once_at(1);
-        let policy = crate::BackoffPolicy {
-            base_ms: 100,
-            max_ms: 5_000,
-            jitter: false,
-        };
-        let recorder = Recorder(Mutex::new(Vec::new()));
-        let outcome = SweepRunner::new(&spec)
-            .fault(&plan)
-            .retries(2)
-            .backoff(policy)
-            .sleeper(&recorder)
-            .run()
-            .unwrap();
-        assert!(outcome.errors.is_empty());
-        // One transient failure → one retry at the policy's first delay,
-        // and nothing slept for first attempts or untouched points.
-        assert_eq!(recorder.0.lock().unwrap().as_slice(), &[100]);
-
-        // The same schedule is reproducible run over run (jitter is
-        // key-derived, not clocked) — rerun and compare.
-        let recorder2 = Recorder(Mutex::new(Vec::new()));
-        SweepRunner::new(&spec)
-            .fault(&plan)
-            .retries(2)
-            .backoff(policy)
-            .sleeper(&recorder2)
-            .run()
-            .unwrap();
-        assert_eq!(
-            recorder.0.lock().unwrap().as_slice(),
-            recorder2.0.lock().unwrap().as_slice()
-        );
-    }
-
-    #[test]
-    fn injected_panic_is_retried_too() {
-        let spec = small_spec();
-        let plan = FaultPlan::panic_at(0);
-        let outcome = SweepRunner::new(&spec)
-            .fault(&plan)
-            .retries(1)
-            .run()
-            .unwrap();
-        assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
-        assert_eq!(outcome.points.len(), 2);
     }
 
     #[test]

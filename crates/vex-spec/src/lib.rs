@@ -49,9 +49,6 @@ pub const DEFAULT_SEED: u64 = 0x5EED_0000;
 /// Default hard safety bound on simulated cycles per point.
 pub const DEFAULT_MAX_CYCLES: u64 = 2_000_000_000;
 
-/// Default bounded-retry count for transiently failing sweep points.
-pub const DEFAULT_RETRIES: u32 = 0;
-
 /// One workload member of a mix: a built-in benchmark by name, or a `.vex`
 /// / `.vexb` program on disk (resolved by the runner's loader).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -166,7 +163,8 @@ pub struct ServeSpec {
     /// simulated work). A point running longer is reaped and re-queued.
     pub point_timeout_ms: u64,
     /// Re-queue budget for a point whose worker crashed, hung or failed:
-    /// attempted `1 + retries` times before `PointError::Failed`.
+    /// attempted `1 + retries` times before the service answers `FAILED`
+    /// for it.
     pub retries: u32,
     /// First-retry backoff delay, in milliseconds (exponential after).
     pub backoff_base_ms: u64,
@@ -174,7 +172,10 @@ pub struct ServeSpec {
     pub backoff_max_ms: u64,
     /// Poison-point quarantine: after this many worker *crashes* on one
     /// point, the point is failed outright so it cannot keep killing the
-    /// pool, regardless of remaining retries.
+    /// pool, regardless of remaining retries. Every attempt counts against
+    /// `retries` too, so quarantine fires only when `quarantine <=
+    /// retries + 1`; with the defaults (3 and 5) a crash-looping point
+    /// fails on its retry budget after four crashes first.
     pub quarantine: u32,
 }
 
@@ -214,10 +215,6 @@ pub struct SweepSpec {
     /// section; a non-terminating point stops with `StopReason::Exhausted`
     /// and partial statistics instead of hanging a worker).
     pub max_cycles: u64,
-    /// Bounded retries for transiently failing points (`[limits]`
-    /// section): a point is attempted `1 + retries` times before its
-    /// failure is recorded in the outcome.
-    pub retries: u32,
     /// Base seed: mixes without an explicit seed resolve against this.
     pub seed: u64,
     /// Hardware thread counts (axis).
@@ -330,7 +327,6 @@ impl SweepSpec {
             inst_limit: scale.inst_limit,
             timeslice: scale.timeslice,
             max_cycles: DEFAULT_MAX_CYCLES,
-            retries: DEFAULT_RETRIES,
             seed: DEFAULT_SEED,
             threads: vec![2, 4],
             techniques: Technique::FIGURE16_SET.iter().map(|&(_, t)| t).collect(),

@@ -14,8 +14,7 @@
 
 use crate::diag::{Span, SpecError};
 use crate::{
-    MachineSpec, MixSpec, ServeSpec, SweepSpec, WorkloadRef, DEFAULT_MAX_CYCLES, DEFAULT_RETRIES,
-    DEFAULT_SEED,
+    MachineSpec, MixSpec, ServeSpec, SweepSpec, WorkloadRef, DEFAULT_MAX_CYCLES, DEFAULT_SEED,
 };
 use vex_isa::{ClusterResources, Latencies, MachineConfig};
 use vex_mem::{CacheParams, MemConfig};
@@ -496,10 +495,8 @@ fn section_slot<'a>(
 fn owning_section(key: &str) -> Option<&'static str> {
     match key {
         "size_bytes" | "assoc" | "line_bytes" | "miss_penalty" => Some("[cache]"),
-        // `max_cycles` is also accepted at the top level (legacy spelling)
-        // and so is consumed before this hint can fire; `retries` is
-        // `[limits]`-only.
-        "retries" => Some("[limits]"),
+        // No `[limits]` entry: its one key, `max_cycles`, is also accepted
+        // at the top level (legacy spelling) and so never reaches here.
         "clusters"
         | "slots"
         | "alu"
@@ -517,8 +514,8 @@ fn owning_section(key: &str) -> Option<&'static str> {
         | "gprs"
         | "bregs" => Some("[[machine]]"),
         "members" => Some("[[mix]]"),
-        "workers" | "heartbeat_ms" | "point_timeout_ms" | "backoff_base_ms" | "backoff_max_ms"
-        | "quarantine" => Some("[serve]"),
+        "workers" | "heartbeat_ms" | "point_timeout_ms" | "retries" | "backoff_base_ms"
+        | "backoff_max_ms" | "quarantine" => Some("[serve]"),
         _ => None,
     }
 }
@@ -572,16 +569,12 @@ fn build_spec(
     // places at once.
     let top_max_cycles = top.take("max_cycles");
     let mut max_cycles = None;
-    let mut retries = DEFAULT_RETRIES;
     if let Some(mut s) = limits {
         if let Some(e) = s.take("max_cycles") {
             if let Some(dup) = &top_max_cycles {
                 return Err(dup.err("`max_cycles` is given both at the top level and in [limits]"));
             }
             max_cycles = Some(e.int_in(1, u64::MAX)?);
-        }
-        if let Some(e) = s.take("retries") {
-            retries = e.int_in(0, u32::MAX as u64)? as u32;
         }
         s.reject_unknown("[limits]")?;
     }
@@ -812,7 +805,6 @@ fn build_spec(
         inst_limit,
         timeslice,
         max_cycles,
-        retries,
         seed,
         threads,
         techniques,

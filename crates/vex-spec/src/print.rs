@@ -38,7 +38,6 @@ pub fn print_sweep(s: &SweepSpec) -> String {
 
     let _ = writeln!(out, "\n[limits]");
     let _ = writeln!(out, "max_cycles = {}", s.max_cycles);
-    let _ = writeln!(out, "retries = {}", s.retries);
 
     // `[serve]` only when the spec says something about serving: `None`
     // and `Some(default)` are distinct values, so the table must be

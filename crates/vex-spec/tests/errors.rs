@@ -256,3 +256,26 @@ error at line 3:11: `workers` must be between 0 and 1024, got 1025
   |           ^^^^",
     );
 }
+
+#[test]
+fn retries_is_not_a_limits_key() {
+    // A sweep attempts each point once; only `[serve]` has a retry budget.
+    snapshot(
+        "mixes = [\"llll\"]\n[limits]\nretries = 2\n",
+        "\
+error at line 3:1: unknown key `retries` in [limits]
+  | retries = 2
+  | ^^^^^^^",
+    );
+}
+
+#[test]
+fn serve_entry_before_its_section_header() {
+    snapshot(
+        "retries = 2\nmixes = [\"llll\"]\n",
+        "\
+error at line 1:1: `retries` appears before its `[serve]` section header (add the header above it)
+  | retries = 2
+  | ^^^^^^^",
+    );
+}

@@ -142,7 +142,6 @@ fn sweep_spec() -> impl Strategy<Value = SweepSpec> {
             (1u64..1 << 40),
             (1u64..1 << 40),
             (1u64..1 << 40),
-            any::<u32>(),
             any::<u64>(),
         ),
         (
@@ -169,7 +168,7 @@ fn sweep_spec() -> impl Strategy<Value = SweepSpec> {
     )
         .prop_map(
             |(
-                (tag, inst_limit, timeslice, max_cycles, retries, seed),
+                (tag, inst_limit, timeslice, max_cycles, seed),
                 (threads, techniques),
                 (renaming, memory, mt, respawn, trace, journal),
                 (caches, serve),
@@ -181,7 +180,6 @@ fn sweep_spec() -> impl Strategy<Value = SweepSpec> {
                     inst_limit,
                     timeslice,
                     max_cycles,
-                    retries,
                     seed,
                     threads,
                     techniques,
@@ -287,18 +285,15 @@ fn limits_table_and_legacy_max_cycles() {
     let spec = SweepSpec::parse(
         "mixes = [\"llll\"]\n\
          [limits]\n\
-         max_cycles = 5000\n\
-         retries = 3\n",
+         max_cycles = 5000\n",
     )
     .unwrap();
     assert_eq!(spec.max_cycles, 5000);
-    assert_eq!(spec.retries, 3);
     assert_eq!(SweepSpec::parse(&spec.print()).unwrap(), spec);
 
     // The original top-level spelling still works...
     let legacy = SweepSpec::parse("max_cycles = 77\nmixes = [\"llll\"]\n").unwrap();
     assert_eq!(legacy.max_cycles, 77);
-    assert_eq!(legacy.retries, vex_spec::DEFAULT_RETRIES);
 
     // ...but giving both is ambiguous and rejected.
     let err = SweepSpec::parse("max_cycles = 1\nmixes = [\"llll\"]\n[limits]\nmax_cycles = 2\n")
