@@ -100,14 +100,9 @@ SERVE OPTIONS (flags override the spec's `[serve]` table, see docs/SPECS.md):
     --port-file FILE                      write the bound address to FILE
     --heartbeat-ms N                      worker heartbeat interval; a worker
                                           silent for 5x this is reaped [default: 1000]
-    --point-timeout-ms N                  wall-clock ceiling per assignment
-                                          (0 = none)              [default: 0]
-    --retries N                           extra attempts per point [default: 3]
-    --quarantine N                        crashes before a point is declared
-                                          poison and failed       [default: 5]
-    --backoff-base-ms N / --backoff-max-ms N
-                                          retry backoff (exponential, jittered)
-                                          [defaults: 100 / 5000]
+    --retries N                           extra attempts for a point whose
+                                          worker crashed or hung  [default: 3]
+                                          (a clean failure is final)
 
 SUBMIT OPTIONS:
     --connect ADDR                        server address (required)
@@ -831,11 +826,7 @@ fn read_serve_args<'a>(args: &'a [String], cfg: &mut ServeConfig) -> Result<Opti
             "--zero-wall" => cfg.zero_wall = true,
             "--workers" => p.workers = a.num(arg, 0..=ServeSpec::MAX_WORKERS)?,
             "--heartbeat-ms" => p.heartbeat_ms = a.num(arg, 1..)?,
-            "--point-timeout-ms" => p.point_timeout_ms = a.num(arg, ..)?,
             "--retries" => p.retries = a.num(arg, ..)?,
-            "--quarantine" => p.quarantine = a.num(arg, 1..)?,
-            "--backoff-base-ms" => p.backoff_base_ms = a.num(arg, ..)?,
-            "--backoff-max-ms" => p.backoff_max_ms = a.num(arg, ..)?,
             _ => a.operand(&mut spec_path, arg)?,
         }
     }

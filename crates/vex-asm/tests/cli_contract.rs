@@ -90,6 +90,16 @@ fn every_subcommand_rejects_bad_invocations_with_exit_2() {
     // A sweep attempts each point once: `--retries` is refused before the
     // spec is read (only `vex serve` has a retry budget).
     cases.push((vec!["sweep", "a.toml", "--retries", "1"], 2));
+    // The service has no such policy flags: its backoff is fixed, and a
+    // crash loop ends on the retry budget.
+    for (flag, v) in [
+        ("--quarantine", "2"),
+        ("--point-timeout-ms", "1"),
+        ("--backoff-base-ms", "10"),
+        ("--backoff-max-ms", "10"),
+    ] {
+        cases.push((vec!["serve", NO_BIND[0], NO_BIND[1], flag, v], 2));
+    }
     assert_exits(&cases);
 }
 
@@ -104,7 +114,6 @@ fn numbers_outside_a_flags_range_exit_2() {
         (vec!["fuzz", "--size", "0"], 2),
         (vec!["submit", "--poll-ms", "0"], 2),
         serve("--heartbeat-ms", "0"),
-        serve("--quarantine", "0"),
         serve("--retries", "4294967296"),
         serve("--workers", "4294967296"),
         serve("--workers", "1025"),

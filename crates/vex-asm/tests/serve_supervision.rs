@@ -280,16 +280,16 @@ fn hung_worker_is_reaped_by_heartbeat_timeout() {
 }
 
 #[test]
-fn poison_point_is_quarantined_and_the_rest_completes() {
+fn poison_point_fails_on_its_retry_budget_and_the_rest_completes() {
     let dir = scratch("poison");
     let spec = write(&dir, "spec.toml", SPEC);
 
     let counter = dir.join("poison_count");
-    // The SMT point aborts its worker every time (100 >> quarantine).
+    // The SMT point aborts its worker every time (100 >> 1 + retries).
     let server = Server::spawn(
         &dir,
         "poison",
-        &["--quarantine", "2", "--backoff-base-ms", "10"],
+        &["--retries", "1"],
         Some(&format!("poison:/SMT/:100:{}", counter.display())),
     );
     let (code, json, stderr) = submit(&dir, &spec, &server.addr, "out.json");
@@ -300,25 +300,25 @@ fn poison_point_is_quarantined_and_the_rest_completes() {
         server.log()
     );
     assert!(
-        stderr.contains("quarantined") && stderr.contains("llll/SMT/2t"),
-        "the failure must name the quarantined point:\n{stderr}"
+        stderr.contains("[crash  ] llll/SMT/2t"),
+        "the failure must name the crashing point:\n{stderr}"
     );
     // The healthy point still completed and is in the JSON.
     assert!(json.contains("\"technique\": \"CSMT\""), "{json}");
-    assert!(json.contains("quarantined as a poison point"), "{json}");
-    // Quarantine took exactly `--quarantine` crashes, not the full 100.
+    assert!(
+        json.contains("\"cause\": \"crash\", \"attempts\": 2"),
+        "{json}"
+    );
+    // The budget allowed exactly 1 + retries crashes, not the full 100.
     let crashes: u32 = std::fs::read_to_string(&counter)
         .unwrap()
         .trim()
         .parse()
         .unwrap();
-    assert_eq!(crashes, 2, "quarantine must stop the crash loop at the cap");
+    assert_eq!(crashes, 2, "the retry budget must stop the crash loop");
 
     let (log, clean) = server.drain();
-    assert!(
-        clean,
-        "a quarantined point must not block the drain:\n{log}"
-    );
+    assert!(clean, "a failed point must not block the drain:\n{log}");
 }
 
 #[test]
@@ -419,7 +419,7 @@ fn fault_schedules_are_byte_equivalent() {
         let server = Server::spawn(
             &dir,
             &format!("sched{i}"),
-            &["--backoff-base-ms", "10", "--retries", "5"],
+            &["--retries", "5"],
             Some(&fault.join(";")),
         );
         let (code, json, stderr) = submit(&dir, &spec, &server.addr, &format!("out{i}.json"));

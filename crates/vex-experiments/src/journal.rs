@@ -127,8 +127,8 @@ impl Hasher for Fnv64 {
     /// change in the next. It does not depend on the state, so it stays
     /// off the serial chain. In [`program_digest`] the name, the data
     /// segments, the instruction addresses and every `u8` field come
-    /// through here. Text keys and backoff jitter call `update` and stay
-    /// byte-serial.
+    /// through here. Text keys and `vex serve`'s retry jitter call
+    /// `update` and stay byte-serial.
     fn write(&mut self, bytes: &[u8]) {
         let mut words = bytes.chunks_exact(8);
         for word in &mut words {

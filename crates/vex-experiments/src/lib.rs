@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod ablate;
-pub mod backoff;
 pub mod fault;
 pub mod fig13;
 pub mod fig14;
@@ -36,7 +35,6 @@ pub mod jobs;
 pub mod journal;
 pub mod runner;
 
-pub use backoff::BackoffPolicy;
 pub use fault::FaultPlan;
 pub use jobs::{prepare_programs, single_point_spec, spec_point_keys};
 pub use journal::{

@@ -79,6 +79,9 @@ pub enum PointFailure {
     Panic(String),
     /// The point's job returned an error.
     Failed(String),
+    /// Every worker process that `vex serve` gave the point crashed or
+    /// hung, until its retry budget was spent; the last reason is kept.
+    Crash(String),
     /// The point never ran: a fail-fast sweep aborted before it started.
     Skipped,
     /// No such point exists in the outcome (bad lookup coordinates).
@@ -95,7 +98,8 @@ pub struct PointError {
     pub label: String,
     /// Attempts spent before giving up: 1 for a point the [`SweepRunner`]
     /// ran, 0 for one that never ran. An outcome from `vex serve` carries
-    /// the service's count, which its retry budget can raise.
+    /// the service's count, which worker crashes can raise up to its
+    /// retry budget.
     pub attempts: u32,
     /// The failure itself.
     pub cause: PointFailure,
@@ -106,6 +110,7 @@ impl std::fmt::Display for PointFailure {
         match self {
             PointFailure::Panic(msg) => write!(f, "panicked: {msg}"),
             PointFailure::Failed(msg) => write!(f, "failed: {msg}"),
+            PointFailure::Crash(msg) => write!(f, "crashed: {msg}"),
             PointFailure::Skipped => write!(f, "skipped (sweep aborted by an earlier failure)"),
             PointFailure::MissingPoint => write!(f, "no such point in the sweep"),
         }
@@ -134,14 +139,16 @@ impl PointFailure {
         match self {
             PointFailure::Panic(_) => "panic",
             PointFailure::Failed(_) => "error",
+            PointFailure::Crash(_) => "crash",
             PointFailure::Skipped => "skipped",
             PointFailure::MissingPoint => "missing",
         }
     }
 
-    fn message(&self) -> &str {
+    /// The failure's text (empty for `Skipped` and `MissingPoint`).
+    pub fn message(&self) -> &str {
         match self {
-            PointFailure::Panic(m) | PointFailure::Failed(m) => m,
+            PointFailure::Panic(m) | PointFailure::Failed(m) | PointFailure::Crash(m) => m,
             PointFailure::Skipped | PointFailure::MissingPoint => "",
         }
     }

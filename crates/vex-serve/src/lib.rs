@@ -5,9 +5,10 @@
 //! * **Server** ([`serve`]) — accepts [`SweepSpec`](vex_spec::SweepSpec)
 //!   submissions over TCP, expands them into content-addressed point
 //!   jobs, and fans the jobs out to a supervised pool of worker
-//!   processes. Crashed, hung and timed-out workers are reaped and their
-//!   points re-queued with exponential backoff; poison points are
-//!   quarantined; results are journaled crash-safely and served from a
+//!   processes. A point that fails cleanly fails once; crashed and hung
+//!   workers are reaped and their points re-queued with exponential
+//!   backoff until the retry budget is spent, so a poison point cannot
+//!   eat the pool. Results are journaled crash-safely and served from a
 //!   content-addressed cache, so overlapping or repeated sweeps never
 //!   recompute a point. SIGTERM drains gracefully.
 //! * **Worker** ([`worker_main`]) — a simulation process that pulls

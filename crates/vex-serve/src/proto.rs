@@ -34,7 +34,9 @@
 //! `FETCH <key>`, `STATUS`, `DRAIN`.
 //! Server → client: `ACCEPTED <total> <cached> <enqueued>`, `DRAINING`,
 //! `ERROR <msg>`, `READY <done> <failed>`, `PENDING <done> <total>`,
-//! `ENTRY` + payload body, `FAILED <attempts>` + message body, `UNKNOWN`.
+//! `ENTRY` + payload body, `FAILED <attempts> <cause>` + message body
+//! (`error` for a clean failure, `crash` for a point its workers kept
+//! losing), `UNKNOWN`.
 
 use std::io::{self, Read, Write};
 

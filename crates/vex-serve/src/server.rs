@@ -6,22 +6,21 @@
 //!
 //! Workers are separate OS processes (fault isolation the in-process
 //! runner cannot give: a segfault, OOM kill or runaway loop in one point
-//! cannot take the sweep down). The server supervises them three ways:
+//! cannot take the sweep down). The server supervises them two ways:
 //!
 //! * **Exit reaping** — a worker process that dies (crash, kill, abort)
-//!   has its in-flight point re-queued with crash accounting.
+//!   loses its in-flight point.
 //! * **Heartbeats** — workers report liveness from inside the simulator's
 //!   cycle loop (see `vex_sim::run_prepared_observed`); a worker silent
-//!   for 5× the heartbeat interval is presumed hung, killed, and its
-//!   point re-queued.
-//! * **Point timeout** — an optional wall-clock ceiling per assignment
-//!   (`[serve] point_timeout_ms`), layered on top of the simulated-cycle
-//!   watchdog (`[limits] max_cycles`) that the point itself carries.
+//!   for 5× the heartbeat interval is presumed hung and killed, and loses
+//!   its point. A runaway simulation still beats; the simulated-cycle
+//!   watchdog (`[limits] max_cycles`) that the point carries ends it.
 //!
-//! Re-queued points wait out an exponential-backoff-with-jitter delay
-//! ([`BackoffPolicy`]) and are retried up to the budget; a point whose
-//! workers keep *crashing* is quarantined after `[serve] quarantine`
-//! crashes — a poison point must not eat the pool.
+//! One failure rule follows. A point is deterministic, so a worker's
+//! clean `FAIL` (an error or a caught panic) is final. A lost point says
+//! nothing about the point, only about its worker, so it is re-queued
+//! behind a fixed backoff (`backoff_ms`) until `[serve] retries` is
+//! spent, and then fails as a crash: a poison point cannot eat the pool.
 //!
 //! ## Durability
 //!
@@ -52,15 +51,17 @@
 use crate::proto::{parse_key, read_frame, split_message, write_frame};
 use std::collections::HashMap;
 use std::fs;
+use std::hash::Hasher as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+use vex_experiments::journal::Fnv64;
 use vex_experiments::runner::ProgramLoader;
 use vex_experiments::{
-    single_point_spec, spec_point_keys, BackoffPolicy, FramedLog, Journal, JournalEntry, LogKind,
+    single_point_spec, spec_point_keys, FramedLog, Journal, JournalEntry, LogKind, PointFailure,
 };
 use vex_spec::{ServeSpec, SweepSpec};
 
@@ -70,7 +71,7 @@ pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub listen: String,
     /// Pool size and supervision policy: worker count, heartbeat
-    /// interval, timeouts, retry budget, backoff, quarantine threshold.
+    /// interval and retry budget.
     pub policy: ServeSpec,
     /// Result journal path; also enables the `<path>.subs` submission log.
     pub journal: Option<String>,
@@ -171,15 +172,11 @@ enum TaskState {
     /// Waiting for a worker (possibly not before `ready_at`).
     Queued,
     /// Assigned to worker `pid`.
-    Running {
-        pid: u32,
-        since: Instant,
-        last_hb: Instant,
-    },
+    Running { pid: u32, last_hb: Instant },
     /// Result is in the cache.
     Done,
-    /// Out of retries or quarantined.
-    Failed { msg: String },
+    /// Failed cleanly, or lost by a worker once too often.
+    Failed(PointFailure),
 }
 
 #[derive(Debug)]
@@ -189,8 +186,6 @@ struct Task {
     assign: String,
     /// Times this point has been assigned (1 = first try).
     attempts: u32,
-    /// Times a worker died (crash/hang/timeout) while holding it.
-    crashes: u32,
     /// Earliest next assignment (backoff).
     ready_at: Instant,
     state: TaskState,
@@ -209,14 +204,13 @@ impl State {
     fn all_terminal(&self) -> bool {
         self.tasks
             .values()
-            .all(|t| matches!(t.state, TaskState::Done | TaskState::Failed { .. }))
+            .all(|t| matches!(t.state, TaskState::Done | TaskState::Failed(_)))
     }
 }
 
 struct Shared<'a> {
     cfg: &'a ServeConfig,
     loader: Option<ProgramLoader<'a>>,
-    backoff: BackoffPolicy,
     state: Mutex<State>,
     /// Paired with `state`: notified on every change that can end a
     /// parked `GET` (a task became assignable or terminal, drain, close).
@@ -270,11 +264,6 @@ impl<'a> Shared<'a> {
         let shared = Shared {
             cfg,
             loader,
-            backoff: BackoffPolicy {
-                base_ms: cfg.policy.backoff_base_ms,
-                max_ms: cfg.policy.backoff_max_ms,
-                jitter: true,
-            },
             state: Mutex::new(State {
                 tasks: HashMap::new(),
                 order: Vec::new(),
@@ -336,9 +325,8 @@ fn enqueue_spec(
         match st.tasks.get_mut(key) {
             Some(t) => {
                 // A fresh submission grants a failed point a fresh budget.
-                if matches!(t.state, TaskState::Failed { .. }) {
+                if matches!(t.state, TaskState::Failed(_)) {
                     t.attempts = 0;
-                    t.crashes = 0;
                     t.ready_at = now;
                     t.state = TaskState::Queued;
                     enqueued += 1;
@@ -353,7 +341,6 @@ fn enqueue_spec(
                         label: run.label(),
                         assign: single_point_spec(run).print(),
                         attempts: 0,
-                        crashes: 0,
                         ready_at: now,
                         state: TaskState::Queued,
                     },
@@ -407,11 +394,7 @@ fn next_assignment(shared: &Shared<'_>, pid: u32, peer: &TcpStream) -> Option<St
             }
             let t = st.tasks.get_mut(&key).expect("key from the same map");
             t.attempts += 1;
-            t.state = TaskState::Running {
-                pid,
-                since: now,
-                last_hb: now,
-            };
+            t.state = TaskState::Running { pid, last_hb: now };
             return Some(format!(
                 "ASSIGN {key:016x} {} {}\n{}",
                 if shared.cfg.zero_wall { 1 } else { 0 },
@@ -482,74 +465,61 @@ fn handle_result(shared: &Shared<'_>, key: u64, payload: &str) -> Result<(), Str
     Ok(())
 }
 
-/// A worker reported a clean per-point failure (simulation error, bad
-/// assignment): retry within the budget, no crash accounting.
+/// A worker reported a clean per-point failure (an error or a caught
+/// panic). The point is deterministic and would fail the same way again,
+/// so the failure is final.
 fn handle_fail(shared: &Shared<'_>, key: u64, msg: &str) {
-    let policy = shared.cfg.policy;
     let mut st = lock(&shared.state);
     if let Some(t) = st.tasks.get_mut(&key) {
         if matches!(t.state, TaskState::Running { .. }) {
-            if t.attempts > policy.retries {
-                t.state = TaskState::Failed {
-                    msg: format!("failed: {msg} (after {} attempts)", t.attempts),
-                };
-            } else {
-                let delay = shared.backoff.delay_ms(key, t.attempts + 1);
-                t.ready_at = Instant::now() + Duration::from_millis(delay);
-                t.state = TaskState::Queued;
-            }
+            t.state = TaskState::Failed(PointFailure::Failed(msg.to_string()));
         }
     }
     drop(st);
     shared.ready.notify_all();
 }
 
-/// Crash accounting for one task whose worker died while holding it:
-/// quarantine poison points, fail exhausted budgets, otherwise re-queue
-/// behind the backoff delay.
-fn task_crashed(t: &mut Task, key: u64, policy: &ServeSpec, backoff: &BackoffPolicy, why: &str) {
-    t.crashes += 1;
-    if t.crashes >= policy.quarantine {
-        t.state = TaskState::Failed {
-            msg: format!(
-                "quarantined as a poison point: {} worker crashes ({why})",
-                t.crashes
-            ),
-        };
-    } else if t.attempts > policy.retries {
-        t.state = TaskState::Failed {
-            msg: format!("{why} (after {} attempts)", t.attempts),
-        };
+/// The wait before `attempt` (2 = the first retry) of point `key`: 100 ms
+/// doubling per attempt up to 5 s, plus up to half that again of jitter
+/// hashed from the key and the attempt, so a crashed batch does not
+/// return in lockstep, yet every run of a spec waits the same.
+fn backoff_ms(key: u64, attempt: u32) -> u64 {
+    let delay = (100u64 << attempt.saturating_sub(2).min(32)).min(5_000);
+    let mut h = Fnv64::new();
+    h.update(&key.to_le_bytes());
+    h.update(&attempt.to_le_bytes());
+    delay + h.finish() % (delay / 2 + 1)
+}
+
+/// A worker crashed, hung or went away while holding `t`: re-queue it
+/// behind the backoff delay while `retries` lasts, else fail it as a
+/// crash with `why`. Returns what became of it, for the log line.
+fn task_crashed(t: &mut Task, key: u64, retries: u32, now: Instant, why: &str) -> String {
+    if t.attempts > retries {
+        t.state = TaskState::Failed(PointFailure::Crash(why.to_string()));
+        format!("failed after {} attempts", t.attempts)
     } else {
-        let delay = backoff.delay_ms(key, t.attempts + 1);
-        t.ready_at = Instant::now() + Duration::from_millis(delay);
+        t.ready_at = now + Duration::from_millis(backoff_ms(key, t.attempts + 1));
         t.state = TaskState::Queued;
+        "re-queued".to_string()
     }
 }
 
-/// Re-queues everything a dead worker was holding. Idempotent: a pid with
-/// no running tasks is a no-op (the reap may race the timeout path).
+/// Passes everything a dead worker was holding to [`task_crashed`].
+/// Idempotent: a pid with no running tasks is a no-op (the exit reap may
+/// race the heartbeat reap).
 fn worker_died(shared: &Shared<'_>, pid: u32, why: &str) {
-    let policy = shared.cfg.policy;
+    let retries = shared.cfg.policy.retries;
+    let now = Instant::now();
     let mut st = lock(&shared.state);
-    let keys: Vec<u64> = st
-        .tasks
-        .iter()
-        .filter(|(_, t)| matches!(t.state, TaskState::Running { pid: p, .. } if p == pid))
-        .map(|(k, _)| *k)
-        .collect();
-    for key in keys {
-        let t = st.tasks.get_mut(&key).expect("key from the same map");
-        task_crashed(t, key, &policy, &shared.backoff, why);
-        eprintln!(
-            "[vex serve] worker {pid} lost point {} ({why}); {}",
-            t.label,
-            match &t.state {
-                TaskState::Queued => "re-queued".to_string(),
-                TaskState::Failed { msg } => msg.clone(),
-                _ => unreachable!("crash leaves a task queued or failed"),
-            }
-        );
+    for (key, t) in st.tasks.iter_mut() {
+        if matches!(t.state, TaskState::Running { pid: p, .. } if p == pid) {
+            let fate = task_crashed(t, *key, retries, now, why);
+            eprintln!(
+                "[vex serve] worker {pid} lost point {} ({why}); {fate}",
+                t.label
+            );
+        }
     }
     drop(st);
     shared.ready.notify_all();
@@ -566,7 +536,7 @@ fn status_reply(shared: &Shared<'_>) -> String {
             TaskState::Queued => q += 1,
             TaskState::Running { .. } => r += 1,
             TaskState::Done => d += 1,
-            TaskState::Failed { .. } => f += 1,
+            TaskState::Failed(_) => f += 1,
         }
     }
     let mut out = format!(
@@ -580,12 +550,12 @@ fn status_reply(shared: &Shared<'_>) -> String {
             TaskState::Queued => "queued",
             TaskState::Running { .. } => "running",
             TaskState::Done => "done",
-            TaskState::Failed { .. } => "failed",
+            TaskState::Failed(_) => "failed",
         };
         let _ = write!(
             out,
-            "\ntask {key:016x} {state} attempts={} crashes={} label={}",
-            t.attempts, t.crashes, t.label
+            "\ntask {key:016x} {state} attempts={} label={}",
+            t.attempts, t.label
         );
     }
     out
@@ -602,7 +572,7 @@ fn poll_reply(shared: &Shared<'_>, body: &str) -> String {
                 if st
                     .tasks
                     .get(&key)
-                    .is_some_and(|t| matches!(t.state, TaskState::Failed { .. })) =>
+                    .is_some_and(|t| matches!(t.state, TaskState::Failed(_))) =>
             {
                 failed += 1
             }
@@ -623,7 +593,9 @@ fn fetch_reply(shared: &Shared<'_>, key: u64) -> String {
     }
     match st.tasks.get(&key) {
         Some(t) => match &t.state {
-            TaskState::Failed { msg } => format!("FAILED {}\n{msg}", t.attempts),
+            TaskState::Failed(cause) => {
+                format!("FAILED {} {}\n{}", t.attempts, cause.tag(), cause.message())
+            }
             _ => "PENDING".to_string(),
         },
         None => "UNKNOWN".to_string(),
@@ -728,7 +700,7 @@ fn spawn_worker(cmd: &[String], addr: &str) -> Result<Child, String> {
         .map_err(|e| format!("cannot spawn worker `{}`: {e}", cmd[0]))
 }
 
-/// One supervisor pass: reap dead children, kill hung/overtime workers,
+/// One supervisor pass: reap dead children, kill hung workers,
 /// and keep the pool at strength while not draining.
 fn supervise(
     shared: &Shared<'_>,
@@ -747,7 +719,7 @@ fn supervise(
         Err(_) => true,
     });
 
-    // Heartbeat / point-timeout supervision.
+    // Heartbeat supervision: a worker silent for 5x its interval is hung.
     let policy = shared.cfg.policy;
     let hb_timeout = Duration::from_millis(policy.heartbeat_ms.saturating_mul(5).max(200));
     let now = Instant::now();
@@ -759,31 +731,17 @@ fn supervise(
             let Some(t) = st.tasks.get_mut(&key) else {
                 continue;
             };
-            let TaskState::Running {
-                pid,
-                since,
-                last_hb,
-            } = t.state
-            else {
+            let TaskState::Running { pid, last_hb } = t.state else {
                 continue;
             };
-            let hung = now.duration_since(last_hb) > hb_timeout;
-            let overtime = policy.point_timeout_ms > 0
-                && now.duration_since(since) > Duration::from_millis(policy.point_timeout_ms);
-            if hung || overtime {
-                let why = if hung {
-                    format!(
-                        "no heartbeat for {}ms",
-                        now.duration_since(last_hb).as_millis()
-                    )
-                } else {
-                    format!("point exceeded {}ms wall clock", policy.point_timeout_ms)
-                };
+            let silent = now.duration_since(last_hb);
+            if silent > hb_timeout {
+                let why = format!("no heartbeat for {}ms", silent.as_millis());
+                let fate = task_crashed(t, key, policy.retries, now, &why);
                 eprintln!(
-                    "[vex serve] reaping worker {pid} holding {}: {why}",
+                    "[vex serve] reaping worker {pid} holding {}: {why}; {fate}",
                     t.label
                 );
-                task_crashed(t, key, &policy, &shared.backoff, &why);
                 to_kill.push(pid);
             }
         }
@@ -833,7 +791,7 @@ fn begin_drain(shared: &Shared<'_>) {
          refusing new submissions",
         st.tasks
             .values()
-            .filter(|t| !matches!(t.state, TaskState::Done | TaskState::Failed { .. }))
+            .filter(|t| !matches!(t.state, TaskState::Done | TaskState::Failed(_)))
             .count()
     );
     drop(st);
@@ -973,7 +931,7 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
         st.cache.len(),
         st.tasks
             .values()
-            .filter(|t| matches!(t.state, TaskState::Failed { .. }))
+            .filter(|t| matches!(t.state, TaskState::Failed(_)))
             .count()
     );
     Ok(())
@@ -1050,13 +1008,12 @@ mod tests {
 
     #[test]
     fn backed_off_task_is_assigned_when_its_delay_passes() {
-        let mut cfg = ServeConfig::default();
-        cfg.policy.backoff_base_ms = 200;
+        let cfg = ServeConfig::default();
         let (shared, _) = Shared::open(&cfg, None).unwrap();
         enqueue_spec(&shared, ONE_POINT, false).unwrap();
         let (peer, _worker) = socket_pair();
         let key = assigned_key(&next_assignment(&shared, 1, &peer).unwrap());
-        handle_fail(&shared, key, "transient");
+        worker_died(&shared, 1, "worker exited (signal: 9 (SIGKILL))");
         let ready_at = lock(&shared.state).tasks[&key].ready_at;
         assert!(
             ready_at > Instant::now(),
@@ -1073,6 +1030,57 @@ mod tests {
             );
         });
         assert_eq!(lock(&shared.state).tasks[&key].attempts, 2);
+    }
+
+    #[test]
+    fn clean_failure_is_final() {
+        let cfg = ServeConfig::default();
+        let (shared, _) = Shared::open(&cfg, None).unwrap();
+        enqueue_spec(&shared, ONE_POINT, false).unwrap();
+        let (peer, _worker) = socket_pair();
+        let key = assigned_key(&next_assignment(&shared, 1, &peer).unwrap());
+        handle_fail(&shared, key, "panicked: boom");
+        assert_eq!(fetch_reply(&shared, key), "FAILED 1 error\npanicked: boom");
+        with_parked_get(&shared, |rx| {
+            // A re-queued point would be assignable again within 150 ms.
+            assert!(
+                rx.recv_timeout(Duration::from_millis(300)).is_err(),
+                "a cleanly failed point was assigned again"
+            );
+        });
+    }
+
+    #[test]
+    fn a_point_whose_worker_always_dies_is_assigned_retries_plus_one_times() {
+        for retries in 0..=4 {
+            let mut cfg = ServeConfig::default();
+            cfg.policy.retries = retries;
+            let (shared, _) = Shared::open(&cfg, None).unwrap();
+            enqueue_spec(&shared, ONE_POINT, false).unwrap();
+            let (peer, _worker) = socket_pair();
+            let (mut key, mut assigned) = (0, 0);
+            while assigned < 10 {
+                key = assigned_key(&next_assignment(&shared, 1, &peer).unwrap());
+                assigned += 1;
+                worker_died(&shared, 1, "worker exited (signal: 6 (SIGABRT))");
+                let mut st = lock(&shared.state);
+                let t = st.tasks.get_mut(&key).expect("an assigned task");
+                if !matches!(t.state, TaskState::Queued) {
+                    break;
+                }
+                // This test counts assignments; the delays have a test of
+                // their own.
+                t.ready_at = Instant::now();
+            }
+            assert_eq!(assigned, retries + 1, "retries = {retries}");
+            assert_eq!(
+                fetch_reply(&shared, key),
+                format!(
+                    "FAILED {} crash\nworker exited (signal: 6 (SIGABRT))",
+                    retries + 1
+                )
+            );
+        }
     }
 
     #[test]
@@ -1228,70 +1236,85 @@ mod tests {
         fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn crashing_task_backs_off_then_quarantines() {
-        let policy = ServeSpec {
-            retries: 10,
-            quarantine: 3,
-            ..ServeSpec::default()
-        };
-        let backoff = BackoffPolicy {
-            base_ms: 100,
-            max_ms: 5_000,
-            jitter: false,
-        };
-        let mut t = Task {
+    /// A task on its `attempts`-th assignment.
+    fn running_task(attempts: u32) -> Task {
+        let now = Instant::now();
+        Task {
             label: "p".into(),
             assign: String::new(),
-            attempts: 1,
-            crashes: 0,
-            ready_at: Instant::now(),
+            attempts,
+            ready_at: now,
             state: TaskState::Running {
                 pid: 1,
-                since: Instant::now(),
-                last_hb: Instant::now(),
+                last_hb: now,
             },
-        };
-        task_crashed(&mut t, 7, &policy, &backoff, "died");
-        assert!(matches!(t.state, TaskState::Queued));
-        assert!(t.ready_at > Instant::now() - Duration::from_millis(1));
-        t.attempts = 2;
-        task_crashed(&mut t, 7, &policy, &backoff, "died");
-        assert!(matches!(t.state, TaskState::Queued));
-        t.attempts = 3;
-        task_crashed(&mut t, 7, &policy, &backoff, "died");
-        let TaskState::Failed { msg } = &t.state else {
-            panic!("third crash must quarantine");
-        };
-        assert!(msg.contains("quarantined"), "{msg}");
-        assert_eq!(t.crashes, 3);
+        }
     }
 
     #[test]
     fn exhausted_retry_budget_fails_without_quarantine() {
-        let policy = ServeSpec {
-            retries: 1,
-            quarantine: 50,
-            ..ServeSpec::default()
-        };
-        let backoff = BackoffPolicy::none();
-        let mut t = Task {
-            label: "p".into(),
-            assign: String::new(),
-            attempts: 2,
-            crashes: 0,
-            ready_at: Instant::now(),
-            state: TaskState::Running {
-                pid: 1,
-                since: Instant::now(),
-                last_hb: Instant::now(),
-            },
-        };
+        let mut t = running_task(2);
         // attempts (2) > retries (1): the budget is spent.
-        task_crashed(&mut t, 9, &policy, &backoff, "died");
-        let TaskState::Failed { msg } = &t.state else {
-            panic!("spent budget must fail");
-        };
-        assert!(msg.contains("after 2 attempts"), "{msg}");
+        let fate = task_crashed(&mut t, 9, 1, Instant::now(), "died");
+        assert_eq!(fate, "failed after 2 attempts");
+        // The reason alone: the count is a field of its own.
+        assert!(
+            matches!(&t.state, TaskState::Failed(PointFailure::Crash(m)) if m == "died"),
+            "{:?}",
+            t.state
+        );
+    }
+
+    #[test]
+    fn each_requeue_waits_its_backoff_delay() {
+        let now = Instant::now();
+        for key in [0u64, 7, 0xdead_beef, u64::MAX] {
+            for attempts in 1..12 {
+                // The delay before attempt n = attempts + 1.
+                let d = (100u64 << (attempts - 1)).min(5_000);
+                let mut t = running_task(attempts);
+                assert_eq!(task_crashed(&mut t, key, 20, now, "died"), "re-queued");
+                let waited = (t.ready_at - now).as_millis() as u64;
+                assert!(
+                    (d..=d + d / 2).contains(&waited),
+                    "key {key:x}, attempt {}: waited {waited} ms",
+                    attempts + 1
+                );
+                let mut again = running_task(attempts);
+                task_crashed(&mut again, key, 20, now, "died");
+                assert_eq!(again.ready_at, t.ready_at, "key {key:x}");
+            }
+        }
+    }
+
+    #[test]
+    fn delays_double_then_cap() {
+        let floors = [100, 200, 400, 800, 1_600, 3_200, 5_000, 5_000];
+        for (attempt, d) in (2..).zip(floors).chain([(40, 5_000), (u32::MAX, 5_000)]) {
+            let waited = backoff_ms(1, attempt);
+            assert!((d..=d + d / 2).contains(&waited), "attempt {attempt}");
+        }
+    }
+
+    #[test]
+    fn jitter_is_bounded_and_deterministic() {
+        for key in [0u64, 1, 0xdead_beef, u64::MAX] {
+            for attempt in 2..8 {
+                let d = backoff_ms(key, attempt);
+                let floor = 100 << (attempt - 2);
+                assert!(
+                    d >= floor && d <= floor + floor / 2,
+                    "key={key} a={attempt}"
+                );
+                assert_eq!(d, backoff_ms(key, attempt), "deterministic");
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_keys_desynchronize() {
+        let delays: Vec<u64> = (0u64..16).map(|k| backoff_ms(k, 2)).collect();
+        let distinct: std::collections::HashSet<_> = delays.iter().collect();
+        assert!(distinct.len() > 1, "jitter must vary by key: {delays:?}");
     }
 }

@@ -118,11 +118,15 @@ pub fn submit(
             }
             "FAILED" => {
                 let attempts: u32 = parts.next().and_then(|v| v.parse().ok()).unwrap_or(0);
+                let msg = body.trim_end().to_string();
                 errors.push(PointError {
                     key,
                     label: run.label(),
                     attempts,
-                    cause: PointFailure::Failed(body.trim_end().to_string()),
+                    cause: match parts.next() {
+                        Some("crash") => PointFailure::Crash(msg),
+                        _ => PointFailure::Failed(msg),
+                    },
                 });
             }
             other => {

@@ -6,7 +6,10 @@
 //! single-point spec), and everything it produces leaves as a journal
 //! payload. Killing a worker at any instant loses at most the in-flight
 //! point, which the server re-queues — that is the whole fault-isolation
-//! contract. The one thing it keeps between assignments is a cache
+//! contract. A point that fails on its own (an error or a panic) is
+//! reported with `FAIL`, which the server takes as final; a fault of the
+//! worker itself ends the process, so the server re-queues its point as
+//! after a crash. The one thing it keeps between assignments is a cache
 //! derivable from the assignment alone: the prepared (compiled and
 //! decoded) programs of its last mix, reused when the next assignment
 //! names the same machine and the same built-in members — a spec's
@@ -29,7 +32,7 @@
 //!   heartbeating (exercises the heartbeat reaper).
 //! * `poison:<substr>:<times>:<counter>` — abort on any assignment whose
 //!   label contains `<substr>`, up to `<times>` times (the count lives in
-//!   `<counter>`); exercises retry budgets and quarantine.
+//!   `<counter>`); exercises the retry budget.
 
 use crate::proto::{parse_key, read_frame, split_message, write_frame};
 use std::net::TcpStream;
@@ -86,8 +89,13 @@ pub fn worker_main(addr: &str, loader: Option<ProgramLoader<'_>>) -> Result<(), 
                 let key = parse_key(parts.next().ok_or("ASSIGN without a key")?)?;
                 let zero_wall = parts.next() == Some("1");
                 let heartbeat_ms: u64 = parts.next().and_then(|v| v.parse().ok()).unwrap_or(1000);
+                // Not the point's fault: end the worker, and the server
+                // re-queues the point as lost.
+                let hb_stream = stream
+                    .try_clone()
+                    .map_err(|e| format!("cannot clone the connection for heartbeats: {e}"))?;
                 let outcome = run_point(
-                    &stream,
+                    hb_stream,
                     body,
                     key,
                     zero_wall,
@@ -140,9 +148,10 @@ fn expect_ok(stream: &mut TcpStream, text: &str) -> Result<(), String> {
 /// programs (or reuses `mix`, the last assignment's), re-derives the
 /// content-addressed key (refusing a mismatched assignment — the key is
 /// the integrity check of the whole exchange), and runs the engine with
-/// the heartbeat hook wired to the server connection.
+/// the heartbeat hook writing to `hb_stream`, a clone of the server
+/// connection.
 fn run_point(
-    stream: &TcpStream,
+    hb_stream: TcpStream,
     spec_text: &str,
     key: u64,
     zero_wall: bool,
@@ -196,9 +205,6 @@ fn run_point(
     // Heartbeats ride the same connection as one-way frames; the hook
     // rate-limits to half the supervisor's interval so a live worker
     // always beats well inside the 5x timeout.
-    let hb_stream = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone the connection for heartbeats: {e}"))?;
     let min_gap = Duration::from_millis((heartbeat_ms / 2).max(1));
     let mut last_sent = Instant::now();
     let hook = Box::new(move |cycle: u64| {

@@ -158,25 +158,10 @@ pub struct ServeSpec {
     /// Interval between a busy worker's liveness heartbeats, in
     /// milliseconds.
     pub heartbeat_ms: u64,
-    /// Hard wall-clock ceiling per point attempt, in milliseconds
-    /// (0 = disabled; the `[limits] max_cycles` watchdog still bounds
-    /// simulated work). A point running longer is reaped and re-queued.
-    pub point_timeout_ms: u64,
-    /// Re-queue budget for a point whose worker crashed, hung or failed:
-    /// attempted `1 + retries` times before the service answers `FAILED`
-    /// for it.
+    /// Re-queue budget for a point whose worker process crashed or hung:
+    /// it is attempted up to `1 + retries` times before the service
+    /// answers `FAILED` for it. A point that fails cleanly is not retried.
     pub retries: u32,
-    /// First-retry backoff delay, in milliseconds (exponential after).
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, in milliseconds.
-    pub backoff_max_ms: u64,
-    /// Poison-point quarantine: after this many worker *crashes* on one
-    /// point, the point is failed outright so it cannot keep killing the
-    /// pool, regardless of remaining retries. Every attempt counts against
-    /// `retries` too, so quarantine fires only when `quarantine <=
-    /// retries + 1`; with the defaults (3 and 5) a crash-looping point
-    /// fails on its retry budget after four crashes first.
-    pub quarantine: u32,
 }
 
 impl ServeSpec {
@@ -191,11 +176,7 @@ impl Default for ServeSpec {
         ServeSpec {
             workers: 0,
             heartbeat_ms: 1_000,
-            point_timeout_ms: 0,
             retries: 3,
-            backoff_base_ms: 100,
-            backoff_max_ms: 5_000,
-            quarantine: 5,
         }
     }
 }

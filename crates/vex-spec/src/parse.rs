@@ -514,8 +514,7 @@ fn owning_section(key: &str) -> Option<&'static str> {
         | "gprs"
         | "bregs" => Some("[[machine]]"),
         "members" => Some("[[mix]]"),
-        "workers" | "heartbeat_ms" | "point_timeout_ms" | "retries" | "backoff_base_ms"
-        | "backoff_max_ms" | "quarantine" => Some("[serve]"),
+        "workers" | "heartbeat_ms" | "retries" => Some("[serve]"),
         _ => None,
     }
 }
@@ -595,20 +594,8 @@ fn build_spec(
             if let Some(e) = s.take("heartbeat_ms") {
                 v.heartbeat_ms = e.int_in(1, u64::MAX)?;
             }
-            if let Some(e) = s.take("point_timeout_ms") {
-                v.point_timeout_ms = e.int_in(0, u64::MAX)?;
-            }
             if let Some(e) = s.take("retries") {
                 v.retries = e.int_in(0, u32::MAX as u64)? as u32;
-            }
-            if let Some(e) = s.take("backoff_base_ms") {
-                v.backoff_base_ms = e.int_in(0, u64::MAX)?;
-            }
-            if let Some(e) = s.take("backoff_max_ms") {
-                v.backoff_max_ms = e.int_in(0, u64::MAX)?;
-            }
-            if let Some(e) = s.take("quarantine") {
-                v.quarantine = e.int_in(1, u32::MAX as u64)? as u32;
             }
             s.reject_unknown("[serve]")?;
             Some(v)

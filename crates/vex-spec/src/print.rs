@@ -46,11 +46,7 @@ pub fn print_sweep(s: &SweepSpec) -> String {
         let _ = writeln!(out, "\n[serve]");
         let _ = writeln!(out, "workers = {}", v.workers);
         let _ = writeln!(out, "heartbeat_ms = {}", v.heartbeat_ms);
-        let _ = writeln!(out, "point_timeout_ms = {}", v.point_timeout_ms);
         let _ = writeln!(out, "retries = {}", v.retries);
-        let _ = writeln!(out, "backoff_base_ms = {}", v.backoff_base_ms);
-        let _ = writeln!(out, "backoff_max_ms = {}", v.backoff_max_ms);
-        let _ = writeln!(out, "quarantine = {}", v.quarantine);
     }
 
     let _ = writeln!(out, "\n[cache]");

@@ -279,3 +279,28 @@ error at line 1:1: `retries` appears before its `[serve]` section header (add th
   | ^^^^^^^",
     );
 }
+
+#[test]
+fn quarantine_is_not_a_serve_key() {
+    // A crash-looping point fails on its retry budget; no second crash
+    // count can stop it earlier.
+    snapshot(
+        "mixes = [\"llll\"]\n[serve]\nquarantine = 5\n",
+        "\
+error at line 3:1: unknown key `quarantine` in [serve]
+  | quarantine = 5
+  | ^^^^^^^^^^",
+    );
+}
+
+#[test]
+fn backoff_key_gets_no_section_hint() {
+    // The retry backoff is fixed, so no section has the key to point at.
+    snapshot(
+        "backoff_base_ms = 10\nmixes = [\"llll\"]\n",
+        "\
+error at line 1:1: unknown key `backoff_base_ms` in the top level
+  | backoff_base_ms = 10
+  | ^^^^^^^^^^^^^^^",
+    );
+}

@@ -108,30 +108,17 @@ fn serve_spec() -> impl Strategy<Value = Option<ServeSpec>> {
     prop_oneof![
         Just(None),
         (
-            (
-                0u32..ServeSpec::MAX_WORKERS + 1,
-                (1u64..1 << 40),
-                (0u64..1 << 40),
-                any::<u32>(),
-            ),
-            ((0u64..1 << 30), (0u64..1 << 30), (1u32..1 << 16)),
+            0u32..ServeSpec::MAX_WORKERS + 1,
+            (1u64..1 << 40),
+            any::<u32>(),
         )
-            .prop_map(
-                |(
-                    (workers, heartbeat_ms, point_timeout_ms, retries),
-                    (backoff_base_ms, backoff_max_ms, quarantine),
-                )| {
-                    Some(ServeSpec {
-                        workers,
-                        heartbeat_ms,
-                        point_timeout_ms,
-                        retries,
-                        backoff_base_ms,
-                        backoff_max_ms,
-                        quarantine,
-                    })
-                },
-            ),
+            .prop_map(|(workers, heartbeat_ms, retries)| {
+                Some(ServeSpec {
+                    workers,
+                    heartbeat_ms,
+                    retries,
+                })
+            }),
     ]
 }
 
@@ -327,8 +314,6 @@ fn partial_serve_table_fills_defaults() {
     assert_eq!(v.heartbeat_ms, 250);
     let d = ServeSpec::default();
     assert_eq!(v.retries, d.retries);
-    assert_eq!(v.quarantine, d.quarantine);
-    assert_eq!(v.backoff_base_ms, d.backoff_base_ms);
     // A spec without the table has no serve config at all.
     assert_eq!(
         SweepSpec::parse("mixes = [\"llll\"]\n").unwrap().serve,

@@ -21,8 +21,8 @@
 //! * [`experiments`] — the shared sweep runner plus the harness
 //!   regenerating every figure of the evaluation.
 //! * [`serve`] — the fault-tolerant sweep service (`vex serve`): a
-//!   supervised worker-process pool with heartbeats, retry backoff, a
-//!   content-addressed result cache and graceful drain.
+//!   supervised worker-process pool with heartbeats, crash retries on a
+//!   fixed backoff, a content-addressed result cache and graceful drain.
 //! * [`asm`] — textual VEX assembly frontend, disassembler and the `.vexb`
 //!   binary program format behind the `vex` CLI.
 //! * [`gen`] — seeded random program generation and the differential
