@@ -70,21 +70,6 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
-/// Mean and sample standard deviation (n−1 denominator) of a slice;
-/// the stddev is `None` when fewer than two samples exist.
-pub fn mean_stddev(samples: &[f64]) -> (f64, Option<f64>) {
-    if samples.is_empty() {
-        return (0.0, None);
-    }
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    if samples.len() < 2 {
-        return (mean, None);
-    }
-    let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / (n - 1.0);
-    (mean, Some(var.sqrt()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,14 +134,5 @@ mod tests {
         // middle one and the lower quartile the second.
         assert_eq!(g.median, 1.01);
         assert_eq!(g.lower_quartile, 1.0);
-    }
-
-    #[test]
-    fn mean_stddev_basics() {
-        assert_eq!(mean_stddev(&[]), (0.0, None));
-        assert_eq!(mean_stddev(&[4.0]), (4.0, None));
-        let (m, s) = mean_stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((m - 5.0).abs() < 1e-12);
-        assert!((s.unwrap() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 }

@@ -198,21 +198,6 @@ pub struct LegalKernel {
     pub data: Vec<DataSegment>,
 }
 
-impl LegalKernel {
-    /// Execution cluster of an already-legalised op.
-    pub fn op_cluster(&self, lop: &LOp) -> ClusterId {
-        lop.cluster
-    }
-
-    /// Cluster of the *source* side of an Xfer.
-    pub fn xfer_src_cluster(&self, lop: &LOp) -> Option<ClusterId> {
-        match lop.op {
-            IrOp::Xfer { src, .. } => Some(self.vreg_cluster[src.0 as usize]),
-            _ => None,
-        }
-    }
-}
-
 /// Rewrites the kernel so every operand is local to its op's cluster,
 /// inserting inter-cluster [`IrOp::Xfer`] copies.
 pub fn legalize_xfers(k: &Kernel, a: &Assignment, _m: &MachineConfig) -> LegalKernel {
@@ -493,7 +478,10 @@ mod tests {
             .filter(|l| matches!(l.op, IrOp::Xfer { .. }))
             .collect();
         assert_eq!(xfers.len(), 1);
-        assert_eq!(lk.xfer_src_cluster(xfers[0]), Some(0));
+        let IrOp::Xfer { src, .. } = xfers[0].op else {
+            unreachable!()
+        };
+        assert_eq!(lk.vreg_cluster[src.0 as usize], 0);
         assert_eq!(xfers[0].cluster, 1);
     }
 

@@ -405,11 +405,6 @@ impl KernelBuilder {
         self.cur = b;
     }
 
-    /// The block currently being emitted into.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
-    }
-
     /// Allocates a fresh virtual register (cluster chosen by the compiler).
     pub fn vreg(&mut self) -> VReg {
         let r = VReg(self.vreg_count);

@@ -6,8 +6,8 @@
 //! returns structured results (with a JSON form for artifacts).
 //!
 //! Every sweep in the repository executes here: the figure modules,
-//! the ablations, `bin/repro`, the `sim_throughput` bench and the
-//! `vex sweep` CLI are all thin spec-builders over this runner.
+//! the ablations, `bin/repro` and the `vex sweep` CLI are all thin
+//! spec-builders over this runner.
 //!
 //! ## Crash safety and fault isolation
 //!

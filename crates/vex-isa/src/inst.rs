@@ -36,11 +36,6 @@ impl Bundle {
     pub fn has_comm(&self) -> bool {
         self.ops.iter().any(|o| o.opcode.is_comm())
     }
-
-    /// Whether any operation accesses memory.
-    pub fn has_mem(&self) -> bool {
-        self.ops.iter().any(|o| o.opcode.is_mem())
-    }
 }
 
 /// A VLIW instruction: one bundle per cluster.
@@ -75,17 +70,6 @@ impl Instruction {
     /// Number of clusters this instruction spans.
     pub fn n_clusters(&self) -> u8 {
         self.bundles.len() as u8
-    }
-
-    /// Bit `c` set iff cluster `c` has a non-empty bundle.
-    pub fn used_cluster_mask(&self) -> u16 {
-        let mut mask = 0u16;
-        for (c, b) in self.bundles.iter().enumerate() {
-            if !b.is_empty() {
-                mask |= 1 << c;
-            }
-        }
-        mask
     }
 
     /// Total operation count (a VLIW instruction is "1 to 16 RISC
@@ -289,14 +273,14 @@ mod tests {
         let n = Instruction::nop(4);
         assert!(n.is_nop());
         assert_eq!(n.op_count(), 0);
-        assert_eq!(n.used_cluster_mask(), 0);
         assert_eq!(n.encoded_size(), 4);
     }
 
     #[test]
     fn cluster_mask_and_counts() {
         let i = Instruction::from_ops(4, [(0, add(0)), (2, add(2)), (2, add(2))]);
-        assert_eq!(i.used_cluster_mask(), 0b0101);
+        let used: Vec<bool> = i.bundles.iter().map(|b| !b.is_empty()).collect();
+        assert_eq!(used, [true, false, true, false]);
         assert_eq!(i.op_count(), 3);
         assert_eq!(i.encoded_size(), 12);
         assert!(!i.is_nop());

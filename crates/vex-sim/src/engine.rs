@@ -374,11 +374,6 @@ impl Engine {
         });
     }
 
-    /// Detaches the liveness callback (idempotent).
-    pub fn clear_heartbeat(&mut self) {
-        self.heartbeat = None;
-    }
-
     /// Streams the current slot → context mapping (one
     /// [`TraceEvent::SlotAssign`] per hardware slot, in one same-cycle
     /// batch) so a replay always knows the full assignment.

@@ -56,21 +56,6 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Average table entries examined per issue attempt.
-    pub fn scans_per_call(&self) -> f64 {
-        ratio(self.issue_scans, self.issue_calls)
-    }
-
-    /// Average operations evaluated per activation.
-    pub fn ops_per_activation(&self) -> f64 {
-        ratio(self.eval_ops, self.eval_activations)
-    }
-
-    /// Average table entries examined per simulated cycle.
-    pub fn scans_per_cycle(&self) -> f64 {
-        ratio(self.issue_scans, self.cycles)
-    }
-
     /// Human-readable counter block (the `vex run --profile` output),
     /// column-aligned by the shared [`Table`] formatter. Rates whose
     /// denominator is zero (a cache that was never accessed, a run with no
@@ -162,7 +147,6 @@ mod tests {
     fn rates_are_well_defined_on_empty_profiles() {
         let p = Profile::default();
         assert_eq!(p.icache.miss_ratio(), 0.0);
-        assert_eq!(p.scans_per_cycle(), 0.0);
         assert!(p.render().contains("simulator fast-path profile"));
     }
 

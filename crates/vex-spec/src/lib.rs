@@ -9,8 +9,8 @@
 //! points that convert 1:1 into simulator [`SimConfig`]s.
 //!
 //! Everything that used to hand-roll its own sweep — the figure modules,
-//! `bin/repro`, the `sim_throughput` bench, the `vex` CLI — now builds or
-//! loads one of these specs and hands it to `vex_experiments::SweepRunner`.
+//! `bin/repro`, the `vex` CLI — now builds or loads one of these specs
+//! and hands it to `vex_experiments::SweepRunner`.
 //! See `docs/SPECS.md` for the grammar and worked examples.
 //!
 //! ```

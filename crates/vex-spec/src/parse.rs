@@ -495,8 +495,7 @@ fn section_slot<'a>(
 fn owning_section(key: &str) -> Option<&'static str> {
     match key {
         "size_bytes" | "assoc" | "line_bytes" | "miss_penalty" => Some("[cache]"),
-        // No `[limits]` entry: its one key, `max_cycles`, is also accepted
-        // at the top level (legacy spelling) and so never reaches here.
+        "max_cycles" => Some("[limits]"),
         "clusters"
         | "slots"
         | "alu"
@@ -563,25 +562,14 @@ fn build_spec(
         Some(e) => e.int_in(1, u64::MAX)?,
         None => scale.timeslice,
     };
-    // Execution-policy knobs live in `[limits]`; `max_cycles` is also
-    // accepted at the top level (its original spelling) but not in both
-    // places at once.
-    let top_max_cycles = top.take("max_cycles");
-    let mut max_cycles = None;
+    // Execution-policy knobs live in `[limits]`.
+    let mut max_cycles = DEFAULT_MAX_CYCLES;
     if let Some(mut s) = limits {
         if let Some(e) = s.take("max_cycles") {
-            if let Some(dup) = &top_max_cycles {
-                return Err(dup.err("`max_cycles` is given both at the top level and in [limits]"));
-            }
-            max_cycles = Some(e.int_in(1, u64::MAX)?);
+            max_cycles = e.int_in(1, u64::MAX)?;
         }
         s.reject_unknown("[limits]")?;
     }
-    let max_cycles = match (max_cycles, top_max_cycles) {
-        (Some(n), _) => n,
-        (None, Some(e)) => e.int_in(1, u64::MAX)?,
-        (None, None) => DEFAULT_MAX_CYCLES,
-    };
     // `[serve]` — sweep-service pool knobs; every key defaults
     // individually so a partial table is fine.
     let serve = match serve_sect {

@@ -270,6 +270,18 @@ error at line 3:1: unknown key `retries` in [limits]
 }
 
 #[test]
+fn max_cycles_entry_before_its_limits_header() {
+    // `max_cycles` has one spelling, in `[limits]`.
+    snapshot(
+        "max_cycles = 5000\nmixes = [\"llll\"]\n",
+        "\
+error at line 1:1: `max_cycles` appears before its `[limits]` section header (add the header above it)
+  | max_cycles = 5000
+  | ^^^^^^^^^^",
+    );
+}
+
+#[test]
 fn serve_entry_before_its_section_header() {
     snapshot(
         "retries = 2\nmixes = [\"llll\"]\n",

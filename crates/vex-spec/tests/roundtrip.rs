@@ -268,7 +268,7 @@ fn split_cache_tables_round_trip() {
 
 #[test]
 fn limits_table_and_legacy_max_cycles() {
-    // `[limits]` is the canonical home for execution-policy knobs.
+    // `[limits]` is the home of execution-policy knobs.
     let spec = SweepSpec::parse(
         "mixes = [\"llll\"]\n\
          [limits]\n\
@@ -278,14 +278,9 @@ fn limits_table_and_legacy_max_cycles() {
     assert_eq!(spec.max_cycles, 5000);
     assert_eq!(SweepSpec::parse(&spec.print()).unwrap(), spec);
 
-    // The original top-level spelling still works...
-    let legacy = SweepSpec::parse("max_cycles = 77\nmixes = [\"llll\"]\n").unwrap();
-    assert_eq!(legacy.max_cycles, 77);
-
-    // ...but giving both is ambiguous and rejected.
-    let err = SweepSpec::parse("max_cycles = 1\nmixes = [\"llll\"]\n[limits]\nmax_cycles = 2\n")
-        .unwrap_err();
-    assert!(err.to_string().contains("both"), "{err}");
+    // The original top-level spelling is gone (errors.rs pins its
+    // diagnostic).
+    assert!(SweepSpec::parse("max_cycles = 77\nmixes = [\"llll\"]\n").is_err());
 }
 
 #[test]

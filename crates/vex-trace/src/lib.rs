@@ -20,8 +20,8 @@
 //!   header followed by fixed 20-byte little-endian records, decoded by
 //!   the streaming [`TraceReader`].
 //! * [`TraceSink`] — where the engine streams events: [`RingSink`] keeps
-//!   the last N events in memory (bounded, allocation-free steady state),
-//!   [`FileSink`] streams the binary format to disk.
+//!   every event in memory, [`FileSink`] streams the binary format to
+//!   disk.
 //! * [`Attributor`] — validates and replays an event stream, one record
 //!   at a time, into an [`Attribution`]: per-thread cycle bins that **sum
 //!   exactly to the run's total cycles** (the identity the test suite pins

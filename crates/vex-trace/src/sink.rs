@@ -8,7 +8,6 @@
 use crate::event::{TraceEvent, TraceMeta};
 use crate::format::{encode_header, encode_record};
 use std::any::Any;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::path::Path;
 
@@ -35,34 +34,18 @@ pub trait TraceSink: std::fmt::Debug + Send {
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
-/// A bounded in-memory ring buffer of the most recent events.
-///
-/// Capacity 0 means *unbounded* (every event is kept) — the mode the test
-/// suite uses to replay whole runs. Bounded rings drop the oldest events
-/// and count the drops, so a consumer can tell a complete stream from a
-/// windowed one.
+/// An in-memory buffer of every event of a run, which the test suite
+/// uses to replay whole runs.
 #[derive(Debug, Default)]
 pub struct RingSink {
-    capacity: usize,
     meta: Option<TraceMeta>,
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
+    events: Vec<TraceEvent>,
 }
 
 impl RingSink {
-    /// A ring keeping the last `capacity` events (`0` = unbounded).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity,
-            meta: None,
-            events: VecDeque::with_capacity(capacity.clamp(64, 1 << 16)),
-            dropped: 0,
-        }
-    }
-
     /// A sink that keeps every event of the run.
     pub fn unbounded() -> Self {
-        Self::new(0)
+        Self::default()
     }
 
     /// The geometry the stream was begun with, once attached.
@@ -75,14 +58,9 @@ impl RingSink {
         self.events.iter()
     }
 
-    /// Number of events evicted by the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Consumes the sink, returning the buffered events oldest-first.
     pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events.into()
+        self.events
     }
 
     /// Recovers a `RingSink` from a boxed [`TraceSink`] (e.g. the value
@@ -99,11 +77,7 @@ impl TraceSink for RingSink {
     }
 
     fn record(&mut self, ev: &TraceEvent) {
-        if self.capacity > 0 && self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(*ev);
+        self.events.push(*ev);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -247,58 +221,12 @@ mod tests {
     }
 
     #[test]
-    fn bounded_ring_keeps_the_newest_events_and_counts_drops() {
-        let mut ring = RingSink::new(3);
-        ring.begin(&meta());
-        for c in 0..5 {
-            ring.record(&issue(c));
-        }
-        assert_eq!(ring.dropped(), 2);
-        let cycles: Vec<u64> = ring
-            .events()
-            .map(super::super::event::TraceEvent::cycle)
-            .collect();
-        assert_eq!(cycles, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn bounded_ring_at_exact_capacity_drops_nothing() {
-        let mut ring = RingSink::new(3);
-        ring.begin(&meta());
-        for c in 0..3 {
-            ring.record(&issue(c));
-        }
-        assert_eq!(ring.dropped(), 0);
-        let cycles: Vec<u64> = ring
-            .events()
-            .map(super::super::event::TraceEvent::cycle)
-            .collect();
-        assert_eq!(cycles, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn bounded_ring_one_past_capacity_drops_exactly_the_oldest() {
-        let mut ring = RingSink::new(3);
-        ring.begin(&meta());
-        for c in 0..4 {
-            ring.record(&issue(c));
-        }
-        assert_eq!(ring.dropped(), 1);
-        let cycles: Vec<u64> = ring
-            .events()
-            .map(super::super::event::TraceEvent::cycle)
-            .collect();
-        assert_eq!(cycles, vec![1, 2, 3]);
-    }
-
-    #[test]
     fn unbounded_ring_keeps_everything() {
         let mut ring = RingSink::unbounded();
         ring.begin(&meta());
         for c in 0..1000 {
             ring.record(&issue(c));
         }
-        assert_eq!(ring.dropped(), 0);
         assert_eq!(ring.into_events().len(), 1000);
     }
 

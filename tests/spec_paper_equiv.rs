@@ -27,9 +27,10 @@ fn paper_point_spec(technique: &str) -> SweepSpec {
     SweepSpec::parse(&format!(
         "name = \"paper-point\"\n\
          scale = \"paper\"\n\
-         max_cycles = 50000000\n\
          techniques = [\"{technique}\"]\n\
          threads = [2]\n\
+         [limits]\n\
+         max_cycles = 50000000\n\
          [[mix]]\n\
          name = \"idct-pair\"\n\
          seed = 12648430  # 0xC0FFEE, the SimConfig::paper seed\n\
@@ -102,7 +103,6 @@ fn example_specs_parse_and_round_trip() {
         "examples/paper.toml",
         "examples/narrow_2c.toml",
         "examples/big_cache.toml",
-        "examples/bench_throughput.toml",
         "examples/serve.toml",
     ] {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
