@@ -865,7 +865,7 @@ fn cmd_submit(args: &[String]) -> Result<(), Fail> {
         .map_err(|e| Fail::input(format!("reading `{spec_path}`: {e}")))?;
 
     let t0 = std::time::Instant::now();
-    let sub = vex_serve::submit(addr, &text, Some(&load_program), poll_ms)?;
+    let sub = vex_serve::submit(addr, &text, poll_ms)?;
     eprintln!(
         "[vex submit] {}: {} points — {} cached, {} newly scheduled, {} failed in {:.1}s",
         sub.outcome.spec.name,

@@ -1,6 +1,7 @@
 //! `vex serve` must refuse a submission whose program fails static
 //! analysis — at SUBMIT time, over the wire, before any worker sees a
-//! job — and stay healthy for subsequent well-formed submissions.
+//! job — and stay healthy for subsequent well-formed submissions. The
+//! client reads no program files, so the refusal is the server's.
 //!
 //! The probe program passes the structural validator (per-instruction
 //! shape is fine) but const-prop proves its store lands in the code
@@ -136,8 +137,8 @@ fn analysis_errors_are_refused_at_submit() {
         let (code, stderr) = submit(&dir, &bad_spec, &addr, "bad.json");
         assert_ne!(code, 0, "a rejected submission must not exit 0:\n{stderr}");
         assert!(
-            stderr.contains("static analysis"),
-            "the refusal must name static analysis as the cause:\n{stderr}"
+            stderr.contains("server rejected the spec") && stderr.contains("static analysis"),
+            "the server must refuse, naming static analysis as the cause:\n{stderr}"
         );
         // The refusal happened before scheduling: no point of the bad
         // spec was ever assigned to a worker.
@@ -169,8 +170,10 @@ fn analysis_errors_are_refused_at_submit() {
         let (code, stderr) = submit(&dir, &fat_spec, &addr, "fat.json");
         assert_ne!(code, 0, "an infeasible bundle must be refused:\n{stderr}");
         assert!(
-            stderr.contains("exceed") && stderr.contains("issue slots"),
-            "the refusal must name the infeasible bundle:\n{stderr}"
+            stderr.contains("server rejected the spec")
+                && stderr.contains("exceed")
+                && stderr.contains("issue slots"),
+            "the server must refuse, naming the infeasible bundle:\n{stderr}"
         );
         let log = std::fs::read_to_string(&log_path).unwrap_or_default();
         assert!(

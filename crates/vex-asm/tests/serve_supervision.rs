@@ -8,6 +8,9 @@
 //! Fault injection rides the `VEX_WORKER_FAULT` environment variable
 //! (documented in `vex-serve`'s worker module), which the server passes
 //! through to the pool it spawns.
+//!
+//! Every server and client runs in the directory it is given, so a test
+//! can give the two different copies of a program file.
 
 #![cfg(unix)]
 
@@ -71,6 +74,7 @@ impl Server {
         let log = std::fs::File::create(&stderr_path).unwrap();
         let mut cmd = Command::new(VEX);
         cmd.arg("serve")
+            .current_dir(dir)
             .args(["--listen", "127.0.0.1:0", "--zero-wall", "--workers", "2"])
             .args(["--port-file", port_file.to_str().unwrap()])
             .args(extra)
@@ -163,29 +167,48 @@ impl Drop for Server {
     }
 }
 
-/// Runs `vex submit` against `addr`; returns (exit code, stdout JSON
-/// written to `out`, stderr text).
+/// Runs `vex submit` in `dir` against `addr`; returns (exit code, JSON
+/// written to `out`, stderr text). A client still running after 60 s is
+/// killed and reads as exit code -1.
 fn submit(dir: &Path, spec: &Path, addr: &str, out_name: &str) -> (i32, String, String) {
     let out_path = dir.join(out_name);
-    let output = Command::new(VEX)
+    let err_path = dir.join(format!("{out_name}.stderr"));
+    let mut child = Command::new(VEX)
+        .current_dir(dir)
         .arg("submit")
         .arg(spec)
         .args(["--connect", addr.trim()])
         .args(["--out", out_path.to_str().unwrap()])
         .args(["--poll-ms", "20"])
-        .output()
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::from(std::fs::File::create(&err_path).unwrap()))
+        .spawn()
         .expect("run vex submit");
-    let stderr = String::from_utf8_lossy(&output.stderr).to_string();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let code = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status.code().unwrap_or(-1);
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break -1;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let stderr = std::fs::read_to_string(&err_path).unwrap_or_default();
     let json = std::fs::read_to_string(&out_path).unwrap_or_default();
-    (output.status.code().unwrap_or(-1), json, stderr)
+    (code, json, stderr)
 }
 
-/// The reference result: an uninterrupted in-process `vex sweep` of the
-/// same spec with `--zero-wall` — the service must reproduce these bytes
-/// under every fault schedule.
+/// The reference result: an uninterrupted in-process `vex sweep` in `dir`
+/// of the same spec with `--zero-wall` — the service must reproduce these
+/// bytes under every fault schedule.
 fn reference_json(dir: &Path, spec: &Path, out_name: &str) -> String {
     let out_path = dir.join(out_name);
     let output = Command::new(VEX)
+        .current_dir(dir)
         .arg("sweep")
         .arg(spec)
         .args(["--zero-wall", "--out", out_path.to_str().unwrap()])
@@ -224,6 +247,63 @@ fn clean_sweep_then_resubmit_hits_the_cache() {
     let (log, clean) = server.drain();
     assert!(clean, "drain must exit 0; log:\n{log}");
     assert!(log.contains("drained"), "{log}");
+}
+
+/// A program-file member is the server's copy of the file: the server
+/// reads it (relative to its own directory) and keys its points, and the
+/// client takes the keys from its reply, whatever its own copy holds.
+#[test]
+fn a_program_file_member_is_the_server_s_copy() {
+    let dir = scratch("files");
+    let (server_dir, client_dir) = (dir.join("server"), dir.join("client"));
+    for d in [&server_dir, &client_dir] {
+        std::fs::create_dir_all(d).unwrap();
+    }
+    let out = Command::new(VEX)
+        .arg("export-workloads")
+        .arg(dir.join("wl"))
+        .output()
+        .expect("run vex export-workloads");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let kernel = |name: &str, to: &Path| {
+        std::fs::copy(dir.join("wl").join(format!("{name}.vex")), to.join("k.vex")).unwrap();
+    };
+    kernel("mcf", &server_dir);
+    kernel("bzip2", &client_dir);
+    let spec = write(
+        &dir,
+        "spec.toml",
+        "name = \"files\"\ninst_limit = 2000\ntimeslice = 500\n\
+         techniques = [\"CSMT\", \"SMT\"]\nthreads = [1]\n\
+         [[mix]]\nname = \"k\"\nmembers = [\"k.vex\"]\n",
+    );
+    let reference = reference_json(&server_dir, &spec, "ref.json");
+
+    let server = Server::spawn(&server_dir, "files", &[], None);
+    let (code, json, stderr) = submit(&client_dir, &spec, &server.addr, "differs.json");
+    assert_eq!(
+        code,
+        0,
+        "a client whose k.vex differs:\n{stderr}\n{}",
+        server.log()
+    );
+    assert_eq!(json, reference, "the points must be the server's k.vex");
+    std::fs::remove_file(client_dir.join("k.vex")).unwrap();
+    let (code, json, stderr) = submit(&client_dir, &spec, &server.addr, "missing.json");
+    assert_eq!(
+        code,
+        0,
+        "a client with no k.vex:\n{stderr}\n{}",
+        server.log()
+    );
+    assert_eq!(json, reference);
+    assert!(stderr.contains("2 cached, 0 newly scheduled"), "{stderr}");
+    let (_, clean) = server.drain();
+    assert!(clean);
 }
 
 #[test]

@@ -36,7 +36,7 @@ pub mod journal;
 pub mod runner;
 
 pub use fault::FaultPlan;
-pub use jobs::{prepare_programs, single_point_spec, spec_point_keys};
+pub use jobs::{expand_points, prepare_programs, single_point_spec, spec_point_keys, ProgramMemo};
 pub use journal::{
     point_key, program_digest, FramedLog, Journal, JournalEntry, LockGuard, LogKind, ReplayReport,
 };

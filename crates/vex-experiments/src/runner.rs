@@ -31,7 +31,7 @@
 //! process that dies takes every attempt with it. Retrying belongs to
 //! `vex serve`, whose points run in worker processes.
 
-use crate::jobs::{key_of, prepare_programs};
+use crate::jobs::{expand_points, key_of, prepare_programs};
 use crate::journal::{Journal, JournalEntry};
 use crate::{
     default_workers, lock_clean, panic_message, parallel_map_isolated, FaultPlan, JobStatus,
@@ -362,13 +362,7 @@ impl<'a> SweepRunner<'a> {
     /// I/O). Per-point simulation failures do **not** end up here — they
     /// are collected in [`SweepOutcome::errors`].
     pub fn run(&self) -> Result<SweepOutcome, String> {
-        let points = self.spec.expand();
-        if points.is_empty() {
-            return Err(format!(
-                "spec `{}` expands to no run points (empty axis)",
-                self.spec.name
-            ));
-        }
+        let points = expand_points(self.spec)?;
 
         // Prepare each distinct (machine, member) program exactly once.
         // Keyed by machine *index* because machines with identical

@@ -10,12 +10,13 @@
 //!   backoff until the retry budget is spent, so a poison point cannot
 //!   eat the pool. Results are journaled crash-safely and served from a
 //!   content-addressed cache, so overlapping or repeated sweeps never
-//!   recompute a point. SIGTERM drains gracefully.
+//!   recompute a point. It keys every submission itself, compiling each
+//!   (machine, built-in) pair once in its life. SIGTERM drains gracefully.
 //! * **Worker** ([`worker_main`]) — a simulation process that pulls
 //!   assignments, heartbeats from inside the engine's cycle loop, and
-//!   keeps nothing between assignments but the prepared programs of its
-//!   last mix.
-//! * **Client** ([`submit`](fn@submit)) — submits a spec, waits, and reassembles a
+//!   keeps nothing between assignments but the built-ins it has prepared.
+//! * **Client** ([`submit`](fn@submit)) — submits a spec, takes its point
+//!   keys from the server's reply, waits, and reassembles a
 //!   [`SweepOutcome`](vex_experiments::SweepOutcome) byte-identical to an
 //!   uninterrupted in-process run.
 //!

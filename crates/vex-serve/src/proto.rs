@@ -32,11 +32,17 @@
 //! idle worker never polls.
 //! Client → server: `SUBMIT` + spec body, `POLL` + key-per-line body,
 //! `FETCH <key>`, `STATUS`, `DRAIN`.
-//! Server → client: `ACCEPTED <total> <cached> <enqueued>`, `DRAINING`,
-//! `ERROR <msg>`, `READY <done> <failed>`, `PENDING <done> <total>`,
-//! `ENTRY` + payload body, `FAILED <attempts> <cause>` + message body
-//! (`error` for a clean failure, `crash` for a point its workers kept
-//! losing), `UNKNOWN`.
+//! Server → client: `ACCEPTED <total> <cached> <enqueued>` + key-per-line
+//! body, `DRAINING`, `ERROR <msg>`, `READY <done> <failed>`, `PENDING
+//! <done> <total>`, `ENTRY` + payload body, `FAILED <attempts> <cause>` +
+//! message body (`error` for a clean failure, `crash` for a point its
+//! workers kept losing), `UNKNOWN`.
+//!
+//! `ACCEPTED`'s body is the submission's point keys in expansion order,
+//! one 16-digit hex key per line: the server derives the keys, so a client
+//! compiles and loads nothing. A client that predates the body reads the
+//! verb line only and ignores it; a client refuses an `ACCEPTED` that does
+//! not carry one key per point, as a server that predates the body sends.
 
 use std::io::{self, Read, Write};
 

@@ -62,6 +62,7 @@ use vex_experiments::journal::Fnv64;
 use vex_experiments::runner::ProgramLoader;
 use vex_experiments::{
     single_point_spec, spec_point_keys, FramedLog, Journal, JournalEntry, LogKind, PointFailure,
+    ProgramMemo,
 };
 use vex_spec::{ServeSpec, SweepSpec};
 
@@ -211,6 +212,10 @@ impl State {
 struct Shared<'a> {
     cfg: &'a ServeConfig,
     loader: Option<ProgramLoader<'a>>,
+    /// The compiled digest of every (machine, built-in) pair a submission
+    /// has named, kept for the server's life; the server never simulates,
+    /// so it keeps no programs.
+    builtins: Mutex<ProgramMemo<u64>>,
     state: Mutex<State>,
     /// Paired with `state`: notified on every change that can end a
     /// parked `GET` (a task became assignable or terminal, drain, close).
@@ -264,6 +269,7 @@ impl<'a> Shared<'a> {
         let shared = Shared {
             cfg,
             loader,
+            builtins: Mutex::new(ProgramMemo::new()),
             state: Mutex::new(State {
                 tasks: HashMap::new(),
                 order: Vec::new(),
@@ -299,17 +305,22 @@ const DRAINING_MSG: &str = "server is draining; not accepting new submissions";
 
 // ---- submission / queue -------------------------------------------
 
+/// What a submission came to: its point keys in expansion order, and
+/// how many of them the cache answered and how many it newly scheduled.
+struct Accepted {
+    keys: Vec<u64>,
+    cached: usize,
+    enqueued: usize,
+}
+
 /// Expands a submitted spec and enqueues every point not already cached
-/// or pending. Returns `(total, cached, newly_enqueued)`.
-fn enqueue_spec(
-    shared: &Shared<'_>,
-    text: &str,
-    record: bool,
-) -> Result<(usize, usize, usize), String> {
+/// or pending.
+fn enqueue_spec(shared: &Shared<'_>, text: &str, record: bool) -> Result<Accepted, String> {
     let spec = SweepSpec::parse(text).map_err(|e| format!("bad spec: {e}"))?;
-    // Expansion compiles the member programs (to derive the point keys);
-    // do it outside the state lock.
-    let points = spec_point_keys(&spec, shared.loader)?;
+    // Keying compiles the built-ins the memo lacks and reads every
+    // program file: it holds the memo's lock, so concurrent submissions
+    // key one at a time, but not the state lock.
+    let points = spec_point_keys(&spec, shared.loader, &mut lock(&shared.builtins))?;
 
     let mut st = lock(&shared.state);
     if st.draining {
@@ -357,7 +368,37 @@ fn enqueue_spec(
             s.append(text)?;
         }
     }
-    Ok((points.len(), cached, enqueued))
+    Ok(Accepted {
+        keys: points.into_iter().map(|(_, key)| key).collect(),
+        cached,
+        enqueued,
+    })
+}
+
+/// Answers a `SUBMIT`: `ACCEPTED <total> <cached> <enqueued>` with the
+/// point keys in expansion order as its body, one per line.
+fn submit_reply(shared: &Shared<'_>, text: &str) -> String {
+    use std::fmt::Write as _;
+    match enqueue_spec(shared, text, true) {
+        Ok(Accepted {
+            keys,
+            cached,
+            enqueued,
+        }) => {
+            let total = keys.len();
+            eprintln!(
+                "[vex serve] submission: {total} points ({cached} cached, \
+                 {enqueued} newly scheduled)"
+            );
+            let mut reply = format!("ACCEPTED {total} {cached} {enqueued}\n");
+            for key in keys {
+                let _ = writeln!(reply, "{key:016x}");
+            }
+            reply
+        }
+        Err(e) if e == DRAINING_MSG => "DRAINING".to_string(),
+        Err(e) => format!("ERROR {}", e.replace('\n', " ")),
+    }
 }
 
 /// Answers worker `pid`'s `GET` on connection `peer`: blocks until a task
@@ -658,17 +699,7 @@ fn handle_conn(shared: &Shared<'_>, mut stream: TcpStream) {
                 }
                 Err(e) => format!("ERROR {e}"),
             }),
-            "SUBMIT" => Some(match enqueue_spec(shared, body, true) {
-                Ok((total, cached, enqueued)) => {
-                    eprintln!(
-                        "[vex serve] submission: {total} points ({cached} cached, \
-                         {enqueued} newly scheduled)"
-                    );
-                    format!("ACCEPTED {total} {cached} {enqueued}")
-                }
-                Err(e) if e == DRAINING_MSG => "DRAINING".to_string(),
-                Err(e) => format!("ERROR {}", e.replace('\n', " ")),
-            }),
+            "SUBMIT" => Some(submit_reply(shared, body)),
             "POLL" => Some(poll_reply(shared, body)),
             "FETCH" => Some(match parts.next().map_or(Err(String::new()), parse_key) {
                 Ok(key) => fetch_reply(shared, key),
@@ -875,9 +906,12 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
     // cache short-circuits every point the journal already has.
     for text in &prior {
         match enqueue_spec(&shared, text, false) {
-            Ok((total, cached, enqueued)) => eprintln!(
-                "[vex serve] resumed submission: {total} points \
-                 ({cached} already journaled, {enqueued} re-enqueued)"
+            Ok(a) => eprintln!(
+                "[vex serve] resumed submission: {} points \
+                 ({} already journaled, {} re-enqueued)",
+                a.keys.len(),
+                a.cached,
+                a.enqueued
             ),
             Err(e) => eprintln!("[vex serve] dropping unreplayable submission: {e}"),
         }
@@ -1004,6 +1038,56 @@ mod tests {
                 .expect("the parked GET was never woken");
             assigned_key(&reply.expect("a live worker gets a reply"));
         });
+    }
+
+    /// Two machines and two mixes that share a member: six (machine,
+    /// built-in) pairs.
+    const PARITY: &str = "name = \"parity\"\ninst_limit = 100\ntimeslice = 50\n\
+                          techniques = [\"SMT\", \"CCSI AS\"]\nthreads = [2]\n\
+                          [[machine]]\nname = \"paper\"\n\
+                          [[machine]]\nname = \"narrow_2c\"\nclusters = 2\nslots = 2\n\
+                          alu = 2\nmul = 1\n\
+                          [[mix]]\nname = \"a\"\nmembers = [\"mcf\", \"idct\"]\n\
+                          [[mix]]\nname = \"b\"\nmembers = [\"idct\", \"x264\"]\n";
+
+    #[test]
+    fn accepted_carries_the_point_keys_and_each_built_in_is_compiled_once() {
+        let cfg = ServeConfig::default();
+        let (shared, _) = Shared::open(&cfg, None).unwrap();
+        let spec = SweepSpec::parse(PARITY).unwrap();
+        let expected: Vec<u64> = spec_point_keys(&spec, None, &mut ProgramMemo::new())
+            .unwrap()
+            .into_iter()
+            .map(|(_, key)| key)
+            .collect();
+        let n = expected.len();
+        assert_eq!(n, 8);
+        let pairs = || {
+            let mut pairs: Vec<(u8, String)> = lock(&shared.builtins)
+                .keys()
+                .map(|(m, name)| (m.n_clusters, name.clone()))
+                .collect();
+            pairs.sort();
+            pairs
+        };
+        let want: Vec<(u8, String)> = [2, 4]
+            .into_iter()
+            .flat_map(|c| ["idct", "mcf", "x264"].map(|b| (c, b.to_string())))
+            .collect();
+        // The first submission schedules every point; the second finds
+        // them queued, and its keys come from the memo alone.
+        for (round, enqueued) in [(1, n), (2, 0)] {
+            let reply = submit_reply(&shared, PARITY);
+            let (head, body) = split_message(&reply);
+            assert_eq!(head, format!("ACCEPTED {n} 0 {enqueued}"), "round {round}");
+            let keys: Vec<u64> = body.lines().map(|l| parse_key(l).unwrap()).collect();
+            assert_eq!(keys, expected, "round {round}: keys in expansion order");
+            assert_eq!(
+                pairs(),
+                want,
+                "round {round}: one digest per (machine, built-in)"
+            );
+        }
     }
 
     #[test]

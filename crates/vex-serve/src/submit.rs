@@ -2,17 +2,16 @@
 //! every point is terminal, fetches the results and reassembles a
 //! [`SweepOutcome`] indistinguishable from an in-process run.
 //!
-//! The client expands the spec *locally* to derive the point keys it will
-//! poll and fetch — the keys are content-addressed, so the client and
-//! server independently agree on the identity of every point without
-//! exchanging anything but the spec text.
+//! The server keys the points, and its `ACCEPTED` reply carries the keys
+//! in expansion order. The client expands the spec too, but only for the
+//! points' labels and order: it compiles and loads nothing, so a program
+//! file member is whatever the server's copy of it is.
 
-use crate::proto::{read_frame, split_message, write_frame};
+use crate::proto::{parse_key, read_frame, split_message, write_frame};
 use std::net::TcpStream;
 use std::time::Duration;
-use vex_experiments::runner::ProgramLoader;
 use vex_experiments::{
-    spec_point_keys, JournalEntry, PointError, PointFailure, PointResult, SweepOutcome,
+    expand_points, JournalEntry, PointError, PointFailure, PointResult, SweepOutcome,
 };
 use vex_spec::SweepSpec;
 
@@ -33,21 +32,16 @@ pub struct Submission {
 
 /// Submits `spec_text` to the server at `addr` and blocks until every
 /// point is terminal, polling every `poll_ms` milliseconds.
-pub fn submit(
-    addr: &str,
-    spec_text: &str,
-    loader: Option<ProgramLoader<'_>>,
-    poll_ms: u64,
-) -> Result<Submission, String> {
+pub fn submit(addr: &str, spec_text: &str, poll_ms: u64) -> Result<Submission, String> {
     let spec = SweepSpec::parse(spec_text).map_err(|e| format!("bad spec: {e}"))?;
-    let points = spec_point_keys(&spec, loader)?;
+    let runs = expand_points(&spec)?;
 
     let mut stream =
         TcpStream::connect(addr).map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
     stream.set_nodelay(true).ok();
 
     let reply = request(&mut stream, &format!("SUBMIT\n{spec_text}"))?;
-    let (head, _) = split_message(&reply);
+    let (head, body) = split_message(&reply);
     let mut parts = head.split(' ');
     let (total, cached, enqueued) = match parts.next().unwrap_or("") {
         "ACCEPTED" => {
@@ -66,19 +60,23 @@ pub fn submit(
         }
         other => return Err(format!("unexpected reply to SUBMIT: `{other}`")),
     };
-    if total != points.len() {
+    let keys = body
+        .lines()
+        .map(parse_key)
+        .collect::<Result<Vec<u64>, _>>()?;
+    if total != runs.len() || keys.len() != runs.len() {
         return Err(format!(
-            "server expanded {total} points, client expanded {} — spec disagreement",
-            points.len()
+            "server expanded {total} points and sent {} point keys, client expanded {} \
+             — spec disagreement (a server that sends no keys is older than this client)",
+            keys.len(),
+            runs.len()
         ));
     }
+    let points: Vec<_> = runs.into_iter().zip(keys).collect();
 
-    // Poll until every key is terminal.
-    let poll_body: String = points
-        .iter()
-        .map(|(_, key)| format!("{key:016x}\n"))
-        .collect();
-    let poll_msg = format!("POLL\n{poll_body}");
+    // Poll until every key is terminal; the keys, one per line, are the
+    // poll's body as they were the reply's.
+    let poll_msg = format!("POLL\n{body}");
     loop {
         let reply = request(&mut stream, &poll_msg)?;
         let word = reply.split(' ').next().unwrap_or("");
@@ -177,19 +175,36 @@ mod tests {
         (addr, server)
     }
 
+    /// A one-point spec.
+    const ONE_POINT: &str = "name = \"e\"\ninst_limit = 100\ntimeslice = 50\n\
+                             techniques = [\"SMT\"]\nthreads = [1]\nmixes = [\"llll\"]\n";
+
     #[test]
     fn error_reply_with_or_without_a_message_is_an_error() {
-        let spec = "name = \"e\"\ninst_limit = 100\ntimeslice = 50\n\
-                    techniques = [\"SMT\"]\nthreads = [1]\nmixes = [\"llll\"]\n";
         let (addr, server) = fake_server(&["ERROR\nno reason on the verb line", "ERROR bad spec"]);
-        let bare = submit(&addr, spec, None, 1)
+        let bare = submit(&addr, ONE_POINT, 1)
             .err()
             .expect("a bare ERROR is an error");
         assert_eq!(bare, "server rejected the spec: ");
-        let with_msg = submit(&addr, spec, None, 1)
+        let with_msg = submit(&addr, ONE_POINT, 1)
             .err()
             .expect("ERROR <msg> is an error");
         assert_eq!(with_msg, "server rejected the spec: bad spec");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn accepted_without_one_key_per_point_is_an_error() {
+        // Each reply accepts the one point; a client that took it would
+        // poll next, and the fake server answers nothing more.
+        let (addr, server) = fake_server(&[
+            "ACCEPTED 1 0 1",
+            "ACCEPTED 1 0 1\n0000000000000001\n0000000000000002\n",
+        ]);
+        for case in ["no key body (an older server)", "two keys for one point"] {
+            let err = submit(&addr, ONE_POINT, 1).err().expect(case);
+            assert!(err.contains("1 points and sent"), "{case}: {err}");
+        }
         server.join().unwrap();
     }
 }

@@ -9,13 +9,12 @@
 //! contract. A point that fails on its own (an error or a panic) is
 //! reported with `FAIL`, which the server takes as final; a fault of the
 //! worker itself ends the process, so the server re-queues its point as
-//! after a crash. The one thing it keeps between assignments is a cache
-//! derivable from the assignment alone: the prepared (compiled and
-//! decoded) programs of its last mix, reused when the next assignment
-//! names the same machine and the same built-in members — a spec's
-//! points share their mix, so consecutive assignments usually do. It
-//! holds at most one mix (a different one replaces it), re-reads
-//! program-file members on every assignment, and re-derives and checks
+//! after a crash. The one thing it keeps between assignments is every
+//! built-in it has prepared (compiled and decoded), by (machine, name),
+//! for its whole life: a built-in's code is fixed when `vex` is built, and
+//! the paper's grids draw on twelve kernels however many mixes they
+//! combine them into. It reads program-file members again on every
+//! assignment, since they may change on disk, and re-derives and checks
 //! the key every time.
 //!
 //! ## Fault injection (`VEX_WORKER_FAULT`)
@@ -37,40 +36,19 @@
 use crate::proto::{parse_key, read_frame, split_message, write_frame};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use vex_experiments::jobs::{key_of, PreparedMap};
+use vex_experiments::jobs::resolve_member;
 use vex_experiments::runner::ProgramLoader;
-use vex_experiments::{panic_message, prepare_programs, JournalEntry};
-use vex_isa::MachineConfig;
+use vex_experiments::{panic_message, point_key, program_digest, JournalEntry, ProgramMemo};
 use vex_sim::{run_prepared_observed, PreparedProgram};
-use vex_spec::{RunSpec, SweepSpec, WorkloadRef};
+use vex_spec::{RunSpec, SweepSpec};
 
 /// How often (in simulated cycles) the engine surfaces control to the
 /// heartbeat hook. Cheap enough to be negligible, frequent enough that a
 /// live worker never looks silent (the hook rate-limits actual sends).
 const OBSERVE_EVERY_CYCLES: u64 = 50_000;
 
-/// The prepared programs of the last assignment and what they were
-/// prepared for.
-struct PreparedMix {
-    machine: MachineConfig,
-    members: Vec<WorkloadRef>,
-    programs: PreparedMap,
-}
-
-impl PreparedMix {
-    /// Whether `run` can use these programs as they are: the same machine
-    /// and the same members, all built-ins (a program file may have
-    /// changed on disk since it was read).
-    fn serves(&self, run: &RunSpec) -> bool {
-        self.machine == run.machine.config
-            && self.members == run.mix.members
-            && run
-                .mix
-                .members
-                .iter()
-                .all(|m| matches!(m, WorkloadRef::Builtin(_)))
-    }
-}
+/// The built-ins a worker has prepared, with their compiled digests.
+type Builtins = ProgramMemo<(PreparedProgram, u64)>;
 
 /// Runs the worker loop against the server at `addr` until the server
 /// says `SHUTDOWN`.
@@ -79,7 +57,7 @@ pub fn worker_main(addr: &str, loader: Option<ProgramLoader<'_>>) -> Result<(), 
         TcpStream::connect(addr).map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
     stream.set_nodelay(true).ok();
     expect_ok(&mut stream, &format!("HELLO {}", std::process::id()))?;
-    let mut mix: Option<PreparedMix> = None;
+    let mut builtins = Builtins::new();
     loop {
         let reply = request(&mut stream, "GET")?;
         let (head, body) = split_message(&reply);
@@ -101,7 +79,7 @@ pub fn worker_main(addr: &str, loader: Option<ProgramLoader<'_>>) -> Result<(), 
                     zero_wall,
                     heartbeat_ms,
                     loader,
-                    &mut mix,
+                    &mut builtins,
                 );
                 match outcome {
                     Ok(entry) => expect_ok(
@@ -145,7 +123,7 @@ fn expect_ok(stream: &mut TcpStream, text: &str) -> Result<(), String> {
 }
 
 /// Simulates one assignment: parses the single-point spec, prepares its
-/// programs (or reuses `mix`, the last assignment's), re-derives the
+/// programs (built-ins through `builtins`), re-derives the
 /// content-addressed key (refusing a mismatched assignment — the key is
 /// the integrity check of the whole exchange), and runs the engine with
 /// the heartbeat hook writing to `hb_stream`, a clone of the server
@@ -157,7 +135,7 @@ fn run_point(
     zero_wall: bool,
     heartbeat_ms: u64,
     loader: Option<ProgramLoader<'_>>,
-    mix: &mut Option<PreparedMix>,
+    builtins: &mut Builtins,
 ) -> Result<JournalEntry, String> {
     let spec = SweepSpec::parse(spec_text).map_err(|e| format!("bad assignment spec: {e}"))?;
     let points = spec.expand();
@@ -167,21 +145,7 @@ fn run_point(
             points.len()
         ));
     };
-    let prepared = match mix {
-        Some(m) if m.serves(run) => &m.programs,
-        _ => {
-            // Replace, never accumulate: the old programs go before the
-            // new ones are built.
-            *mix = None;
-            &mix.insert(PreparedMix {
-                machine: run.machine.config.clone(),
-                members: run.mix.members.clone(),
-                programs: prepare_programs(points.as_slice(), loader)?,
-            })
-            .programs
-        }
-    };
-    let computed = key_of(run, prepared);
+    let (workload, computed) = prepare_point(run, loader, builtins)?;
     if computed != key {
         return Err(format!(
             "key mismatch: assigned {key:016x}, recomputed {computed:016x}"
@@ -190,16 +154,6 @@ fn run_point(
 
     fault_gate(&run.label());
 
-    let workload: Vec<PreparedProgram> = run
-        .mix
-        .members
-        .iter()
-        .map(|m| {
-            prepared[&(run.machine_index, m.as_str().to_string())]
-                .0
-                .clone()
-        })
-        .collect();
     let cfg = run.to_sim_config();
 
     // Heartbeats ride the same connection as one-way frames; the hook
@@ -233,6 +187,26 @@ fn run_point(
         }),
         Err(payload) => Err(format!("panicked: {}", panic_message(payload.as_ref()))),
     }
+}
+
+/// The prepared members of `run`'s mix, in order, and its point key.
+fn prepare_point(
+    run: &RunSpec,
+    loader: Option<ProgramLoader<'_>>,
+    builtins: &mut Builtins,
+) -> Result<(Vec<PreparedProgram>, u64), String> {
+    let mut files = ProgramMemo::new();
+    let mut workload = Vec::with_capacity(run.mix.members.len());
+    let mut digests = Vec::with_capacity(run.mix.members.len());
+    for m in &run.mix.members {
+        let (program, digest) = resolve_member(run, m, loader, builtins, &mut files, |p| {
+            let digest = program_digest(&p);
+            (PreparedProgram::prepare(p), digest)
+        })?;
+        workload.push(program);
+        digests.push(digest);
+    }
+    Ok((workload, point_key(run, &digests)))
 }
 
 /// Applies `VEX_WORKER_FAULT` directives (see the module docs). May abort
@@ -288,7 +262,11 @@ fn claim_marker(path: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vex_spec::MixSpec;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use vex_experiments::{single_point_spec, spec_point_keys};
+    use vex_isa::{MachineConfig, Program};
+    use vex_spec::{MixSpec, WorkloadRef};
 
     fn point(members: &[WorkloadRef], machine: MachineConfig) -> RunSpec {
         let mut spec = SweepSpec::base(vex_sim::Scale {
@@ -304,27 +282,73 @@ mod tests {
         spec.expand().remove(0)
     }
 
-    fn mix_for(members: &[WorkloadRef], machine: MachineConfig) -> PreparedMix {
-        PreparedMix {
-            machine,
-            members: members.to_vec(),
-            programs: PreparedMap::new(),
-        }
+    fn builtin(name: &str) -> WorkloadRef {
+        WorkloadRef::Builtin(name.into())
+    }
+
+    /// The key the server derives for `run`.
+    fn server_key(run: &RunSpec, loader: Option<ProgramLoader<'_>>) -> u64 {
+        spec_point_keys(&single_point_spec(run), loader, &mut ProgramMemo::new()).unwrap()[0].1
     }
 
     #[test]
-    fn a_prepared_mix_serves_only_its_machine_and_built_in_members() {
+    fn a_built_in_is_prepared_once_per_machine_for_the_worker_s_life() {
         let paper = MachineConfig::paper_4c4w();
-        let builtins = [WorkloadRef::Builtin("mcf".into())];
-        let mix = mix_for(&builtins, paper.clone());
-        assert!(mix.serves(&point(&builtins, paper.clone())));
-        assert!(!mix.serves(&point(&[WorkloadRef::Builtin("gsm".into())], paper.clone())));
-        assert!(!mix.serves(&point(&builtins, MachineConfig::narrow_2c())));
-
-        let file = [WorkloadRef::Path("kernel.vex".into())];
+        let narrow = MachineConfig::narrow_2c();
+        let mut builtins = Builtins::new();
+        let first = point(&[builtin("mcf"), builtin("idct")], paper.clone());
+        let (a, key) = prepare_point(&first, None, &mut builtins).unwrap();
+        assert_eq!(key, server_key(&first, None));
+        // Another mix: only its new member is prepared.
+        let second = point(&[builtin("idct"), builtin("x264")], paper.clone());
+        let (b, key) = prepare_point(&second, None, &mut builtins).unwrap();
+        assert_eq!(key, server_key(&second, None));
+        assert_eq!(builtins.len(), 3);
         assert!(
-            !mix_for(&file, paper.clone()).serves(&point(&file, paper)),
-            "a program file may have changed on disk: it is read again"
+            Arc::ptr_eq(a[1].program(), b[0].program()),
+            "idct was prepared again"
         );
+        // The same built-in on another machine is another program.
+        prepare_point(
+            &point(&[builtin("mcf")], narrow.clone()),
+            None,
+            &mut builtins,
+        )
+        .unwrap();
+        assert_eq!(builtins.len(), 4);
+        let mcf = |m: &MachineConfig| builtins[&(m.clone(), "mcf".to_string())].1;
+        assert_ne!(mcf(&paper), mcf(&narrow));
+    }
+
+    #[test]
+    fn a_program_file_is_read_again_on_every_assignment() {
+        let path = std::env::temp_dir().join(format!("vex_worker_file_{}.vex", std::process::id()));
+        let reads = AtomicUsize::new(0);
+        // The file names a built-in, which the loader compiles: editing
+        // the file changes the program.
+        let load = |p: &str| -> Result<Program, String> {
+            reads.fetch_add(1, Ordering::SeqCst);
+            let name = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
+            let paper = MachineConfig::paper_4c4w();
+            Ok((*vex_workloads::compile_benchmark_for(name.trim(), &paper)?).clone())
+        };
+        let run = point(
+            &[WorkloadRef::Path(path.display().to_string())],
+            MachineConfig::paper_4c4w(),
+        );
+        let mut builtins = Builtins::new();
+        std::fs::write(&path, "mcf").unwrap();
+        let (_, before) = prepare_point(&run, Some(&load), &mut builtins).unwrap();
+        std::fs::write(&path, "gsmencode").unwrap();
+        let (_, after) = prepare_point(&run, Some(&load), &mut builtins).unwrap();
+        assert_eq!(reads.load(Ordering::SeqCst), 2, "one read per assignment");
+        assert!(builtins.is_empty(), "a program file is never kept");
+        assert_ne!(after, before);
+        assert_eq!(
+            after,
+            server_key(&run, Some(&load)),
+            "keyed from the new bytes"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }
